@@ -4,16 +4,8 @@ FUZZTIME ?= 10s
 # BENCH_PR<n>.json per PR so the performance trajectory is diffable.
 BENCH_JSON_OUT ?= BENCH_PR10.json
 BENCH_JSON_FLAGS ?= -exp all
-# perf-smoke: the committed engine-benchmark baseline of the previous PR
-# and where to write this run's numbers. The store pair covers the durable
-# store's cold-open-vs-text-ingest gap and the WAL fsync cost.
-PERF_BASELINE ?= bench/engine-PR4.txt
-PERF_OUT ?= /tmp/engine-perf.txt
-PERF_STORE_BASELINE ?= bench/store-PR5.txt
-PERF_STORE_OUT ?= /tmp/store-perf.txt
-PERF_COUNT ?= 5
 
-.PHONY: all build test race vet check sarif fuzz-smoke chaos bench-json metrics-smoke obs-bench obs-overhead perf-smoke store-crash repl-crash serve-soak shard-soak ci
+.PHONY: all build test race vet check sarif fuzz-smoke chaos bench-json bench bench-smoke metrics-smoke obs-bench obs-overhead store-crash repl-crash serve-soak shard-soak ci
 
 all: build vet test
 
@@ -94,26 +86,19 @@ obs-bench:
 obs-overhead:
 	$(GO) run ./cmd/cgbench -exp obs-overhead
 
-# Engine hot-path perf guard: rerun the BenchmarkEngine* suite and diff it
-# against the previous PR's committed baseline (bench/engine-PR<n>.txt).
-# Uses benchstat when present (CI installs it; `go install
-# golang.org/x/perf/cmd/benchstat@latest` locally); without it the target
-# still runs the suite and prints both files for eyeball comparison.
-perf-smoke:
-	$(GO) test ./internal/engine -run '^$$' -bench '^BenchmarkEngine' -benchmem -count=$(PERF_COUNT) | tee $(PERF_OUT)
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat $(PERF_BASELINE) $(PERF_OUT); \
-	else \
-		echo "--- benchstat not installed; baseline $(PERF_BASELINE) below for manual comparison ---"; \
-		grep '^Benchmark' $(PERF_BASELINE); \
-	fi
-	$(GO) test . -run '^$$' -bench '^BenchmarkColdOpen$$|^BenchmarkTextIngest$$|^BenchmarkWALAppend$$' -benchmem -count=$(PERF_COUNT) | tee $(PERF_STORE_OUT)
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat $(PERF_STORE_BASELINE) $(PERF_STORE_OUT); \
-	else \
-		echo "--- benchstat not installed; baseline $(PERF_STORE_BASELINE) below for manual comparison ---"; \
-		grep '^Benchmark' $(PERF_STORE_BASELINE); \
-	fi
+# The repository benchmark (BENCHMARK.json, benchmark/README.md), built
+# and run the way the driver does it: every workload in a child process
+# of its own at the catalogue's run_seconds, timed phase then traced
+# phase. Every metric is printed by name and unit; a failed reference or
+# agreement check fails the run.
+bench:
+	bash benchmark/run.sh
+
+# The same four workloads at a twentieth of the size (about a minute):
+# the numbers mean little at that scale, the exit code is the correctness
+# gate (engine.Reference on whole snapshots, same-query agreement).
+bench-smoke:
+	$(GO) run ./benchmark -scale 0.05
 
 # Durable-store crash matrix under the race detector: kill points injected
 # at every WAL/segment/manifest/compaction write boundary (internal/faults),
@@ -154,4 +139,4 @@ shard-soak:
 	$(GO) test -race ./internal/store -count=1 -run 'Mapped'
 	$(GO) test -race . -count=1 -run 'TestShardedStrategyDifferential|TestShardedEdgesEvaluated'
 
-ci: check test race fuzz-smoke chaos metrics-smoke obs-overhead store-crash repl-crash serve-soak shard-soak
+ci: check test race fuzz-smoke chaos metrics-smoke obs-overhead bench-smoke store-crash repl-crash serve-soak shard-soak

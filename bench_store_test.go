@@ -3,9 +3,8 @@ package commongraph
 // Cold-start benchmarks for the durable store (ISSUE 5): BenchmarkColdOpen
 // is the restarted service's time-to-first-answer from a persisted store;
 // BenchmarkTextIngest is the same first answer from the text edge list the
-// service used to re-parse. make perf-smoke diffs both against the
-// committed bench/store-PR<n>.txt baseline. BenchmarkWALAppend prices the
-// fsynced journal write the ingest path pays per push.
+// service used to re-parse. BenchmarkWALAppend prices the fsynced journal
+// write the ingest path pays per push.
 
 import (
 	"context"

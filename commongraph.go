@@ -50,8 +50,14 @@ func ViterbiProbability(v Value) float64 { return float64(v) / float64(algo.Fixe
 // the initial snapshot plus per-transition addition/deletion batches. Each
 // edge is stored once. It is safe for concurrent Evaluate calls;
 // ApplyUpdates requires exclusive access.
+//
+// The graph keeps the plans of the windows it was last queried over (the
+// CommonGraph representation with its schedules and overlays, see
+// DESIGN.md "Window plans"), so only the first query on a window pays for
+// their construction.
 type EvolvingGraph struct {
 	store *snapshot.Store
+	reps  repCache
 }
 
 // New creates an evolving graph over numVertices vertices whose snapshot 0

@@ -185,12 +185,12 @@ type Options struct {
 	// the always-on ring-only flight recorder, whose completed root spans
 	// land in a bounded ring instead of an event buffer.
 	Trace *Tracer
-	// Plan, when non-nil, shares work with every other evaluation using
-	// the same cache: window representations, Triangular-Grid schedules,
-	// and — the important one — solved common-graph states, so concurrent
-	// queries with overlapping windows do ~1x the common-graph work
-	// between them (see PlanCache). Applies to the CommonGraph strategies
-	// only; KickStarter and Independent ignore it.
+	// Plan, when non-nil, shares solved common-graph states with every
+	// other evaluation using the same cache, so concurrent queries with
+	// overlapping windows do ~1x the common-graph work between them (see
+	// PlanCache). Window representations and schedules are reused with or
+	// without it: the EvolvingGraph keeps those itself. Applies to the
+	// CommonGraph strategies only; KickStarter and Independent ignore it.
 	Plan *PlanCache
 }
 
@@ -262,8 +262,11 @@ type Timings struct {
 	IncrementalAdd time.Duration
 	// IncrementalDelete is trimming time (KickStarter only).
 	IncrementalDelete time.Duration
-	// Mutation is in-place graph update time (KickStarter) or overlay
-	// construction time (CommonGraph strategies).
+	// Mutation is in-place graph update time (KickStarter) or, for the
+	// CommonGraph strategies, the overlay and label construction paid by
+	// this call: the whole of it on a window's first evaluation, close to
+	// zero once the window's plan is warm (overlays and labels are kept
+	// with the plan, see DESIGN.md "Window plans").
 	Mutation time.Duration
 	// StateClone is time spent copying query state at schedule branch
 	// points (zero for KickStarter, which maintains one state in place).
@@ -502,60 +505,38 @@ func (g *EvolvingGraph) evaluateKickStarter(q Query, w core.Window, opt Options,
 func (g *EvolvingGraph) evaluateCommonGraph(q Query, w core.Window, strategy Strategy, opt Options, sp *obs.Span) (*Result, error) {
 	cfg := opt.config(q)
 	cfg.Trace = sp
-	var (
-		rep *core.Rep
-		err error
-	)
-	if opt.Plan != nil {
-		rep, err = opt.Plan.rep(w, cfg.Ctx)
-	} else {
-		rep, err = core.BuildRep(w)
-	}
-	if err != nil {
-		return nil, err
-	}
-	inner, err := runCommonGraph(rep, strategy, opt, cfg)
+	inner, err := g.runCommonGraph(w, nil, strategy, opt, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return convertResult(inner, w.From, strategy), nil
 }
 
-// runCommonGraph executes one CommonGraph strategy over a built
-// representation — the shared tail of the EvolvingGraph and Watcher
-// evaluation paths. With a PlanCache configured it first resolves the
-// cache's shared common-graph state and memoized schedule, so the
-// strategy's own from-scratch solve is skipped.
-func runCommonGraph(rep *core.Rep, strategy Strategy, opt Options, cfg core.Config) (*core.Result, error) {
+// runCommonGraph executes one CommonGraph strategy over window w — the
+// shared tail of the EvolvingGraph and Watcher evaluation paths (a Watcher
+// passes the representation it maintains as held). The window's plan
+// comes from windowPlan; with a PlanCache configured the common-graph
+// state comes from the cache too, so the strategy's own from-scratch
+// solve is skipped.
+func (g *EvolvingGraph) runCommonGraph(w core.Window, held *core.Rep, strategy Strategy, opt Options, cfg core.Config) (*core.Result, error) {
+	walksSchedule := strategy == WorkSharing || strategy == WorkSharingParallel
+	rep, tg, sched, err := g.windowPlan(w, held, walksSchedule, opt, cfg.Trace)
+	if err != nil {
+		return nil, err
+	}
 	if opt.Plan != nil {
-		st, err := opt.Plan.commonState(rep, cfg)
-		if err != nil {
+		if cfg.Common, err = opt.Plan.commonState(g, rep, cfg); err != nil {
 			return nil, err
 		}
-		cfg.Common = st
 	}
 	switch strategy {
 	case DirectHop:
 		return core.DirectHop(rep, cfg)
 	case DirectHopParallel:
 		return core.DirectHopParallel(rep, cfg)
-	case WorkSharing, WorkSharingParallel:
-		var (
-			tg    *core.TG
-			sched *core.Schedule
-			err   error
-		)
-		if opt.Plan != nil {
-			tg, sched, err = opt.Plan.schedule(rep.Window, cfg.OptimalSchedule, cfg.Ctx)
-		} else {
-			tg, sched, err = buildSchedule(rep.Window, cfg.OptimalSchedule)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if strategy == WorkSharing {
-			return core.WorkSharing(rep, tg, sched, cfg)
-		}
+	case WorkSharing:
+		return core.WorkSharing(rep, tg, sched, cfg)
+	case WorkSharingParallel:
 		return core.WorkSharingParallel(rep, tg, sched, cfg)
 	}
 	return nil, fmt.Errorf("commongraph: %v is not a CommonGraph strategy", strategy)
@@ -588,29 +569,17 @@ func (g *EvolvingGraph) Plan(from, to int, opt Options) (*Plan, error) {
 		obs.Bool("optimal_schedule", opt.OptimalSchedule))
 	defer sp.End()
 	w := core.Window{Store: g.store, From: from, To: to}
-	rep, err := core.BuildRep(w)
-	if err != nil {
-		return nil, err
-	}
-	tg, err := core.BuildTG(w)
-	if err != nil {
-		return nil, err
-	}
-	tree := core.SteinerGreedy(tg)
-	if opt.OptimalSchedule {
-		tree = core.SteinerIntervalDP(tg)
-	}
-	sched, err := core.NewSchedule(tg, tree)
+	rep, _, sched, err := g.windowPlan(w, nil, true, opt, sp)
 	if err != nil {
 		return nil, err
 	}
 	sp.SetAttr(obs.Int("snapshots", w.Width()),
-		obs.Int("common_edges", len(rep.Common)),
+		obs.Int("common_edges", rep.Base.NumEdges()),
 		obs.Int64("direct_hop_additions", rep.TotalDeltaEdges()),
 		obs.Int64("work_sharing_additions", sched.Cost))
 	return &Plan{
 		Snapshots:            w.Width(),
-		CommonEdges:          len(rep.Common),
+		CommonEdges:          rep.Base.NumEdges(),
 		DirectHopAdditions:   rep.TotalDeltaEdges(),
 		WorkSharingAdditions: sched.Cost,
 		Tree:                 sched.String(),

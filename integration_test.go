@@ -46,28 +46,39 @@ func TestDatasetRoundTripPreservesResults(t *testing.T) {
 func TestConcurrentEvaluations(t *testing.T) {
 	// The EvolvingGraph documents safety for concurrent Evaluate calls;
 	// hammer one instance from several goroutines with different
-	// strategies and algorithms and check every result against a serial
-	// re-run.
+	// strategies and algorithms, on the same and on overlapping windows,
+	// and check every result against a serial re-run. The goroutines race
+	// to build each window's plan: every representation and every
+	// schedule must come out built exactly once (run with -race -count=10).
 	g, _ := buildEvolving(t, 409, 5, 30, 30)
 	type job struct {
 		q Query
 		s Strategy
+		w Window
 	}
-	jobs := []job{
-		{Query{Algorithm: BFS, Source: 0}, DirectHop},
-		{Query{Algorithm: SSSP, Source: 3}, WorkSharing},
-		{Query{Algorithm: SSWP, Source: 7}, KickStarter},
-		{Query{Algorithm: SSNP, Source: 1}, DirectHopParallel},
-		{Query{Algorithm: Viterbi, Source: 0}, WorkSharingParallel},
-		{Query{Algorithm: BFS, Source: 9}, Independent},
+	full, head, tail := Window{From: 0, To: 5}, Window{From: 0, To: 3}, Window{From: 2, To: 5}
+	var jobs []job
+	for _, w := range []Window{full, head, tail} {
+		jobs = append(jobs,
+			job{Query{Algorithm: BFS, Source: 0}, DirectHop, w},
+			job{Query{Algorithm: SSSP, Source: 3}, WorkSharing, w},
+			job{Query{Algorithm: SSNP, Source: 1}, DirectHopParallel, w},
+			job{Query{Algorithm: Viterbi, Source: 0}, WorkSharingParallel, w},
+			job{Query{Algorithm: SSSP, Source: 3}, WorkSharingParallel, w},
+		)
 	}
+	jobs = append(jobs,
+		job{Query{Algorithm: SSWP, Source: 7}, KickStarter, full},
+		job{Query{Algorithm: BFS, Source: 9}, Independent, full},
+	)
+	pc := NewPlanCache() // its Stats count the plan constructions
 	results := make([]*Result, len(jobs))
 	var wg sync.WaitGroup
 	for i, j := range jobs {
 		wg.Add(1)
 		go func(i int, j job) {
 			defer wg.Done()
-			res, err := g.Evaluate(j.q, 0, 5, j.s, Options{})
+			res, err := g.Evaluate(j.q, j.w.From, j.w.To, j.s, Options{Plan: pc})
 			if err != nil {
 				t.Errorf("job %d: %v", i, err)
 				return
@@ -76,11 +87,14 @@ func TestConcurrentEvaluations(t *testing.T) {
 		}(i, j)
 	}
 	wg.Wait()
+	if st := pc.Stats(); st.RepMisses != 3 || st.SchedMisses != 3 {
+		t.Errorf("3 windows, one solver: want 3 representations and 3 schedules built, got %+v", st)
+	}
 	for i, j := range jobs {
 		if results[i] == nil {
 			continue
 		}
-		serial, err := g.Evaluate(j.q, 0, 5, j.s, Options{})
+		serial, err := g.Evaluate(j.q, j.w.From, j.w.To, j.s, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

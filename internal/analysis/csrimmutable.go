@@ -22,6 +22,7 @@ var csrConstructors = map[string]bool{
 	"NewReverseCSR": true,
 	"NewCSRParts":   true,
 	"buildCSR":      true,
+	"reverseOf":     true,
 }
 
 var csrFields = map[string]bool{

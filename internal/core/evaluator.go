@@ -89,14 +89,6 @@ func executorCtx(cfg Config) context.Context {
 	return context.Background() //cgvet:ignore ctxflow -- nil Config.Ctx means "never cancelled"; pprof labelling still needs some context to hang off
 }
 
-// solveSchedule picks the configured Steiner solver.
-func solveSchedule(tg *TG, cfg Config) *SteinerTree {
-	if cfg.OptimalSchedule {
-		return SteinerIntervalDP(tg)
-	}
-	return SteinerGreedy(tg)
-}
-
 // SnapshotResult is the query outcome at one snapshot of the window.
 type SnapshotResult struct {
 	Index    int // window-relative snapshot index
@@ -108,6 +100,10 @@ type SnapshotResult struct {
 // Cost attributes an evaluation's wall time to phases, mirroring the
 // KickStarter breakdown for Figure 11. OverlayBuild is the CommonGraph
 // replacement for graph mutation; there are no deletion phases at all.
+//
+// OverlayBuild is the overlay and label construction paid by this call.
+// Overlays and labels are memoized on the Rep and the Schedule, so it is
+// the whole cost on their first evaluation and close to zero afterwards.
 type Cost struct {
 	InitialCompute time.Duration // from-scratch solve on the common graph
 	IncrementalAdd time.Duration
@@ -162,20 +158,6 @@ func Checksum(st *engine.State) uint64 {
 	return h
 }
 
-// maxOverlayDepth bounds the Work-Sharing overlay stack: deeper stacks
-// slow every adjacency visit, so the accumulated batches consolidate into
-// one overlay past this depth (amortizing the O(V + |Δ|) rebuild).
-const maxOverlayDepth = 64
-
-// edgeParts converts a slice of EdgeLists to the engine's parts shape.
-func edgeParts(lists []graph.EdgeList) [][]graph.Edge {
-	out := make([][]graph.Edge, len(lists))
-	for i, l := range lists {
-		out[i] = l
-	}
-	return out
-}
-
 func snapshotResult(k int, st *engine.State, keep bool) SnapshotResult {
 	r := SnapshotResult{Index: k, Reached: st.Reached(), Checksum: Checksum(st)}
 	if keep {
@@ -209,8 +191,7 @@ func DirectHop(rep *Rep, cfg Config) (*Result, error) {
 		sp := cfg.Trace.StartChild("hop",
 			obs.Int("snapshot", k), obs.Int("batch", rep.Deltas[k].Len()))
 		t1 := time.Now()
-		ov := delta.NewOverlay(rep.N, rep.Deltas[k])
-		og := delta.NewOverlayGraph(rep.Base, ov)
+		og := rep.SnapshotGraph(k)
 		t2 := time.Now()
 		res.Cost.OverlayBuild += t2.Sub(t1)
 
@@ -292,8 +273,7 @@ func DirectHopParallel(rep *Rep, cfg Config) (*Result, error) {
 				obs.Int("snapshot", k), obs.Int("batch", rep.Deltas[k].Len()))
 			pprof.Do(ctx, pprof.Labels("cg_executor", "direct-hop-parallel"), func(context.Context) {
 				start := time.Now()
-				ov := delta.NewOverlay(rep.N, rep.Deltas[k])
-				og := delta.NewOverlayGraph(rep.Base, ov)
+				og := rep.SnapshotGraph(k)
 				st := baseState.Clone()
 				shard.IncrementalAdd(og, st, rep.Deltas[k].Edges(), cfg.Engine.WithSpan(sp))
 				durations[k] = time.Since(start)                         //cgvet:ignore lockdiscipline -- index-disjoint, one k per goroutine
@@ -343,22 +323,14 @@ func WorkSharing(rep *Rep, tg *TG, sched *Schedule, cfg Config) (*Result, error)
 		return res, nil
 	}
 
-	// Materialize the labels of every grid edge the plan uses, in one pass
-	// over the TG's runs.
+	// Labels and overlay stacks come from the schedule's memo; only its
+	// first evaluation pays for them.
 	tL := time.Now()
-	labels := tg.Labels(sched.GridEdges())
+	sched.executable()
 	res.Cost.OverlayBuild += time.Since(tL)
 
-	// The DFS carries the batches accumulated from the root both as raw
-	// parts and as a short stack of overlays. Each schedule edge adds one
-	// small overlay (O(V + |batch|)); when the stack exceeds
-	// maxOverlayDepth the accumulated parts consolidate into a single
-	// overlay, so adjacency iteration stays flat without rebuilding the
-	// whole accumulated set at every level. The composed set is still
-	// "the set of additional edges the snapshot includes" (§4.1) and the
-	// base is never mutated.
-	var walk func(n *ScheduleNode, st *engine.State, overlays []*delta.Overlay, parts []graph.EdgeList) error
-	walk = func(n *ScheduleNode, st *engine.State, overlays []*delta.Overlay, parts []graph.EdgeList) error {
+	var walk func(n *ScheduleNode, st *engine.State) error
+	walk = func(n *ScheduleNode, st *engine.State) error {
 		if n.IsLeaf() {
 			res.Snapshots = append(res.Snapshots, snapshotResult(n.I, st, cfg.KeepValues))
 			return nil
@@ -380,35 +352,8 @@ func WorkSharing(rep *Rep, tg *TG, sched *Schedule, cfg Config) (*Result, error)
 			sp := cfg.Trace.StartChild("schedule.edge",
 				obs.String("from", nodeRef(n)), obs.String("to", nodeRef(e.To)),
 				obs.Int("spans", len(e.Spans)))
-			// Gather the labels this edge spans (bypassed nodes contribute
-			// their batches here); they are disjoint by construction.
 			t1 := time.Now()
-			spanLists := make([]graph.EdgeList, 0, len(e.Spans))
-			batchLen := 0
-			for _, span := range e.Spans {
-				spanLists = append(spanLists, labels[span])
-				batchLen += len(labels[span])
-			}
-			childParts := make([]graph.EdgeList, len(parts), len(parts)+len(spanLists))
-			copy(childParts, parts)
-			childParts = append(childParts, spanLists...)
-
-			var childOverlays []*delta.Overlay
-			if e.To.IsLeaf() {
-				// The graph at leaf k is exactly base + Δ_ck, and Δ_ck is
-				// already materialized canonically in the representation —
-				// index it with the fast single-part path instead of
-				// scattering the accumulated parts.
-				childOverlays = []*delta.Overlay{delta.NewOverlay(rep.N, rep.Deltas[e.To.I])}
-			} else {
-				childOverlays = make([]*delta.Overlay, len(overlays), len(overlays)+1)
-				copy(childOverlays, overlays)
-				childOverlays = append(childOverlays, delta.NewOverlayParts(rep.N, spanLists...))
-				if len(childOverlays) > maxOverlayDepth {
-					childOverlays = []*delta.Overlay{delta.NewOverlayParts(rep.N, childParts...)}
-				}
-			}
-			og := delta.NewOverlayGraph(rep.Base, childOverlays...)
+			og := edgeGraph(rep, e)
 			t2 := time.Now()
 			res.Cost.OverlayBuild += t2.Sub(t1)
 
@@ -419,13 +364,13 @@ func WorkSharing(rep *Rep, tg *TG, sched *Schedule, cfg Config) (*Result, error)
 			t3 := time.Now()
 			res.Cost.StateClone += t3.Sub(t2)
 
-			s := shard.IncrementalAddParts(og, child, edgeParts(spanLists), cfg.Engine.WithSpan(sp))
+			s := shard.IncrementalAddParts(og, child, e.parts, cfg.Engine.WithSpan(sp))
 			res.Cost.IncrementalAdd += time.Since(t3)
-			sp.SetAttr(obs.Int("batch", batchLen))
+			sp.SetAttr(obs.Int64("batch", e.AddCount))
 			sp.End()
 			res.Work.Add(s)
-			res.AdditionsProcessed += int64(batchLen)
-			if err := walk(e.To, child, childOverlays, childParts); err != nil {
+			res.AdditionsProcessed += e.AddCount
+			if err := walk(e.To, child); err != nil {
 				return err
 			}
 			if rootEdge {
@@ -443,7 +388,7 @@ func WorkSharing(rep *Rep, tg *TG, sched *Schedule, cfg Config) (*Result, error)
 	// the calling service.
 	err := func() (err error) {
 		defer recoverToError(&err)
-		return walk(sched.Root, baseState, nil, nil)
+		return walk(sched.Root, baseState)
 	}()
 	if err != nil {
 		return nil, err
@@ -457,15 +402,23 @@ func WorkSharing(rep *Rep, tg *TG, sched *Schedule, cfg Config) (*Result, error)
 	return res, nil
 }
 
-// EvaluateWorkSharing is the one-call §3.2 pipeline: build the TG, solve
-// the Steiner tree (greedy Algorithm 1, or the interval DP when
-// cfg.OptimalSchedule is set), compress, and execute.
-func EvaluateWorkSharing(rep *Rep, cfg Config) (*Result, *Schedule, error) {
-	tg, err := BuildTG(rep.Window)
-	if err != nil {
-		return nil, nil, err
+// edgeGraph is the graph at a schedule edge's destination: the common
+// base under the edge's memoized overlay stack. The graph at leaf k is
+// exactly base + Δ_ck, and Δ_ck is already materialized canonically in
+// the representation, so a leaf takes the rep's single Direct-Hop overlay
+// instead of a stack of the accumulated parts.
+func edgeGraph(rep *Rep, e *ScheduleEdge) *delta.OverlayGraph {
+	if e.To.IsLeaf() {
+		return rep.SnapshotGraph(e.To.I)
 	}
-	sched, err := NewSchedule(tg, solveSchedule(tg, cfg))
+	return delta.NewOverlayGraph(rep.Base, e.stack...)
+}
+
+// EvaluateWorkSharing is the one-call §3.2 pipeline: take the rep's TG
+// and schedule (greedy Algorithm 1, or the interval DP when
+// cfg.OptimalSchedule is set) and execute.
+func EvaluateWorkSharing(rep *Rep, cfg Config) (*Result, *Schedule, error) {
+	tg, sched, _, err := rep.Schedule(cfg.Ctx, cfg.OptimalSchedule)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -65,32 +65,18 @@ func (m *MaintainedRep) Append() error {
 
 	width := w.Width()
 	newDeltas := make([]*delta.Batch, width+1)
-	var err error
 	for k := 0; k < width; k++ {
-		newDeltas[k], err = delta.FromCanonical(graph.Union(m.rep.Deltas[k].Edges(), leaving))
-		if err != nil {
-			return err
-		}
+		newDeltas[k] = delta.FromMerged(graph.Union(m.rep.Deltas[k].Edges(), leaving))
 	}
 	// The new snapshot: E_new \ E_c' = ((D_last ∪ leaving) \ Δ−) ∪ Δ+.
-	last := graph.Union(m.rep.Deltas[width-1].Edges(), leaving)
-	newDeltas[width], err = delta.FromCanonical(
-		graph.Union(graph.Minus(last, delBatch), addBatch))
-	if err != nil {
-		return err
-	}
+	last := newDeltas[width-1].Edges()
+	newDeltas[width] = delta.FromMerged(graph.Union(graph.Minus(last, delBatch), addBatch))
 
 	base := m.rep.Base
 	if len(leaving) > 0 {
 		base = graph.NewPair(m.rep.N, newCommon)
 	}
-	m.rep = &Rep{
-		Window: Window{Store: w.Store, From: w.From, To: w.To + 1},
-		N:      m.rep.N,
-		Common: newCommon,
-		Base:   base,
-		Deltas: newDeltas,
-	}
+	m.rep = newRep(Window{Store: w.Store, From: w.From, To: w.To + 1}, newCommon, base, newDeltas)
 	return nil
 }
 
@@ -107,37 +93,18 @@ func (m *MaintainedRep) Advance() error {
 		return fmt.Errorf("core: cannot advance a single-snapshot window")
 	}
 	width := w.Width()
-	// An edge is common to snapshots From+1..To iff it is in every one of
-	// their deltas (it is outside the old common graph but present
-	// everywhere remaining).
-	promoted := m.rep.Deltas[1].Edges()
-	for k := 2; k < width && len(promoted) > 0; k++ {
-		promoted = graph.Intersect(promoted, m.rep.Deltas[k].Edges())
-	}
-	if width == 1 {
-		promoted = nil
-	}
+	promoted := m.rep.CommonWithin(1, width-1)
 
 	newCommon := graph.Union(m.rep.Common, promoted)
 	newDeltas := make([]*delta.Batch, width-1)
 	for k := 1; k < width; k++ {
-		d, err := delta.FromCanonical(graph.Minus(m.rep.Deltas[k].Edges(), promoted))
-		if err != nil {
-			return err
-		}
-		newDeltas[k-1] = d
+		newDeltas[k-1] = delta.FromMerged(graph.Minus(m.rep.Deltas[k].Edges(), promoted))
 	}
 	base := m.rep.Base
 	if len(promoted) > 0 {
 		base = graph.NewPair(m.rep.N, newCommon)
 	}
-	m.rep = &Rep{
-		Window: Window{Store: w.Store, From: w.From + 1, To: w.To},
-		N:      m.rep.N,
-		Common: newCommon,
-		Base:   base,
-		Deltas: newDeltas,
-	}
+	m.rep = newRep(Window{Store: w.Store, From: w.From + 1, To: w.To}, newCommon, base, newDeltas)
 	return nil
 }
 

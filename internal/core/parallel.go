@@ -9,10 +9,8 @@ import (
 	"sync"
 	"time"
 
-	"commongraph/internal/delta"
 	"commongraph/internal/engine"
 	"commongraph/internal/faults"
-	"commongraph/internal/graph"
 	"commongraph/internal/obs"
 	"commongraph/internal/shard"
 )
@@ -56,7 +54,9 @@ func WorkSharingParallel(rep *Rep, tg *TG, sched *Schedule, cfg Config) (*Result
 		res.Snapshots = append(res.Snapshots, snapshotResult(0, baseState, cfg.KeepValues))
 		return res, nil
 	}
-	labels := tg.Labels(sched.GridEdges())
+	tL := time.Now()
+	sched.executable()
+	res.Cost.OverlayBuild = time.Since(tL)
 
 	var (
 		mu       sync.Mutex
@@ -104,7 +104,7 @@ func WorkSharingParallel(rep *Rep, tg *TG, sched *Schedule, cfg Config) (*Result
 			sub := &Result{}
 			var walkErr error
 			pprof.Do(ctx, pprof.Labels("cg_executor", "work-sharing-parallel"), func(context.Context) {
-				walkErr = runSubtree(rep, labels, e, baseState.Clone(), cfg, sub)
+				walkErr = runSubtree(rep, e, baseState.Clone(), cfg, sub)
 			})
 			degraded := false
 			if walkErr != nil && cfg.Degrade && !isCancellation(walkErr) {
@@ -178,60 +178,35 @@ func checkWidths(rep *Rep, tg *TG) error {
 // back as a *PanicError the caller can degrade around. The subtree's
 // spans render on their own trace track (Fork), showing real overlap with
 // sibling subtrees.
-func runSubtree(rep *Rep, labels map[GridEdge]graph.EdgeList, e *ScheduleEdge,
-	st *engine.State, cfg Config, sub *Result) (err error) {
+func runSubtree(rep *Rep, e *ScheduleEdge, st *engine.State, cfg Config, sub *Result) (err error) {
 	defer recoverToError(&err)
 	sp := cfg.Trace.Fork("subtree", obs.String("root", nodeRef(e.To)))
 	defer sp.End()
-	return walkSubtree(rep, labels, e, st, nil, nil, cfg, sp, sub)
+	return walkSubtree(rep, e, st, cfg, sp, sub)
 }
 
 // walkSubtree executes one schedule edge and the subtree below it,
-// accumulating into sub. It mirrors WorkSharing's DFS (single-overlay per
-// leaf, bounded stack otherwise) but is reentrant so subtrees can run
-// concurrently. Every invocation is a schedule-edge boundary: cancellation
-// and armed faults are observed before the edge's batch is streamed.
-func walkSubtree(rep *Rep, labels map[GridEdge]graph.EdgeList, e *ScheduleEdge,
-	st *engine.State, overlays []*delta.Overlay, parts []graph.EdgeList,
-	cfg Config, parent *obs.Span, sub *Result) error {
-
+// accumulating into sub. It mirrors WorkSharing's DFS but is reentrant so
+// subtrees can run concurrently. Every invocation is a schedule-edge
+// boundary: cancellation and armed faults are observed before the edge's
+// batch is streamed.
+func walkSubtree(rep *Rep, e *ScheduleEdge, st *engine.State, cfg Config, parent *obs.Span, sub *Result) error {
 	if err := checkpoint(cfg.Ctx, faults.CoreSubtreeWalk); err != nil {
 		return err
 	}
 	sp := parent.StartChild("schedule.edge",
 		obs.String("to", nodeRef(e.To)), obs.Int("spans", len(e.Spans)))
 	t1 := time.Now()
-	spanLists := make([]graph.EdgeList, 0, len(e.Spans))
-	batchLen := 0
-	for _, span := range e.Spans {
-		spanLists = append(spanLists, labels[span])
-		batchLen += len(labels[span])
-	}
-	childParts := make([]graph.EdgeList, len(parts), len(parts)+len(spanLists))
-	copy(childParts, parts)
-	childParts = append(childParts, spanLists...)
-
-	var childOverlays []*delta.Overlay
-	if e.To.IsLeaf() {
-		childOverlays = []*delta.Overlay{delta.NewOverlay(rep.N, rep.Deltas[e.To.I])}
-	} else {
-		childOverlays = make([]*delta.Overlay, len(overlays), len(overlays)+1)
-		copy(childOverlays, overlays)
-		childOverlays = append(childOverlays, delta.NewOverlayParts(rep.N, spanLists...))
-		if len(childOverlays) > maxOverlayDepth {
-			childOverlays = []*delta.Overlay{delta.NewOverlayParts(rep.N, childParts...)}
-		}
-	}
-	og := delta.NewOverlayGraph(rep.Base, childOverlays...)
+	og := edgeGraph(rep, e)
 	t2 := time.Now()
 	sub.Cost.OverlayBuild += t2.Sub(t1)
 
-	s := shard.IncrementalAddParts(og, st, edgeParts(spanLists), cfg.Engine.WithSpan(sp))
+	s := shard.IncrementalAddParts(og, st, e.parts, cfg.Engine.WithSpan(sp))
 	sub.Cost.IncrementalAdd += time.Since(t2)
-	sp.SetAttr(obs.Int("batch", batchLen))
+	sp.SetAttr(obs.Int64("batch", e.AddCount))
 	sp.End()
 	sub.Work.Add(s)
-	sub.AdditionsProcessed += int64(batchLen)
+	sub.AdditionsProcessed += e.AddCount
 
 	if e.To.IsLeaf() {
 		sub.Snapshots = append(sub.Snapshots, snapshotResult(e.To.I, st, cfg.KeepValues))
@@ -244,7 +219,7 @@ func walkSubtree(rep *Rep, labels map[GridEdge]graph.EdgeList, e *ScheduleEdge,
 			next = st.Clone()
 			sub.Cost.StateClone += time.Since(tc)
 		}
-		if err := walkSubtree(rep, labels, child, next, childOverlays, childParts, cfg, parent, sub); err != nil {
+		if err := walkSubtree(rep, child, next, cfg, parent, sub); err != nil {
 			return err
 		}
 	}
@@ -268,8 +243,7 @@ func degradeSubtree(rep *Rep, e *ScheduleEdge, base *engine.State, cfg Config, s
 		sp := parent.StartChild("hop.fallback",
 			obs.Int("snapshot", k), obs.Int("batch", rep.Deltas[k].Len()))
 		t1 := time.Now()
-		ov := delta.NewOverlay(rep.N, rep.Deltas[k])
-		og := delta.NewOverlayGraph(rep.Base, ov)
+		og := rep.SnapshotGraph(k)
 		t2 := time.Now()
 		sub.Cost.OverlayBuild += t2.Sub(t1)
 
@@ -310,14 +284,10 @@ func errWidth(tgW, repW int) error {
 	return fmt.Errorf("core: TG width %d does not match window width %d", tgW, repW)
 }
 
-// EvaluateWorkSharingParallel is the one-call parallel pipeline: TG,
-// greedy Steiner, compression, concurrent execution.
+// EvaluateWorkSharingParallel is the one-call parallel pipeline: the
+// rep's TG and schedule, concurrent execution.
 func EvaluateWorkSharingParallel(rep *Rep, cfg Config) (*Result, *Schedule, error) {
-	tg, err := BuildTG(rep.Window)
-	if err != nil {
-		return nil, nil, err
-	}
-	sched, err := NewSchedule(tg, solveSchedule(tg, cfg))
+	tg, sched, _, err := rep.Schedule(cfg.Ctx, cfg.OptimalSchedule)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -326,32 +296,19 @@ func EvaluateWorkSharingParallel(rep *Rep, cfg Config) (*Result, *Schedule, erro
 }
 
 // EvaluateMany evaluates several queries (different algorithms and/or
-// sources) over the same window, sharing the representation, the
-// Triangular Grid, its labels, and the schedule across all of them — the
-// amortization a multi-query evolving-graph service gets from the
-// CommonGraph form. The shared schedule is solved with the first query's
-// solver choice (callers pass uniform configs). Results are returned in
-// query order.
-func EvaluateMany(rep *Rep, queries []Config) ([]*Result, *Schedule, error) {
-	tg, err := BuildTG(rep.Window)
-	if err != nil {
-		return nil, nil, err
-	}
-	var cfg0 Config
-	if len(queries) > 0 {
-		cfg0 = queries[0]
-	}
-	sched, err := NewSchedule(tg, solveSchedule(tg, cfg0))
-	if err != nil {
-		return nil, nil, err
-	}
+// sources) over the same window along one schedule (rep.Schedule's, or a
+// hand-built one), sharing the representation, the Triangular Grid, its
+// labels and overlays across all of them — the amortization a multi-query
+// evolving-graph service gets from the CommonGraph form. Results are
+// returned in query order.
+func EvaluateMany(rep *Rep, tg *TG, sched *Schedule, queries []Config) ([]*Result, error) {
 	out := make([]*Result, len(queries))
 	for i, cfg := range queries {
 		res, err := WorkSharing(rep, tg, sched, cfg)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		out[i] = res
 	}
-	return out, sched, nil
+	return out, nil
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"testing"
 
 	"commongraph/internal/algo"
@@ -104,11 +107,15 @@ func TestEvaluateMany(t *testing.T) {
 		{Algo: algo.SSSP{}, Source: 5, KeepValues: true},
 		{Algo: algo.SSWP{}, Source: 9, KeepValues: true},
 	}
-	results, sched, err := EvaluateMany(rep, queries)
+	tg, sched, _, err := rep.Schedule(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 3 || sched == nil {
+	results, err := EvaluateMany(rep, tg, sched, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 3 {
 		t.Fatalf("results=%d", len(results))
 	}
 	for qi, q := range queries {
@@ -148,6 +155,85 @@ func TestOptimalScheduleOption(t *testing.T) {
 	for k := range greedy.Snapshots {
 		if greedy.Snapshots[k].Checksum != optimal.Snapshots[k].Checksum {
 			t.Fatalf("schedules disagree at snapshot %d", k)
+		}
+	}
+}
+
+// TestRepScheduleMemo: the schedule memoized on a rep is built once per
+// solver, and executing it — cold, then warm — gives what a TG and
+// schedule built by hand over the same window give.
+func TestRepScheduleMemo(t *testing.T) {
+	s, _ := randomStore(229, 9, 60, 60)
+	w := Window{Store: s, From: 1, To: 9}
+	rep, err := BuildRep(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg, sched, built, err := rep.Schedule(context.Background(), false)
+	if err != nil || !built {
+		t.Fatalf("first call: built=%v err=%v", built, err)
+	}
+	if tg2, sched2, built, _ := rep.Schedule(context.Background(), false); built || tg2 != tg || sched2 != sched {
+		t.Fatal("second call built the greedy schedule again")
+	}
+	if _, dp, built, err := rep.Schedule(context.Background(), true); err != nil || !built || dp == sched {
+		t.Fatalf("the interval-DP schedule is its own memo: built=%v err=%v", built, err)
+	}
+
+	handTG, err := BuildTG(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handSched, err := NewSchedule(handTG, SteinerGreedy(handTG))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := BuildRep(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A waiter on someone else's build leaves when its own context ends.
+	fresh.scheds[0] = &schedFlight{done: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, _, err := fresh.Schedule(ctx, false); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter: err=%v", err)
+	}
+	fresh.scheds[0] = nil
+
+	// A materialisation that panics is not published: the next call
+	// starts over and the schedule executes in full.
+	handSched.tg = nil
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("executable on a schedule without its grid did not panic")
+			}
+		}()
+		handSched.executable()
+	}()
+	if handSched.ready {
+		t.Fatal("a panicked materialisation was published")
+	}
+	handSched.tg = handTG
+
+	cfg := Config{Algo: algo.SSSP{}, Source: 0, KeepValues: true}
+	want, err := WorkSharing(fresh, handTG, handSched, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 3; run++ {
+		for name, exec := range map[string]func(*Rep, *TG, *Schedule, Config) (*Result, error){
+			"sequential": WorkSharing, "parallel": WorkSharingParallel,
+		} {
+			got, err := exec(rep, tg, sched, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.AdditionsProcessed != want.AdditionsProcessed || !reflect.DeepEqual(got.Snapshots, want.Snapshots) {
+				t.Fatalf("run %d, %s: the memoized plan's result differs from the hand-built one's", run, name)
+			}
 		}
 	}
 }

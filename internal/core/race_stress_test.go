@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -95,7 +96,12 @@ func TestEvaluateManyRaceStress(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			all[r], _, errs[r] = EvaluateMany(rep, queries)
+			tg, sched, _, err := rep.Schedule(context.Background(), false)
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			all[r], errs[r] = EvaluateMany(rep, tg, sched, queries)
 		}(r)
 	}
 	wg.Wait()

@@ -2,8 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
+
+	"commongraph/internal/delta"
+	"commongraph/internal/graph"
 )
 
 // Schedule is an executable query evaluation plan: a tree of ScheduleNodes
@@ -16,6 +21,13 @@ type Schedule struct {
 	// Cost is the total additions across all edges (each shared batch
 	// counted once) — the schedule's work-sharing cost metric.
 	Cost int64
+
+	// tg is the grid the schedule was cut from; executable reads the
+	// edges' label sets from it, once. ready is set under mu when every
+	// edge's parts and stack are in place.
+	tg    *TG
+	mu    sync.Mutex
+	ready bool
 }
 
 // ScheduleNode is a TG node used by the plan. Leaves (I == J) are the
@@ -36,6 +48,14 @@ type ScheduleEdge struct {
 	Spans []GridEdge
 	// AddCount is the total label size across Spans.
 	AddCount int64
+
+	// Filled by Schedule.executable and immutable afterwards. parts are
+	// the label sets of Spans, the batch this step streams. stack is the
+	// overlay stack that presents the graph at To over the common base;
+	// it stays nil when To is a leaf, whose graph is the base plus the
+	// rep's own Direct-Hop overlay (Rep.LeafOverlay).
+	parts [][]graph.Edge
+	stack []*delta.Overlay
 }
 
 // NewSchedule converts a Steiner tree into an executable plan and applies
@@ -45,7 +65,7 @@ type ScheduleEdge struct {
 func NewSchedule(tg *TG, t *SteinerTree) (*Schedule, error) {
 	if t.W == 1 {
 		root := &ScheduleNode{I: 0, J: 0}
-		return &Schedule{Root: root}, nil
+		return &Schedule{Root: root, tg: tg}, nil
 	}
 	if !t.SpansAllLeaves() {
 		return nil, fmt.Errorf("core: steiner tree does not span all leaves")
@@ -99,8 +119,71 @@ func NewSchedule(tg *TG, t *SteinerTree) (*Schedule, error) {
 		return n
 	}
 	root := build(0, t.W-1)
-	s := &Schedule{Root: root, Cost: t.Cost}
-	return s, nil
+	return &Schedule{Root: root, Cost: t.Cost, tg: tg}, nil
+}
+
+// maxOverlayDepth bounds the Work-Sharing overlay stack: deeper stacks
+// slow every adjacency visit, so the batches accumulated from the root
+// consolidate into one overlay past this depth (amortizing the
+// O(V + |Δ|) rebuild).
+const maxOverlayDepth = 64
+
+// executable materializes, on first call, what executing the schedule
+// needs beyond its shape: the label set of every grid edge the plan uses
+// (one pass over the TG's runs) and, per schedule edge, the overlay stack
+// of the batches accumulated from the root. Each edge adds one small
+// overlay (O(V + |batch|)) to its parent's stack, so adjacency iteration
+// stays flat without rebuilding the whole accumulated set at every level;
+// the composed set is still "the set of additional edges the snapshot
+// includes" (§4.1). All of it is a pure function of the window, so every
+// evaluation of the schedule shares it.
+//
+// Callers read the edges only after executable returns, and it returns
+// only with ready set. A build that panics part-way leaves ready unset,
+// so the next call builds again from the start rather than executing a
+// half-filled schedule (a sync.Once would count the panic as done).
+func (s *Schedule) executable() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ready {
+		return
+	}
+	labels := s.tg.Labels(s.GridEdges())
+	var walk func(n *ScheduleNode, stack []*delta.Overlay, acc []graph.EdgeList)
+	walk = func(n *ScheduleNode, stack []*delta.Overlay, acc []graph.EdgeList) {
+		for _, e := range n.Edges {
+			spans := make([]graph.EdgeList, len(e.Spans))
+			for i, span := range e.Spans {
+				// Bypassed nodes contribute their batches here; the
+				// labels are disjoint by construction.
+				spans[i] = labels[span]
+			}
+			e.parts = edgeParts(spans)
+			if e.To.IsLeaf() {
+				continue
+			}
+			childAcc := slices.Concat(acc, spans)
+			e.stack = slices.Concat(stack, []*delta.Overlay{delta.NewOverlayParts(s.tg.n, spans...)})
+			if len(e.stack) > maxOverlayDepth {
+				e.stack = []*delta.Overlay{delta.NewOverlayParts(s.tg.n, childAcc...)}
+			}
+			// Clipped: an OverlayGraph built on the shared stack must
+			// reallocate if anything is ever pushed onto it.
+			e.stack = slices.Clip(e.stack)
+			walk(e.To, e.stack, childAcc)
+		}
+	}
+	walk(s.Root, nil, nil)
+	s.ready = true
+}
+
+// edgeParts converts a slice of EdgeLists to the engine's parts shape.
+func edgeParts(lists []graph.EdgeList) [][]graph.Edge {
+	out := make([][]graph.Edge, len(lists))
+	for i, l := range lists {
+		out[i] = l
+	}
+	return out
 }
 
 // DirectHopSchedule builds the §3.1 plan: the root fans out straight to
@@ -109,7 +192,7 @@ func NewSchedule(tg *TG, t *SteinerTree) (*Schedule, error) {
 func DirectHopSchedule(tg *TG) *Schedule {
 	w := tg.W
 	root := &ScheduleNode{I: 0, J: w - 1}
-	s := &Schedule{Root: root}
+	s := &Schedule{Root: root, tg: tg}
 	if w == 1 {
 		root.I, root.J = 0, 0
 		return s

@@ -62,6 +62,7 @@ type run struct {
 // plus the presence runs needed to materialize label sets on demand.
 type TG struct {
 	W    int
+	n    int // vertex-space size of the window's store
 	runs []run
 	// sizeLeft[i][j] = |label of [i,j]→[i,j-1]|, 0 ≤ i < j < W.
 	// sizeRight[i][j] = |label of [i,j]→[i+1,j]|.
@@ -76,7 +77,7 @@ func BuildTG(w Window) (*TG, error) {
 		return nil, err
 	}
 	width := w.Width()
-	tg := &TG{W: width}
+	tg := &TG{W: width, n: w.Store.NumVertices()}
 
 	// Track presence runs of every edge touched by a batch. An edge first
 	// seen in a deletion batch was present since the window start.
@@ -168,6 +169,7 @@ func (tg *TG) Labels(edges []GridEdge) map[GridEdge]graph.EdgeList {
 	lists := make([]graph.EdgeList, len(edges))
 	for idx, e := range edges {
 		out[e] = nil
+		lists[idx] = make(graph.EdgeList, 0, tg.LabelSize(e))
 		if e.Left {
 			wantLeft[e.I*tg.W+e.J] = int32(idx)
 		} else {

@@ -6,6 +6,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -48,6 +50,13 @@ func (w Window) deletions(t int) graph.EdgeList { return w.Store.Deletions(w.Fro
 // pair, plus one addition batch per snapshot that turns the common graph
 // into that snapshot. Reaching any snapshot requires additions only —
 // the paper's deletion-to-addition conversion.
+//
+// A Rep is also where the window's plan lives. Everything an evaluation
+// needs that is a pure function of the window — the per-snapshot leaf
+// overlays, and per Steiner solver the Triangular Grid and the schedule
+// with its labels and overlays — is built on first use, published once
+// and then shared read-only by every later evaluation of the rep,
+// concurrent ones included.
 type Rep struct {
 	Window Window
 	N      int
@@ -62,10 +71,111 @@ type Rep struct {
 	// shardMu guards shardPlans, the per-shard-count memo of degree cuts
 	// over Base. Memoizing on the rep means every pass of one evaluation
 	// — and every ICG edge of a Work-Sharing schedule, and every query
-	// sharing this rep through the plan cache — reuses one plan instead
-	// of re-cutting per pass.
+	// sharing this rep — reuses one plan instead of re-cutting per pass.
 	shardMu    sync.Mutex
 	shardPlans map[int][]graph.VertexID
+
+	// leaves[k] indexes Deltas[k] for traversal (LeafOverlay).
+	leaves []leafOverlay
+
+	// schedMu guards scheds, the single-flight slots of Schedule, indexed
+	// by solver (greedy, interval DP). It is never held while building.
+	schedMu sync.Mutex
+	scheds  [2]*schedFlight
+}
+
+type leafOverlay struct {
+	once sync.Once
+	ov   *delta.Overlay
+}
+
+// schedFlight is one schedule construction, in flight until done closes.
+type schedFlight struct {
+	done  chan struct{}
+	tg    *TG
+	sched *Schedule
+	err   error
+}
+
+func newRep(w Window, common graph.EdgeList, base *graph.Pair, deltas []*delta.Batch) *Rep {
+	return &Rep{
+		Window: w,
+		N:      w.Store.NumVertices(),
+		Common: common,
+		Base:   base,
+		Deltas: deltas,
+		leaves: make([]leafOverlay, len(deltas)),
+	}
+}
+
+// LeafOverlay returns Deltas[k] indexed for traversal: base + LeafOverlay(k)
+// is the window's k-th snapshot. Each overlay is built once, on first use.
+func (r *Rep) LeafOverlay(k int) *delta.Overlay {
+	l := &r.leaves[k]
+	l.once.Do(func() { l.ov = delta.NewOverlay(r.N, r.Deltas[k]) })
+	return l.ov
+}
+
+// Schedule returns the window's Triangular Grid and its Work-Sharing
+// schedule under the paper's greedy Steiner solver (Algorithm 1) or, with
+// optimal set, the exact interval DP. The first caller builds them while
+// concurrent callers wait, each for as long as its ctx (nil = never
+// cancelled) allows; built reports whether this call did the building. A
+// failed build is handed to everyone waiting on it and then forgotten, so
+// a later call tries again.
+func (r *Rep) Schedule(ctx context.Context, optimal bool) (tg *TG, sched *Schedule, built bool, err error) {
+	slot := 0
+	if optimal {
+		slot = 1
+	}
+	r.schedMu.Lock()
+	f := r.scheds[slot]
+	if f != nil {
+		r.schedMu.Unlock()
+		var cancelled <-chan struct{}
+		if ctx != nil {
+			cancelled = ctx.Done()
+		}
+		select {
+		case <-f.done:
+			return f.tg, f.sched, false, f.err
+		case <-cancelled:
+			return nil, nil, false, fmt.Errorf("core: cancelled waiting for the window's schedule: %w", ctx.Err())
+		}
+	}
+	f = &schedFlight{done: make(chan struct{}), err: errBuildPanicked}
+	r.scheds[slot] = f
+	r.schedMu.Unlock()
+	defer func() {
+		if f.err != nil {
+			r.schedMu.Lock()
+			r.scheds[slot] = nil
+			r.schedMu.Unlock()
+		}
+		close(f.done)
+	}()
+	f.tg, f.sched, f.err = buildSchedule(r.Window, optimal)
+	return f.tg, f.sched, true, f.err
+}
+
+// errBuildPanicked is what waiters on a plan build see if the builder
+// panics out of it; the builder's own goroutine carries the panic.
+var errBuildPanicked = errors.New("core: window plan construction panicked")
+
+func buildSchedule(w Window, optimal bool) (*TG, *Schedule, error) {
+	tg, err := BuildTG(w)
+	if err != nil {
+		return nil, nil, err
+	}
+	tree := SteinerGreedy(tg)
+	if optimal {
+		tree = SteinerIntervalDP(tg)
+	}
+	sched, err := NewSchedule(tg, tree)
+	if err != nil {
+		return nil, nil, err
+	}
+	return tg, sched, nil
 }
 
 // ShardStarts returns the memoized degree-balanced shard cut points for
@@ -110,41 +220,45 @@ func BuildRep(w Window) (*Rep, error) {
 		return nil, err
 	}
 	width := w.Width()
-	allDels := graph.EdgeList{}
-	for t := 0; t < width-1; t++ {
-		allDels = graph.Union(allDels, w.deletions(t))
+	dels := make([]graph.EdgeList, width-1)
+	for t := range dels {
+		dels[t] = w.deletions(t)
 	}
+	allDels := graph.UnionAll(dels...)
 	common := graph.Minus(first, allDels)
 
-	r := &Rep{
-		Window: w,
-		N:      w.Store.NumVertices(),
-		Common: common,
-		Base:   graph.NewPair(w.Store.NumVertices(), common),
-		Deltas: make([]*delta.Batch, width),
-	}
 	// The per-snapshot delta evolves by the window's own batches:
 	// D_0 = E_From \ E_c = E_From ∩ allDels, and
 	// D_{k+1} = (D_k \ Δ−_k) ∪ Δ+_k  (added edges are never in E_c).
 	// This keeps every step O(|D|) instead of materializing snapshots.
+	deltas := make([]*delta.Batch, width)
 	cur := graph.Intersect(first, allDels)
-	var err2 error
-	if r.Deltas[0], err2 = delta.FromCanonical(cur); err2 != nil {
-		return nil, err2
-	}
+	deltas[0] = delta.FromMerged(cur)
 	for k := 1; k < width; k++ {
-		cur = graph.Union(graph.Minus(cur, w.deletions(k-1)), w.additions(k-1))
-		if r.Deltas[k], err2 = delta.FromCanonical(cur); err2 != nil {
-			return nil, err2
-		}
+		cur = graph.Union(graph.Minus(cur, dels[k-1]), w.additions(k-1))
+		deltas[k] = delta.FromMerged(cur)
 	}
-	return r, nil
+	return newRep(w, common, graph.NewPair(w.Store.NumVertices(), common), deltas), nil
 }
 
 // SnapshotGraph returns the overlay view of the window's k-th snapshot:
 // the common base plus that snapshot's Direct-Hop delta. No mutation.
 func (r *Rep) SnapshotGraph(k int) *delta.OverlayGraph {
-	return delta.NewOverlayGraph(r.Base, delta.NewOverlay(r.N, r.Deltas[k]))
+	return delta.NewOverlayGraph(r.Base, r.LeafOverlay(k))
+}
+
+// CommonWithin returns the edges outside the common graph that are
+// present in every snapshot lo..hi (window-relative, inclusive): the
+// additions C[lo,hi] \ E_c that turn the window's common graph into the
+// sub-window's. An edge outside E_c is common to those snapshots exactly
+// when it is in every one of their deltas. The result may alias a delta
+// and must not be modified.
+func (r *Rep) CommonWithin(lo, hi int) graph.EdgeList {
+	out := r.Deltas[lo].Edges()
+	for k := lo + 1; k <= hi && len(out) > 0; k++ {
+		out = graph.Intersect(out, r.Deltas[k].Edges())
+	}
+	return out
 }
 
 // TotalDeltaEdges sums the Direct-Hop addition batches — the total number

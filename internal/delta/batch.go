@@ -33,15 +33,11 @@ func FromCanonical(edges graph.EdgeList) (*Batch, error) {
 	return &Batch{edges: edges}, nil
 }
 
-// MustFromCanonical is FromCanonical for input canonical by construction
-// (set algebra over canonical lists); it panics on violation.
-func MustFromCanonical(edges graph.EdgeList) *Batch {
-	b, err := FromCanonical(edges)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
+// FromMerged wraps the result of set algebra over canonical lists
+// (graph.Union, Minus, Intersect, UnionAll), which is canonical by
+// construction, without FromCanonical's re-scan. Lists that arrive from
+// outside the process go through FromCanonical.
+func FromMerged(edges graph.EdgeList) *Batch { return &Batch{edges: edges} }
 
 // Len returns the number of edges in the batch.
 func (b *Batch) Len() int {

@@ -48,15 +48,6 @@ func TestFromCanonicalRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestMustFromCanonicalPanicsOnBadInput(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustFromCanonical(mk([2]uint32{2, 0}, [2]uint32{1, 0}))
-}
-
 func TestNilBatchIsEmpty(t *testing.T) {
 	var b *Batch
 	if b.Len() != 0 || b.Edges() != nil || b.Contains(0, 0) {

@@ -9,9 +9,9 @@ import (
 	"commongraph/internal/graph"
 )
 
-// The BenchmarkEngine* family is the hot-path regression suite: it is
-// snapshotted per PR (bench/engine-PR<n>.txt) and compared with benchstat
-// by `make perf-smoke`. Names must stay stable across PRs.
+// The BenchmarkEngine* family is the hot-path micro-benchmark suite, for
+// measuring while working on the engine (benchstat two runs of it). Names
+// must stay stable across PRs.
 
 // benchSkewed is the power-law workload: R-MAT's skewed degree
 // distribution produces hub vertices whose rows dwarf the median, the
@@ -107,7 +107,7 @@ func BenchmarkEngineIncrementalAdd(b *testing.B) {
 		b.Fatal(err)
 	}
 	add := trs[0].Additions
-	ov := delta.NewOverlay(n, delta.MustFromCanonical(add))
+	ov := delta.NewOverlay(n, delta.NewBatch(add))
 	og := delta.NewOverlayGraph(g, ov)
 	base, _ := Run(g, algo.SSSP{}, 0, Options{})
 	b.ReportAllocs()

@@ -59,7 +59,7 @@ func BenchmarkIncrementalAdd(b *testing.B) {
 				b.Fatal(err)
 			}
 			add := trs[0].Additions
-			ov := delta.NewOverlay(n, delta.MustFromCanonical(add))
+			ov := delta.NewOverlay(n, delta.NewBatch(add))
 			og := delta.NewOverlayGraph(g, ov)
 			base, _ := Run(g, algo.SSSP{}, 0, Options{})
 			b.ResetTimer()

@@ -59,7 +59,7 @@ func checkAllVariants(t *testing.T, g *graph.Pair, add graph.EdgeList, a algo.Al
 	t.Helper()
 	n := g.NumVertices()
 	refBase := Reference(g, a, src)
-	og := delta.NewOverlayGraph(g, delta.NewOverlay(n, delta.MustFromCanonical(add)))
+	og := delta.NewOverlayGraph(g, delta.NewOverlay(n, delta.NewBatch(add)))
 	refInc := Reference(og, a, src)
 	base, _ := Run(g, a, src, Options{Mode: Sync, Workers: 1})
 	if !ValuesEqual(base, refBase) {

@@ -94,7 +94,7 @@ func TestIncrementalAddPartsEquivalence(t *testing.T) {
 	}.Canonicalize()
 	n := 4
 	base := graph.NewPair(n, baseEdges)
-	og := delta.NewOverlayGraph(base, delta.NewOverlay(n, delta.MustFromCanonical(batch)))
+	og := delta.NewOverlayGraph(base, delta.NewOverlay(n, delta.NewBatch(batch)))
 
 	whole, _ := Run(base, algo.SSSP{}, 0, Options{})
 	IncrementalAdd(og, whole, batch, Options{})

@@ -130,7 +130,7 @@ func TestIncrementalAddMatchesScratch(t *testing.T) {
 	basePair := graph.NewPair(n, base)
 	for _, a := range algo.All() {
 		st, _ := Run(basePair, a, 0, Options{})
-		og := delta.NewOverlayGraph(basePair, delta.NewOverlay(n, delta.MustFromCanonical(add)))
+		og := delta.NewOverlayGraph(basePair, delta.NewOverlay(n, delta.NewBatch(add)))
 		IncrementalAdd(og, st, add, Options{})
 		ref := Reference(og, a, 0)
 		if !ValuesEqual(st, ref) {
@@ -144,7 +144,7 @@ func TestIncrementalAddBothModes(t *testing.T) {
 	trs, _ := gen.Stream(n, base, gen.StreamConfig{Transitions: 1, Additions: 200, Deletions: 0, Seed: 9})
 	add := trs[0].Additions
 	basePair := graph.NewPair(n, base)
-	og := delta.NewOverlayGraph(basePair, delta.NewOverlay(n, delta.MustFromCanonical(add)))
+	og := delta.NewOverlayGraph(basePair, delta.NewOverlay(n, delta.NewBatch(add)))
 	ref := Reference(og, algo.SSWP{}, 0)
 	for _, mode := range []Mode{Sync, Async} {
 		st, _ := Run(basePair, algo.SSWP{}, 0, Options{})
@@ -161,7 +161,7 @@ func TestIncrementalAddFromUnreachedSource(t *testing.T) {
 	g := graph.NewPair(4, edges)
 	st, _ := Run(g, algo.BFS{}, 0, Options{})
 	add := graph.EdgeList{{Src: 2, Dst: 3, W: 1}}.Canonicalize()
-	og := delta.NewOverlayGraph(g, delta.NewOverlay(4, delta.MustFromCanonical(add)))
+	og := delta.NewOverlayGraph(g, delta.NewOverlay(4, delta.NewBatch(add)))
 	IncrementalAdd(og, st, add, Options{})
 	if st.Value(3) != algo.Infinity {
 		t.Fatalf("val(3)=%d, identity must not propagate", st.Value(3))

@@ -1,5 +1,7 @@
 package graph
 
+import "sync"
+
 // CSR is a compressed-sparse-row adjacency: for vertex u, its outgoing
 // (or, for a reverse CSR, incoming) half-edges occupy
 // targets[offsets[u]:offsets[u+1]]. A CSR is immutable after construction.
@@ -169,17 +171,51 @@ func (c *CSR) Edges() EdgeList {
 	return out
 }
 
-// Pair couples a forward and a reverse CSR over the same edge set; the
-// engine needs out-edges for propagation and the trimming algorithm needs
-// in-edges for recomputation.
-type Pair struct {
-	Out *CSR
-	In  *CSR
+// reverseOf builds the reverse orientation of a forward CSR (rows are
+// destinations, entries are sources in ascending order) straight from its
+// rows, without materializing the edge list in between.
+func reverseOf(f *CSR) *CSR {
+	c := &CSR{
+		n:       f.n,
+		offsets: make([]int32, f.n+1),
+		targets: make([]VertexID, len(f.targets)),
+		weights: make([]Weight, len(f.targets)),
+	}
+	for _, v := range f.targets {
+		c.offsets[v+1]++
+	}
+	for i := 0; i < f.n; i++ {
+		c.offsets[i+1] += c.offsets[i]
+	}
+	cursor := make([]int32, f.n)
+	for u := 0; u < f.n; u++ {
+		for p := f.offsets[u]; p < f.offsets[u+1]; p++ {
+			v := f.targets[p]
+			q := c.offsets[v] + cursor[v]
+			cursor[v]++
+			c.targets[q] = VertexID(u)
+			c.weights[q] = f.weights[p]
+		}
+	}
+	return c
 }
 
-// NewPair builds both orientations from one edge list.
+// Pair couples a forward and a reverse CSR over the same edge set; the
+// engine needs out-edges for propagation and the trimming algorithm needs
+// in-edges for recomputation. The reverse CSR is built on the first
+// InEdges call: the addition-only CommonGraph paths never look at
+// in-edges, so a common graph's pair never pays for one.
+type Pair struct {
+	Out *CSR
+
+	inOnce sync.Once
+	in     *CSR
+}
+
+// NewPair builds the forward orientation from one edge list; the reverse
+// one follows on first use.
 func NewPair(n int, edges []Edge) *Pair {
-	return &Pair{Out: NewCSR(n, edges), In: NewReverseCSR(n, edges)}
+	return &Pair{Out: NewCSR(n, edges)}
 }
 
 // NumVertices returns the number of vertices.
@@ -200,5 +236,6 @@ func (p *Pair) OutEdges(u VertexID, fn func(v VertexID, w Weight)) {
 
 // InEdges calls fn for each in-neighbour of v.
 func (p *Pair) InEdges(v VertexID, fn func(u VertexID, w Weight)) {
-	p.In.Neighbors(v, fn)
+	p.inOnce.Do(func() { p.in = reverseOf(p.Out) })
+	p.in.Neighbors(v, fn)
 }

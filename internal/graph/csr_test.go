@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -116,6 +117,18 @@ func TestPairConsistency(t *testing.T) {
 	for k, c := range outs {
 		if ins[k] != c {
 			t.Fatalf("edge %v: out count %d in count %d", k, c, ins[k])
+		}
+	}
+	// The pair's reverse orientation is built from its forward CSR on the
+	// first InEdges; it must be the reverse CSR of the edge list, row for
+	// row and in the same order.
+	want := NewReverseCSR(n, edges)
+	for v := 0; v < n; v++ {
+		var got, exp []half
+		p.InEdges(VertexID(v), func(u VertexID, w Weight) { got = append(got, half{u, VertexID(v), w}) })
+		want.Neighbors(VertexID(v), func(u VertexID, w Weight) { exp = append(exp, half{u, VertexID(v), w}) })
+		if !reflect.DeepEqual(got, exp) {
+			t.Fatalf("in-row %d: %v, want %v", v, got, exp)
 		}
 	}
 }

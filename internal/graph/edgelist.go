@@ -79,8 +79,12 @@ var ErrNotCanonical = errors.New("graph: edge list is not canonical (sorted, ded
 
 // Minus returns a \ b. Both lists must be canonical; the result is
 // canonical. Identity is by endpoints only.
-func Minus(a, b EdgeList) EdgeList {
-	out := make(EdgeList, 0, len(a))
+func Minus(a, b EdgeList) EdgeList { return MinusInto(make(EdgeList, 0, len(a)), a, b) }
+
+// MinusInto is Minus appending to out, which must not overlap a or b: a
+// caller that applies many batches in turn reuses one buffer instead of
+// allocating a list per step.
+func MinusInto(out, a, b EdgeList) EdgeList {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -99,8 +103,10 @@ func Minus(a, b EdgeList) EdgeList {
 
 // Union returns a ∪ b. Both lists must be canonical; the result is
 // canonical. When an edge appears in both, a's copy (and weight) wins.
-func Union(a, b EdgeList) EdgeList {
-	out := make(EdgeList, 0, len(a)+len(b))
+func Union(a, b EdgeList) EdgeList { return UnionInto(make(EdgeList, 0, len(a)+len(b)), a, b) }
+
+// UnionInto is Union appending to out, which must not overlap a or b.
+func UnionInto(out, a, b EdgeList) EdgeList {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -118,6 +124,22 @@ func Union(a, b EdgeList) EdgeList {
 	}
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
+}
+
+// UnionAll returns the union of any number of canonical lists as one
+// canonical list, merging them as a balanced tree so every edge is copied
+// O(log k) times rather than once per list. When an edge appears in
+// several lists, the earliest list's copy (and weight) wins. A single
+// list is returned as is, so the result must not be modified.
+func UnionAll(lists ...EdgeList) EdgeList {
+	switch len(lists) {
+	case 0:
+		return EdgeList{}
+	case 1:
+		return lists[0]
+	}
+	mid := len(lists) / 2
+	return Union(UnionAll(lists[:mid]...), UnionAll(lists[mid:]...))
 }
 
 // Intersect returns a ∩ b. Both lists must be canonical; the result is

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -123,6 +124,28 @@ func TestSetAlgebraProperties(t *testing.T) {
 			return false
 		}
 		if !Equal(Minus(Union(a, b), b), Minus(a, b)) {
+			return false
+		}
+		// The Into forms over a reused buffer give what the allocating
+		// forms give, weights included.
+		buf := make(EdgeList, 0, 8)
+		for _, op := range []struct{ into, fresh func() EdgeList }{
+			{func() EdgeList { return MinusInto(buf[:0], a, b) }, func() EdgeList { return Minus(a, b) }},
+			{func() EdgeList { return UnionInto(buf[:0], a, b) }, func() EdgeList { return Union(a, b) }},
+		} {
+			if buf = op.into(); !reflect.DeepEqual(append(EdgeList{}, buf...), append(EdgeList{}, op.fresh()...)) {
+				return false
+			}
+		}
+		// UnionAll is the left fold of Union, weights included: the
+		// earliest list's copy of an edge wins.
+		lists := make([]EdgeList, r.Intn(7))
+		fold := EdgeList{}
+		for i := range lists {
+			lists[i] = randomCanonical(r, 40, 30)
+			fold = Union(fold, lists[i])
+		}
+		if !reflect.DeepEqual(UnionAll(lists...), fold) {
 			return false
 		}
 		return true

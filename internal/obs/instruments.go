@@ -56,7 +56,7 @@ const (
 	helpServeLatency   = "Query-service end-to-end request latency, seconds (admission through response)."
 	helpServeCache     = "Query-service result-cache events (hit, miss, insert, skip, invalidate)."
 	helpServeICG       = "ICG (intermediate common graph) evaluations by the cross-query sharing layer, by kind: solve (from-scratch on a union interval), derive (incremental from a containing interval's state), shared (clone of a memoized state)."
-	helpServePlanCache = "Plan-cache events of the sharing layer (rep-hit, rep-miss, sched-hit, sched-miss, invalidate)."
+	helpServePlanCache = "Lookups of the window-plan memo an evolving graph keeps, by outcome: rep-hit, rep-miss (a representation was built), sched-hit, sched-miss (a Triangular Grid and schedule were built)."
 	helpServeCacheAdm  = "Result-cache inserts refused by the admission policy (estimated result bytes above the configured budget)."
 
 	helpSegMaps      = "Durable-store segments opened as read-only memory mappings (zero-copy cold open)."
@@ -293,7 +293,8 @@ func ServeICG(kind string) *Counter {
 	return Default().Counter("commongraph_serve_icg_evaluations_total", helpServeICG, "kind", kind)
 }
 
-// ServePlanCache counts plan-cache (rep/schedule memoization) events.
+// ServePlanCache counts lookups of the window-plan memo (representation
+// and schedule reuse) by outcome; a miss is a construction.
 func ServePlanCache(event string) *Counter {
 	return Default().Counter("commongraph_serve_plan_cache_total", helpServePlanCache, "event", event)
 }

@@ -46,7 +46,7 @@ func checkSharded(t *testing.T, g *graph.Pair, add graph.EdgeList, a algo.Algori
 	t.Helper()
 	n := g.NumVertices()
 	refBase := engine.Reference(g, a, src)
-	og := delta.NewOverlayGraph(g, delta.NewOverlay(n, delta.MustFromCanonical(add)))
+	og := delta.NewOverlayGraph(g, delta.NewOverlay(n, delta.NewBatch(add)))
 	refInc := engine.Reference(og, a, src)
 	base, _ := engine.Run(g, a, src, engine.Options{Mode: engine.Sync, Workers: 1})
 	allSeeds := make([]graph.VertexID, n)

@@ -179,8 +179,17 @@ func (s *Store) materializeLocked(i int) graph.EdgeList {
 		}
 	}
 	cur := s.versions[from]
+	// Every step subtracts into scratch and unions into next, so a replay
+	// of any length allocates two lists, not two per transition.
+	size := len(cur)
 	for t := from; t < i; t++ {
-		cur = graph.Union(graph.Minus(cur, s.dels[t].Edges()), s.adds[t].Edges())
+		size += s.adds[t].Len()
+	}
+	scratch, next := make(graph.EdgeList, 0, size), make(graph.EdgeList, 0, size)
+	for t := from; t < i; t++ {
+		scratch = graph.MinusInto(scratch[:0], cur, s.dels[t].Edges())
+		next = graph.UnionInto(next[:0], scratch, s.adds[t].Edges())
+		cur = next
 	}
 	s.cacheLocked(i, cur)
 	return cur
@@ -217,8 +226,8 @@ func (s *Store) Diff(i, j int) (additions, deletions *delta.Batch, err error) {
 		return nil, nil, err
 	}
 	// Minus over canonical lists is canonical by construction.
-	return delta.MustFromCanonical(graph.Minus(gj, gi)),
-		delta.MustFromCanonical(graph.Minus(gi, gj)), nil
+	return delta.FromMerged(graph.Minus(gj, gi)),
+		delta.FromMerged(graph.Minus(gi, gj)), nil
 }
 
 // Pair materializes snapshot i as a traversal-ready CSR pair.

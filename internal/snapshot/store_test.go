@@ -150,6 +150,16 @@ func TestStoreMatchesGenApply(t *testing.T) {
 			t.Fatalf("version %d differs: %d vs %d edges", i, len(got), len(want))
 		}
 	}
+	// A replay of any length works in two buffers: it allocates two
+	// lists, not two per transition (16 here).
+	if allocs := testing.AllocsPerRun(5, func() {
+		s.DropCache()
+		if _, err := s.GetVersion(len(trs)); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 8 {
+		t.Fatalf("an 8-transition replay made %v allocations", allocs)
+	}
 	// Batch accessors round-trip the transitions.
 	for i, tr := range trs {
 		if !graph.Equal(s.Additions(i).Edges(), tr.Additions) {

@@ -1,42 +1,35 @@
 package commongraph
 
 import (
-	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"commongraph/internal/core"
 	"commongraph/internal/engine"
-	"commongraph/internal/graph"
 	"commongraph/internal/obs"
 	"commongraph/internal/snapshot"
 )
 
-// PlanCache shares evaluation work across concurrent queries over the same
-// evolving graph — the cross-query generalization of the paper's
-// cross-snapshot sharing. The Triangular-Grid schedule already shares
-// common-graph work among a window's snapshots; a long-lived service also
-// sees many *queries* whose windows overlap, and each would otherwise
-// re-solve a nearly identical common graph from scratch. The cache
-// memoizes three layers:
+// PlanCache shares solved common-graph states across concurrent queries
+// over the same evolving graph — the cross-query generalization of the
+// paper's cross-snapshot sharing. The Triangular-Grid schedule already
+// shares common-graph work among a window's snapshots, and the
+// EvolvingGraph already keeps each window's representation and schedule
+// (DESIGN.md "Window plans"); a long-lived service also sees many
+// *queries* whose windows overlap, and each would otherwise re-solve a
+// nearly identical common graph from scratch. The cache memoizes ICG
+// states: the solved common-graph fixpoint per (algorithm, source,
+// window) — the intermediate common graph states of §3.2, lifted out of
+// single evaluations.
 //
-//   - representations: BuildRep per window (EvolvingGraph entry points; a
-//     Watcher maintains its own rep incrementally and skips this layer),
-//   - schedules: the TG and Steiner schedule per (window, solver) — pure
-//     functions of the window,
-//   - ICG states: the solved common-graph fixpoint per (algorithm, source,
-//     window) — the intermediate common graph states of §3.2, lifted out
-//     of single evaluations.
-//
-// The ICG layer is where overlapping queries actually converge. For any
-// window U ⊇ w, C(U) ⊆ C(w) (the common graph over more snapshots is a
-// subgraph), so a fixpoint solved on C(U) reaches the fixpoint on C(w) by
-// streaming the additions C(w)\C(U) — the paper's §3.1 Direct-Hop argument
-// with C(U) playing the common graph. Concurrent requests therefore
-// single-flight one solve of the *union* of their announced windows and
-// each derives its own window's state with one cheap incremental pass:
-// N overlapping queries do ~1x the common-graph work.
+// For any window U ⊇ w, C(U) ⊆ C(w) (the common graph over more
+// snapshots is a subgraph), so a fixpoint solved on C(U) reaches the
+// fixpoint on C(w) by streaming the additions C(w)\C(U) — the paper's
+// §3.1 Direct-Hop argument with C(U) playing the common graph. Concurrent
+// requests therefore single-flight one solve of the *union* of their
+// announced windows (Announce) and each derives its own window's state
+// with one cheap incremental pass: N overlapping queries do ~1x the
+// common-graph work.
 //
 // Correctness across commits: the snapshot store is append-only and
 // version indices are stable, so an entry keyed by an absolute window
@@ -45,14 +38,16 @@ import (
 // another (a follower re-bootstrap swaps stores); Invalidate drops
 // everything explicitly.
 //
+// Retention is bounded: at most maxICGGroups (algorithm, source) groups,
+// least recently used first out, of at most maxICGEntries states each.
+//
 // All methods are safe for concurrent use. A PlanCache reaches an
 // evaluation via Options.Plan.
 type PlanCache struct {
 	mu    sync.Mutex
 	store *snapshot.Store
 
-	reps      map[Window]*repEntry
-	scheds    map[schedKey]*schedEntry
+	clock     uint64
 	groups    map[groupKey]*icgGroup
 	announced map[Window]int
 
@@ -64,23 +59,12 @@ type PlanCache struct {
 // re-derived). In-flight entries are never evicted.
 const maxICGEntries = 64
 
-type repEntry struct {
-	done chan struct{}
-	rep  *core.Rep
-	err  error
-}
-
-type schedKey struct {
-	w       Window
-	optimal bool
-}
-
-type schedEntry struct {
-	done  chan struct{}
-	tg    *core.TG
-	sched *core.Schedule
-	err   error
-}
+// maxICGGroups bounds the (algorithm, source) groups retained; past it
+// the least recently used groups go, with every state they hold. A group
+// with a solve or derivation in flight is never evicted. Without the
+// bound a service queried from ever-new sources keeps at least one solved
+// state (8 bytes per vertex) per source forever.
+const maxICGGroups = 64
 
 // groupKey identifies one family of ICG states. Engine tuning (workers,
 // scheduler mode) is deliberately absent: the programs are monotonic, so
@@ -93,6 +77,7 @@ type groupKey struct {
 
 type icgGroup struct {
 	entries []*icgEntry // insertion order; scanned for exact/containing hits
+	used    uint64      // PlanCache.clock at the last lookup
 }
 
 // icgEntry is one solved (or in-flight) common-graph fixpoint. st is
@@ -121,8 +106,9 @@ type PlanCacheStats struct {
 	// counts states reached from a containing window's state by one
 	// incremental pass; Shared counts exact-window reuses.
 	Solves, Derives, Shared uint64
-	// RepHits/RepMisses and SchedHits/SchedMisses count the
-	// representation and schedule memoization layers.
+	// RepHits/RepMisses and SchedHits/SchedMisses count the lookups of
+	// the graph's window-plan memo (representation, schedule) made by
+	// requests that carried this cache; a miss is a construction.
 	RepHits, RepMisses     uint64
 	SchedHits, SchedMisses uint64
 	// Invalidations counts full resets (explicit or store-swap).
@@ -135,8 +121,6 @@ type PlanCacheStats struct {
 // NewPlanCache returns an empty cross-query plan cache.
 func NewPlanCache() *PlanCache {
 	return &PlanCache{
-		reps:      make(map[Window]*repEntry),
-		scheds:    make(map[schedKey]*schedEntry),
 		groups:    make(map[groupKey]*icgGroup),
 		announced: make(map[Window]int),
 	}
@@ -183,8 +167,7 @@ func (pc *PlanCache) Announce(w Window) (release func()) {
 	}
 }
 
-// Invalidate drops every memoized representation, schedule, and ICG state.
-// Announced windows survive — they describe in-flight requests, not cached
+// Invalidate drops every memoized ICG state. Announced windows survive — they describe in-flight requests, not cached
 // results.
 func (pc *PlanCache) Invalidate() {
 	pc.mu.Lock()
@@ -193,8 +176,6 @@ func (pc *PlanCache) Invalidate() {
 }
 
 func (pc *PlanCache) resetLocked() {
-	pc.reps = make(map[Window]*repEntry)
-	pc.scheds = make(map[schedKey]*schedEntry)
 	pc.groups = make(map[groupKey]*icgGroup)
 	pc.stats.invalidations.Add(1)
 }
@@ -211,100 +192,6 @@ func (pc *PlanCache) bindLocked(s *snapshot.Store) {
 	}
 }
 
-// await blocks until e's channel closes or ctx (nil = never) is done.
-func await(ctx context.Context, done <-chan struct{}) error {
-	if ctx == nil {
-		<-done
-		return nil
-	}
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("commongraph: cancelled waiting for shared evaluation: %w", ctx.Err())
-	}
-}
-
-// rep returns the memoized CommonGraph representation of w, building it
-// single-flight on first use.
-func (pc *PlanCache) rep(w core.Window, ctx context.Context) (*core.Rep, error) {
-	key := Window{From: w.From, To: w.To}
-	pc.mu.Lock()
-	pc.bindLocked(w.Store)
-	if e, ok := pc.reps[key]; ok {
-		pc.mu.Unlock()
-		pc.stats.repHits.Add(1)
-		obs.ServePlanCache("rep-hit").Inc()
-		if err := await(ctx, e.done); err != nil {
-			return nil, err
-		}
-		return e.rep, e.err
-	}
-	e := &repEntry{done: make(chan struct{})}
-	pc.reps[key] = e
-	pc.mu.Unlock()
-	pc.stats.repMisses.Add(1)
-	obs.ServePlanCache("rep-miss").Inc()
-	e.rep, e.err = core.BuildRep(w)
-	if e.err != nil {
-		pc.mu.Lock()
-		if pc.reps[key] == e {
-			delete(pc.reps, key) // let a later call retry
-		}
-		pc.mu.Unlock()
-	}
-	close(e.done)
-	return e.rep, e.err
-}
-
-// schedule returns the memoized Triangular Grid and Steiner schedule for
-// w under the given solver, building them single-flight on first use.
-func (pc *PlanCache) schedule(w core.Window, optimal bool, ctx context.Context) (*core.TG, *core.Schedule, error) {
-	key := schedKey{w: Window{From: w.From, To: w.To}, optimal: optimal}
-	pc.mu.Lock()
-	pc.bindLocked(w.Store)
-	if e, ok := pc.scheds[key]; ok {
-		pc.mu.Unlock()
-		pc.stats.schedHits.Add(1)
-		obs.ServePlanCache("sched-hit").Inc()
-		if err := await(ctx, e.done); err != nil {
-			return nil, nil, err
-		}
-		return e.tg, e.sched, e.err
-	}
-	e := &schedEntry{done: make(chan struct{})}
-	pc.scheds[key] = e
-	pc.mu.Unlock()
-	pc.stats.schedMisses.Add(1)
-	obs.ServePlanCache("sched-miss").Inc()
-	e.tg, e.sched, e.err = buildSchedule(w, optimal)
-	if e.err != nil {
-		pc.mu.Lock()
-		if pc.scheds[key] == e {
-			delete(pc.scheds, key)
-		}
-		pc.mu.Unlock()
-	}
-	close(e.done)
-	return e.tg, e.sched, e.err
-}
-
-func buildSchedule(w core.Window, optimal bool) (*core.TG, *core.Schedule, error) {
-	tg, err := core.BuildTG(w)
-	if err != nil {
-		return nil, nil, err
-	}
-	tree := core.SteinerGreedy(tg)
-	if optimal {
-		tree = core.SteinerIntervalDP(tg)
-	}
-	sched, err := core.NewSchedule(tg, tree)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tg, sched, nil
-}
-
 // commonState returns the solved fixpoint of (cfg.Algo, cfg.Source) on
 // rep's common graph, sharing work with every other query in flight. The
 // returned state is owned by the cache and must be treated as read-only
@@ -316,7 +203,7 @@ func buildSchedule(w core.Window, optimal bool) (*core.TG, *core.Schedule, error
 //  3. otherwise solve from scratch — over the union of w with every
 //     announced window transitively overlapping it, so concurrent
 //     overlapping requests fold into this one solve and take path 1 or 2.
-func (pc *PlanCache) commonState(rep *core.Rep, cfg core.Config) (*engine.State, error) {
+func (pc *PlanCache) commonState(g *EvolvingGraph, rep *core.Rep, cfg core.Config) (*engine.State, error) {
 	win := Window{From: rep.Window.From, To: rep.Window.To}
 	key := groupKey{algo: cfg.Algo.Name(), source: VertexID(cfg.Source)}
 
@@ -327,6 +214,8 @@ func (pc *PlanCache) commonState(rep *core.Rep, cfg core.Config) (*engine.State,
 		grp = &icgGroup{}
 		pc.groups[key] = grp
 	}
+	pc.clock++
+	grp.used = pc.clock
 	// Path 1: exact hit.
 	if e := grp.find(win); e != nil {
 		pc.mu.Unlock()
@@ -346,8 +235,9 @@ func (pc *PlanCache) commonState(rep *core.Rep, cfg core.Config) (*engine.State,
 	if src := grp.findContaining(win); src != nil {
 		dst := &icgEntry{w: win, done: make(chan struct{})}
 		grp.entries = append(grp.entries, dst)
+		pc.evictLocked(grp)
 		pc.mu.Unlock()
-		return pc.derive(dst, src, rep, cfg)
+		return pc.derive(g, dst, src, rep, cfg)
 	}
 	// Path 3: solve, widened to the union of announced overlapping
 	// windows so the requests that announced them land on paths 1–2.
@@ -359,10 +249,10 @@ func (pc *PlanCache) commonState(rep *core.Rep, cfg core.Config) (*engine.State,
 		dst = &icgEntry{w: win, done: make(chan struct{})}
 		grp.entries = append(grp.entries, dst)
 	}
-	grp.evict()
+	pc.evictLocked(grp)
 	pc.mu.Unlock()
 
-	if err := pc.solve(uEntry, rep, cfg); err != nil {
+	if err := pc.solve(g, uEntry, rep, cfg); err != nil {
 		if dst != nil {
 			pc.fail(dst, err)
 		}
@@ -371,17 +261,33 @@ func (pc *PlanCache) commonState(rep *core.Rep, cfg core.Config) (*engine.State,
 	if dst == nil {
 		return uEntry.st, nil
 	}
-	return pc.derive(dst, uEntry, rep, cfg)
+	return pc.derive(g, dst, uEntry, rep, cfg)
+}
+
+// evictLocked applies both retention bounds after grp gained an entry:
+// grp's own entry cap, then the group cap.
+func (pc *PlanCache) evictLocked(grp *icgGroup) {
+	grp.evict()
+	evictLRU(pc.groups, maxICGGroups,
+		func(g *icgGroup) uint64 { return g.used },
+		func(g *icgGroup) bool {
+			for _, e := range g.entries {
+				if !isClosed(e.done) {
+					return false
+				}
+			}
+			return true
+		})
 }
 
 // solve runs the from-scratch fixpoint on the common graph of e.w and
 // publishes it. Failures unpublish the entry so later requests retry.
-func (pc *PlanCache) solve(e *icgEntry, rep *core.Rep, cfg core.Config) error {
+func (pc *PlanCache) solve(g *EvolvingGraph, e *icgEntry, rep *core.Rep, cfg core.Config) error {
 	defer close(e.done)
 	solveRep := rep
 	if e.w != (Window{From: rep.Window.From, To: rep.Window.To}) {
 		var err error
-		solveRep, err = pc.rep(core.Window{Store: rep.Window.Store, From: e.w.From, To: e.w.To}, cfg.Ctx)
+		solveRep, _, err = g.rep(cfg.Ctx, core.Window{Store: rep.Window.Store, From: e.w.From, To: e.w.To}, pc)
 		if err != nil {
 			e.err = err
 			pc.unpublish(e)
@@ -400,7 +306,7 @@ func (pc *PlanCache) solve(e *icgEntry, rep *core.Rep, cfg core.Config) error {
 // derive specializes src's fixpoint (on C(src.w), src.w ⊇ dst.w) to
 // dst.w's common graph by streaming the additions C(dst.w)\C(src.w) —
 // one Direct-Hop over the interval containment instead of a full solve.
-func (pc *PlanCache) derive(dst, src *icgEntry, rep *core.Rep, cfg core.Config) (*engine.State, error) {
+func (pc *PlanCache) derive(g *EvolvingGraph, dst, src *icgEntry, rep *core.Rep, cfg core.Config) (*engine.State, error) {
 	if err := await(cfg.Ctx, src.done); err != nil {
 		pc.fail(dst, err)
 		return nil, err
@@ -409,7 +315,7 @@ func (pc *PlanCache) derive(dst, src *icgEntry, rep *core.Rep, cfg core.Config) 
 		pc.fail(dst, src.err)
 		return nil, src.err
 	}
-	srcRep, err := pc.rep(core.Window{Store: rep.Window.Store, From: src.w.From, To: src.w.To}, cfg.Ctx)
+	srcRep, _, err := g.rep(cfg.Ctx, core.Window{Store: rep.Window.Store, From: src.w.From, To: src.w.To}, pc)
 	if err != nil {
 		pc.fail(dst, err)
 		return nil, err
@@ -417,7 +323,7 @@ func (pc *PlanCache) derive(dst, src *icgEntry, rep *core.Rep, cfg core.Config) 
 	sp := cfg.Trace.StartChild("icg.derive",
 		obs.Int("from", dst.w.From), obs.Int("to", dst.w.To),
 		obs.Int("src_from", src.w.From), obs.Int("src_to", src.w.To))
-	batch := graph.Minus(rep.Common, srcRep.Common)
+	batch := srcRep.CommonWithin(dst.w.From-src.w.From, dst.w.To-src.w.From)
 	st := src.st.Clone()
 	engine.IncrementalAdd(rep.Base, st, batch, cfg.Engine.WithSpan(sp))
 	sp.SetAttr(obs.Int("batch", len(batch)))
@@ -484,13 +390,7 @@ func (g *icgGroup) evict() {
 	kept := g.entries[:0]
 	drop := len(g.entries) - maxICGEntries
 	for _, e := range g.entries {
-		solved := false
-		select {
-		case <-e.done:
-			solved = true
-		default:
-		}
-		if drop > 0 && solved {
+		if drop > 0 && isClosed(e.done) {
 			drop--
 			continue
 		}

@@ -2,8 +2,13 @@ package commongraph
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
+
+	"commongraph/internal/engine"
+	"commongraph/internal/graph"
 )
 
 // commonGraphStrategies are the strategies the PlanCache applies to.
@@ -11,44 +16,64 @@ func commonGraphStrategies() []Strategy {
 	return []Strategy{DirectHop, DirectHopParallel, WorkSharing, WorkSharingParallel}
 }
 
-// TestPlanCacheDifferential: with a PlanCache configured, every
-// CommonGraph strategy must produce exactly the results of the uncached
-// path, for several algorithms and overlapping windows — the shared
-// common state is an optimization, never an approximation.
-func TestPlanCacheDifferential(t *testing.T) {
-	g, _ := buildEvolving(t, 53, 6, 70, 70)
-	pc := NewPlanCache()
+// referenceValues solves q on whole snapshot idx with the Bellman-Ford
+// oracle.
+func referenceValues(t *testing.T, g *EvolvingGraph, idx int, q Query) []Value {
+	t.Helper()
+	edges, err := g.Snapshot(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return engine.Reference(graph.NewPair(g.NumVertices(), edges), q.Algorithm, q.Source)
+}
+
+// TestWarmPlanDifferential is the strategy differential over the window
+// plan: for every CommonGraph strategy x algorithm x Steiner solver, with
+// and without a PlanCache, the first Run on a window (which builds its
+// plan) and the second and third (which reuse it) return bit-identical
+// values, and those are engine.Reference's on every snapshot — reuse is an
+// optimization, never an approximation.
+func TestWarmPlanDifferential(t *testing.T) {
 	windows := []Window{{From: 0, To: 4}, {From: 1, To: 5}, {From: 2, To: 6}, {From: 0, To: 6}, {From: 3, To: 3}}
-	for _, q := range []Query{{Algorithm: BFS, Source: 0}, {Algorithm: SSSP, Source: 2}} {
-		for _, s := range commonGraphStrategies() {
-			for _, w := range windows {
-				req := Request{Query: q, Window: w, Strategy: s}
-				plain, err := g.Run(context.Background(), req)
-				if err != nil {
-					t.Fatalf("%s %v %v: uncached: %v", q.Algorithm.Name(), s, w, err)
-				}
-				req.Options.Plan = pc
-				cached, err := g.Run(context.Background(), req)
-				if err != nil {
-					t.Fatalf("%s %v %v: cached: %v", q.Algorithm.Name(), s, w, err)
-				}
-				if len(cached.Snapshots) != len(plain.Snapshots) {
-					t.Fatalf("%s %v %v: snapshot count %d vs %d",
-						q.Algorithm.Name(), s, w, len(cached.Snapshots), len(plain.Snapshots))
-				}
-				for i := range cached.Snapshots {
-					if cached.Snapshots[i].Checksum != plain.Snapshots[i].Checksum ||
-						cached.Snapshots[i].Reached != plain.Snapshots[i].Reached {
-						t.Fatalf("%s %v %v: snapshot %d diverges under plan cache",
-							q.Algorithm.Name(), s, w, i)
+	for _, s := range commonGraphStrategies() {
+		for _, optimal := range []bool{false, true} {
+			// A graph of its own, so the first Run below is a cold one.
+			g, _ := buildEvolving(t, 53, 6, 70, 70)
+			pc := NewPlanCache()
+			for _, a := range Algorithms() {
+				q := Query{Algorithm: a, Source: 2}
+				for _, w := range windows {
+					name := fmt.Sprintf("%s %v optimal=%v %v", a.Name(), s, optimal, w)
+					var first *Result
+					for run, plan := range []*PlanCache{nil, nil, pc, pc} {
+						res, err := g.Run(context.Background(), Request{Query: q, Window: w, Strategy: s,
+							Options: Options{OptimalSchedule: optimal, KeepValues: true, Plan: plan}})
+						if err != nil {
+							t.Fatalf("%s run %d: %v", name, run, err)
+						}
+						if first == nil {
+							first = res
+							for k, snap := range res.Snapshots {
+								if want := referenceValues(t, g, w.From+k, q); !reflect.DeepEqual(snap.Values, want) {
+									t.Fatalf("%s: snapshot %d differs from engine.Reference", name, w.From+k)
+								}
+							}
+							continue
+						}
+						if !reflect.DeepEqual(res.Snapshots, first.Snapshots) {
+							t.Fatalf("%s: run %d on the warm plan differs from the first", name, run)
+						}
 					}
 				}
 			}
+			st := pc.Stats()
+			if st.Solves == 0 || st.Shared == 0 {
+				t.Fatalf("%v: cache never engaged: %+v", s, st)
+			}
+			if st.RepMisses != 0 || st.RepHits == 0 {
+				t.Fatalf("%v: every plan was warm by the time the cache was used, want hits only: %+v", s, st)
+			}
 		}
-	}
-	st := pc.Stats()
-	if st.Solves == 0 || st.Shared == 0 {
-		t.Fatalf("cache never engaged: %+v", st)
 	}
 }
 
@@ -101,14 +126,14 @@ func TestPlanCacheSharedSolveOnce(t *testing.T) {
 		t.Fatalf("remaining queries should share or derive: %+v", st)
 	}
 	// And the shared results must still be exact: re-run one window
-	// uncached and compare.
+	// without the PlanCache and compare.
 	check, err := g.Run(context.Background(), Request{Query: q, Window: windows[2], Strategy: DirectHop})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range check.Snapshots {
 		if results[2].Snapshots[i].Checksum != check.Snapshots[i].Checksum {
-			t.Fatalf("snapshot %d: shared result diverges from uncached", i)
+			t.Fatalf("snapshot %d: shared result diverges from the unshared one", i)
 		}
 	}
 }
@@ -140,8 +165,9 @@ func TestPlanCacheExactReuse(t *testing.T) {
 }
 
 // TestPlanCacheWatcherPath: a Watcher evaluation with a PlanCache matches
-// the watcher's own uncached evaluation, and a second watcher query over
-// the same window shares the solve.
+// the watcher's own evaluation without one, a second watcher query over
+// the same window shares the solve, and the maintained representation's
+// schedule is built once for as long as the window stands still.
 func TestPlanCacheWatcherPath(t *testing.T) {
 	g, _ := buildEvolving(t, 67, 5, 60, 60)
 	w, err := g.Watch(0, 4)
@@ -168,8 +194,13 @@ func TestPlanCacheWatcherPath(t *testing.T) {
 			}
 		}
 	}
-	if st := pc.Stats(); st.Solves != 1 || st.Shared != 1 {
+	st := pc.Stats()
+	if st.Solves != 1 || st.Shared != 1 {
 		t.Fatalf("watcher path should share the solve: %+v", st)
+	}
+	// The run without the cache built the schedule; both runs with it hit.
+	if st.SchedMisses != 0 || st.SchedHits != 2 || st.RepMisses+st.RepHits != 0 {
+		t.Fatalf("watcher path should reuse its maintained rep's schedule: %+v", st)
 	}
 }
 
@@ -192,12 +223,12 @@ func TestPlanCacheStoreSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncached2, err := g2.Run(context.Background(), Request{Query: req.Query, Window: req.Window, Strategy: DirectHop})
+	plain2, err := g2.Run(context.Background(), Request{Query: req.Query, Window: req.Window, Strategy: DirectHop})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range r2.Snapshots {
-		if r2.Snapshots[i].Checksum != uncached2.Snapshots[i].Checksum {
+		if r2.Snapshots[i].Checksum != plain2.Snapshots[i].Checksum {
 			t.Fatalf("snapshot %d served from the wrong store's cache", i)
 		}
 	}
@@ -218,5 +249,38 @@ func TestPlanCacheWidenTransitive(t *testing.T) {
 	})
 	if got != (Window{From: 0, To: 8}) {
 		t.Fatalf("widen = %+v, want [0,8]", got)
+	}
+}
+
+// TestPlanCacheGroupsBounded: every distinct (algorithm, source) used to
+// leave a group with a solved state behind for good. 10 000 never-repeated
+// sources through one cache must retain a bounded number of states.
+func TestPlanCacheGroupsBounded(t *testing.T) {
+	g := New(10_000, []Edge{{Src: 0, Dst: 1, W: 1}})
+	if _, err := g.ApplyUpdates([]Edge{{Src: 1, Dst: 2, W: 1}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	pc := NewPlanCache()
+	for src := 0; src < 10_000; src++ {
+		_, err := g.Run(context.Background(), Request{
+			Query: Query{Algorithm: BFS, Source: VertexID(src)}, Window: Window{From: 0, To: 1},
+			Strategy: DirectHop, Options: Options{Plan: pc},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	pc.mu.Lock()
+	groups, states := len(pc.groups), 0
+	for _, grp := range pc.groups {
+		states += len(grp.entries)
+	}
+	pc.mu.Unlock()
+	if groups > maxICGGroups || states > maxICGGroups*maxICGEntries {
+		t.Fatalf("%d groups holding %d states retained, bounds are %d and %d",
+			groups, states, maxICGGroups, maxICGGroups*maxICGEntries)
+	}
+	if st := pc.Stats(); st.Solves != 10_000 {
+		t.Fatalf("want one solve per never-seen source, got %+v", st)
 	}
 }

@@ -318,7 +318,7 @@ func (w *Watcher) evaluate(q Query, strategy Strategy, opt Options) (*Result, er
 		sp.End()
 		return nil, fmt.Errorf("commongraph: watcher supports only CommonGraph strategies, not %v", strategy)
 	}
-	inner, err := runCommonGraph(rep, strategy, opt, cfg)
+	inner, err := w.g.runCommonGraph(rep.Window, rep, strategy, opt, cfg)
 	obs.Queries(slug).Inc()
 	slow := obs.SlowEntry{Trace: sp.TraceID(), Strategy: slug,
 		Dur: time.Since(start), Start: start,
@@ -462,7 +462,7 @@ func (g *EvolvingGraph) EvaluateMulti(queries []Query, from, to int, opt Options
 
 func (g *EvolvingGraph) evaluateMulti(queries []Query, from, to int, opt Options) ([]*Result, error) {
 	w := core.Window{Store: g.store, From: from, To: to}
-	rep, err := core.BuildRep(w)
+	rep, tg, sched, err := g.windowPlan(w, nil, true, opt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -473,7 +473,7 @@ func (g *EvolvingGraph) evaluateMulti(queries []Query, from, to int, opt Options
 		}
 		cfgs[i] = opt.config(q)
 	}
-	inner, _, err := core.EvaluateMany(rep, cfgs)
+	inner, err := core.EvaluateMany(rep, tg, sched, cfgs)
 	if err != nil {
 		return nil, err
 	}
