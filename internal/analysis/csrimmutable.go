@@ -21,6 +21,7 @@ var csrConstructors = map[string]bool{
 	"NewCSR":        true,
 	"NewReverseCSR": true,
 	"NewCSRParts":   true,
+	"PatchPair":     true,
 	"buildCSR":      true,
 	"reverseOf":     true,
 }

@@ -36,6 +36,44 @@ func BenchmarkBuildRep(b *testing.B) {
 	}
 }
 
+// BenchmarkMaintainedSlide measures one Slide of a 16-wide window over
+// LJ-sim at the default scale with 500 + 500 updates per transition —
+// what a live window pays per new snapshot where BuildRep would be paid
+// otherwise. The window is rebuilt, off the clock, every 32 slides.
+func BenchmarkMaintainedSlide(b *testing.B) {
+	const width, slides = 16, 32
+	lj, ok := gen.ByName("LJ-sim")
+	if !ok {
+		b.Fatal("LJ-sim stand-in missing")
+	}
+	n, base := lj.Build(1)
+	trs, err := gen.Stream(n, base, gen.StreamConfig{Transitions: width - 1 + slides, Additions: 500, Deletions: 500, Seed: 29})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := snapshot.NewStore(n, base)
+	for _, tr := range trs {
+		if _, err := s.NewVersion(tr.Additions, tr.Deletions); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var m *MaintainedRep
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%slides == 0 {
+			b.StopTimer()
+			if m, err = NewMaintainedRep(Window{Store: s, From: 0, To: width - 1}); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if err := m.Slide(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBuildTG measures Triangular Grid construction.
 func BenchmarkBuildTG(b *testing.B) {
 	w := benchWindow(b, 50)

@@ -1,23 +1,31 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"commongraph/internal/algo"
 	"commongraph/internal/engine"
+	"commongraph/internal/gen"
 	"commongraph/internal/graph"
+	"commongraph/internal/snapshot"
 )
 
+// sameEdges compares two canonical lists edge for edge, weights included.
+func sameEdges(a, b graph.EdgeList) bool {
+	return reflect.DeepEqual(append(graph.EdgeList{}, a...), append(graph.EdgeList{}, b...))
+}
+
 // repEqual compares a maintained representation against a from-scratch
-// BuildRep of the same window.
+// BuildRep of the same window, weights included.
 func repEqual(t *testing.T, got, want *Rep) bool {
 	t.Helper()
 	if got.Window != want.Window {
 		t.Logf("window %+v vs %+v", got.Window, want.Window)
 		return false
 	}
-	if !graph.Equal(got.Common, want.Common) {
+	if !sameEdges(got.Common, want.Common) {
 		t.Logf("common differs: %d vs %d edges", len(got.Common), len(want.Common))
 		return false
 	}
@@ -25,14 +33,15 @@ func repEqual(t *testing.T, got, want *Rep) bool {
 		return false
 	}
 	for k := range got.Deltas {
-		if !graph.Equal(got.Deltas[k].Edges(), want.Deltas[k].Edges()) {
+		if !sameEdges(got.Deltas[k].Edges(), want.Deltas[k].Edges()) {
 			t.Logf("delta %d differs", k)
 			return false
 		}
 	}
-	// Base must present exactly the common edges.
-	if got.Base.NumEdges() != len(got.Common) {
-		t.Logf("base has %d edges, common %d", got.Base.NumEdges(), len(got.Common))
+	// Base must present exactly the common edges: read back through its
+	// offsets, every row is that vertex's run of Common, weights included.
+	if !sameEdges(got.Base.Out.Edges(), got.Common) {
+		t.Logf("base rows are not the common list (%d vs %d edges)", got.Base.NumEdges(), len(got.Common))
 		return false
 	}
 	return true
@@ -128,6 +137,92 @@ func TestMaintainedSlideProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMaintainedSlideStream slides a 16-wide window 200 times over a
+// seeded stream and holds every slide to a fresh BuildRep. The stream
+// re-adds half of what each transition deleted one transition later,
+// under a new weight; every tenth transition only adds (nothing leaves
+// the common graph when it is appended) or only deletes (nothing is
+// promoted when the window start passes it), and where the two coincide
+// the base is carried over as it is.
+func TestMaintainedSlideStream(t *testing.T) {
+	const width, slides = 16, 200
+	n, base := gen.RMAT(gen.DefaultRMAT(8, 900, 211))
+	r := gen.NewRNG(212)
+	s := snapshot.NewStore(n, base)
+	head := base.Clone().Canonicalize()
+	var gone graph.EdgeList
+	addsOnly := func(t int) bool { return t%10 == 5 || t%10 == 7 }
+	delsOnly := func(t int) bool { return t%10 == 0 || t%10 == 3 }
+	commit := func(tr int) {
+		var adds, dels graph.EdgeList
+		if !addsOnly(tr) {
+			for i := 0; i < 12; i++ {
+				dels = append(dels, head[r.Intn(len(head))])
+			}
+		}
+		if !delsOnly(tr) {
+			for len(adds) < 8 {
+				e := graph.Edge{Src: graph.VertexID(r.Intn(n)), Dst: graph.VertexID(r.Intn(n)), W: graph.Weight(1 + r.Intn(90))}
+				if !head.Contains(e.Src, e.Dst) {
+					adds = append(adds, e)
+				}
+			}
+			for i, e := range gone {
+				if i%2 == 0 {
+					adds = append(adds, graph.Edge{Src: e.Src, Dst: e.Dst, W: e.W + 100})
+				}
+			}
+		}
+		adds, dels = adds.Canonicalize(), dels.Canonicalize()
+		if _, err := s.NewVersion(adds, dels); err != nil {
+			t.Fatalf("transition %d: %v", tr, err)
+		}
+		head, gone = graph.Union(graph.Minus(head, dels), adds), dels
+	}
+	for tr := 0; tr < width-1; tr++ {
+		commit(tr)
+	}
+	m, err := NewMaintainedRep(Window{Store: s, From: 0, To: width - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < slides; i++ {
+		commit(width - 1 + i) // the transition this slide appends; it drops transition i
+		before := m.Rep()
+		beforeCommon := before.Common.Clone()
+		if err := m.Slide(); err != nil {
+			t.Fatal(err)
+		}
+		got := m.Rep()
+		want, err := BuildRep(m.Window())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !repEqual(t, got, want) {
+			t.Fatalf("slide %d diverged from rebuild", i)
+		}
+		// i%10 == 2: nothing leaves; 3: nothing is promoted; 0: neither.
+		if addsOnly(width-1+i) && delsOnly(i) && got.Base != before.Base {
+			t.Fatalf("slide %d left the common graph as it was and still rebuilt the base", i)
+		}
+		if !sameEdges(before.Common, beforeCommon) || !sameEdges(before.Base.Out.Edges(), beforeCommon) {
+			t.Fatalf("slide %d wrote into the representation it replaced", i)
+		}
+		if i == 0 || i == slides/2 || i == slides-1 {
+			res, err := DirectHop(got, Config{Algo: algo.SSSP{}, Source: 0, KeepValues: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range res.Snapshots {
+				snap, _ := s.GetVersion(got.Window.From + k)
+				if !reflect.DeepEqual(res.Snapshots[k].Values, referenceSSSP(n, snap)) {
+					t.Fatalf("slide %d snapshot %d differs from engine.Reference", i, k)
+				}
+			}
+		}
 	}
 }
 

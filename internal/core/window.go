@@ -253,10 +253,12 @@ func (r *Rep) SnapshotGraph(k int) *delta.OverlayGraph {
 // sub-window's. An edge outside E_c is common to those snapshots exactly
 // when it is in every one of their deltas. The result may alias a delta
 // and must not be modified.
-func (r *Rep) CommonWithin(lo, hi int) graph.EdgeList {
-	out := r.Deltas[lo].Edges()
+func (r *Rep) CommonWithin(lo, hi int) graph.EdgeList { return commonWithin(r.Deltas, lo, hi) }
+
+func commonWithin(deltas []*delta.Batch, lo, hi int) graph.EdgeList {
+	out := deltas[lo].Edges()
 	for k := lo + 1; k <= hi && len(out) > 0; k++ {
-		out = graph.Intersect(out, r.Deltas[k].Edges())
+		out = graph.Intersect(out, deltas[k].Edges())
 	}
 	return out
 }

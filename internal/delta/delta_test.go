@@ -2,6 +2,7 @@ package delta
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -82,6 +83,29 @@ func randomEdges(r *rand.Rand, n, m int) graph.EdgeList {
 		})
 	}
 	return l
+}
+
+// TestNetComposes: any run of transitions composed into one Net turns a
+// snapshot into what the transitions make of it one at a time, weights
+// included — also when the stream is not consistent with the snapshot
+// (deletes of absent edges, adds of present ones, re-adds under a new
+// weight), since the vertex space here is small enough to collide often.
+func TestNetComposes(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		base := randomEdges(r, 12, 60).Canonicalize()
+		trs := make([]Net, r.Intn(9))
+		want := base
+		for i := range trs {
+			trs[i] = Net{Adds: randomEdges(r, 12, r.Intn(15)).Canonicalize(), Dels: randomEdges(r, 12, r.Intn(15)).Canonicalize()}
+			want = graph.Union(graph.Minus(want, trs[i].Dels), trs[i].Adds)
+		}
+		got := Compose(len(trs), func(t int) Net { return trs[t] }).Apply(base)
+		return reflect.DeepEqual(append(graph.EdgeList{}, got...), append(graph.EdgeList{}, want...))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestOverlayGraphEqualsMaterialized(t *testing.T) {

@@ -218,6 +218,39 @@ func NewPair(n int, edges []Edge) *Pair {
 	return &Pair{Out: NewCSR(n, edges)}
 }
 
+// PatchPair returns Patch(base, remove, add) together with its traversal
+// pair, both written in the one pass that emits the list: a big canonical
+// list that changes by a few edges gets its successor and that successor's
+// forward CSR without being scanned a second time.
+func PatchPair(n int, base, remove, add EdgeList) (EdgeList, *Pair) {
+	size := len(base) + len(add)
+	out := make(EdgeList, 0, size)
+	c := &CSR{
+		n:       n,
+		offsets: make([]int32, n+1),
+		targets: make([]VertexID, 0, size),
+		weights: make([]Weight, 0, size),
+	}
+	splice(base, remove, add, func(run EdgeList) {
+		at := len(out)
+		out = append(out, run...)
+		c.targets, c.weights = c.targets[:len(out)], c.weights[:len(out)]
+		targets, weights := c.targets[at:], c.weights[at:]
+		for i, e := range run {
+			targets[i], weights[i] = e.Dst, e.W
+			c.offsets[e.Src+1] = int32(at + i + 1)
+		}
+	})
+	// Rows are contiguous in a canonical list: a row's end was recorded by
+	// its last edge, an empty row ends where the row before it did.
+	for i := 1; i <= n; i++ {
+		if c.offsets[i] == 0 {
+			c.offsets[i] = c.offsets[i-1]
+		}
+	}
+	return out, &Pair{Out: c}
+}
+
 // NumVertices returns the number of vertices.
 func (p *Pair) NumVertices() int { return p.Out.NumVertices() }
 

@@ -68,10 +68,26 @@ func (el EdgeList) MaxVertex() int {
 // Contains reports whether a canonical list contains an edge with the given
 // endpoints, using binary search.
 func (el EdgeList) Contains(src, dst VertexID) bool {
-	i := sort.Search(len(el), func(i int) bool {
-		return !el[i].Less(Edge{Src: src, Dst: dst})
-	})
-	return i < len(el) && el[i].Src == src && el[i].Dst == dst
+	_, ok := el.search(0, Edge{Src: src, Dst: dst})
+	return ok
+}
+
+// search returns the first position at or after from whose edge is not
+// ordered before e, and whether that edge has e's endpoints. It gallops:
+// the probe doubles its stride from from before bisecting, so a caller
+// that walks a small sorted list through a big one pays O(log gap) per
+// edge however the gaps fall, and a one-off lookup pays O(log n).
+func (el EdgeList) search(from int, e Edge) (int, bool) {
+	lo, hi := from, len(el)
+	for step := 1; lo+step < len(el); step *= 2 {
+		if !el[lo+step].Less(e) {
+			hi = lo + step
+			break
+		}
+		lo += step
+	}
+	i := lo + sort.Search(hi-lo, func(i int) bool { return !el[lo+i].Less(e) })
+	return i, i < len(el) && el[i].Src == e.Src && el[i].Dst == e.Dst
 }
 
 // ErrNotCanonical is returned by operations that require canonical input.
@@ -79,12 +95,8 @@ var ErrNotCanonical = errors.New("graph: edge list is not canonical (sorted, ded
 
 // Minus returns a \ b. Both lists must be canonical; the result is
 // canonical. Identity is by endpoints only.
-func Minus(a, b EdgeList) EdgeList { return MinusInto(make(EdgeList, 0, len(a)), a, b) }
-
-// MinusInto is Minus appending to out, which must not overlap a or b: a
-// caller that applies many batches in turn reuses one buffer instead of
-// allocating a list per step.
-func MinusInto(out, a, b EdgeList) EdgeList {
+func Minus(a, b EdgeList) EdgeList {
+	out := make(EdgeList, 0, len(a))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -103,10 +115,8 @@ func MinusInto(out, a, b EdgeList) EdgeList {
 
 // Union returns a ∪ b. Both lists must be canonical; the result is
 // canonical. When an edge appears in both, a's copy (and weight) wins.
-func Union(a, b EdgeList) EdgeList { return UnionInto(make(EdgeList, 0, len(a)+len(b)), a, b) }
-
-// UnionInto is Union appending to out, which must not overlap a or b.
-func UnionInto(out, a, b EdgeList) EdgeList {
+func Union(a, b EdgeList) EdgeList {
+	out := make(EdgeList, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -142,10 +152,41 @@ func UnionAll(lists ...EdgeList) EdgeList {
 	return Union(UnionAll(lists[:mid]...), UnionAll(lists[mid:]...))
 }
 
+// gallopRatio is how lopsided two lists must be before Intersect searches
+// the big one per edge of the small one instead of merging them.
+const gallopRatio = 32
+
 // Intersect returns a ∩ b. Both lists must be canonical; the result is
-// canonical. a's weights win.
+// canonical. a's weights win. When one list is at least gallopRatio times
+// shorter than the other, each of its edges is searched for in the longer
+// one — O(small · log big) — instead of both being walked end to end.
 func Intersect(a, b EdgeList) EdgeList {
 	out := make(EdgeList, 0)
+	switch {
+	case len(a)*gallopRatio <= len(b):
+		at := 0
+		for _, e := range a {
+			var ok bool
+			if at, ok = b.search(at, e); ok {
+				out = append(out, e)
+			}
+		}
+		return out
+	case len(b)*gallopRatio <= len(a):
+		at := 0
+		for _, e := range b {
+			var ok bool
+			if at, ok = a.search(at, e); ok {
+				out = append(out, a[at])
+			}
+		}
+		return out
+	}
+	return intersectMerge(out, a, b)
+}
+
+// intersectMerge appends a ∩ b to out by walking both lists end to end.
+func intersectMerge(out, a, b EdgeList) EdgeList {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -160,6 +201,55 @@ func Intersect(a, b EdgeList) EdgeList {
 		}
 	}
 	return out
+}
+
+// Patch returns (base \ remove) ∪ add as one canonical list. All three
+// lists must be canonical. An edge of add that base keeps has base's
+// weight; one that remove takes out first has add's. The cost is the
+// copy of base plus a search per edge of remove and add, so patching a
+// big list with a small change never walks the big list edge by edge.
+func Patch(base, remove, add EdgeList) EdgeList {
+	out := make(EdgeList, 0, len(base)+len(add))
+	splice(base, remove, add, func(run EdgeList) { out = append(out, run...) })
+	return out
+}
+
+// splice walks (base \ remove) ∪ add in canonical order and hands it to
+// emit as consecutive runs, each a sub-slice of base or one edge of add.
+func splice(base, remove, add EdgeList, emit func(run EdgeList)) {
+	i, r, a := 0, 0, 0
+	for r < len(remove) || a < len(add) {
+		// The next edge, in canonical order, that changes something.
+		fromAdd := r == len(remove) || (a < len(add) && add[a].Less(remove[r]))
+		e := Edge{}
+		if fromAdd {
+			e = add[a]
+		} else {
+			e = remove[r]
+		}
+		at, present := base.search(i, e)
+		if at > i {
+			emit(base[i:at])
+		}
+		i = at
+		if !fromAdd {
+			if present {
+				i++
+				present = false
+			}
+			r++
+			if a == len(add) || add[a].Src != e.Src || add[a].Dst != e.Dst {
+				continue
+			}
+		}
+		if !present {
+			emit(add[a : a+1])
+		}
+		a++
+	}
+	if i < len(base) {
+		emit(base[i:])
+	}
 }
 
 // Equal reports whether two canonical lists contain the same endpoints in

@@ -72,6 +72,28 @@ func TestUnionIntersect(t *testing.T) {
 	}
 }
 
+func TestIntersectGallop(t *testing.T) {
+	// Either side at least gallopRatio times shorter is searched for in
+	// the other; the result, a's weights included, is what the merge
+	// Intersect otherwise runs (intersectMerge) gives on the same lists.
+	r := rand.New(rand.NewSource(11))
+	for _, c := range []struct{ a, b int }{
+		{0, 0}, {0, 500}, {500, 0}, {1, 1}, {1, 32}, {32, 1},
+		{3, 500}, {500, 3}, {10, 319}, {10, 320}, {320, 10}, {40, 4000},
+		{4000, 40}, {200, 200}, {300, 500},
+	} {
+		for rep := 0; rep < 20; rep++ {
+			// A small vertex space, so the lists overlap a lot, and
+			// different weights on the two sides.
+			a, b := randomCanonical(r, 70, c.a), randomCanonical(r, 70, c.b)
+			got, want := Intersect(a, b), intersectMerge(EdgeList{}, a, b)
+			if !reflect.DeepEqual(append(EdgeList{}, got...), want) {
+				t.Fatalf("|a|=%d |b|=%d: got %v, merge gives %v", len(a), len(b), got, want)
+			}
+		}
+	}
+}
+
 func TestContains(t *testing.T) {
 	a := el([2]uint32{0, 1}, [2]uint32{1, 2}, [2]uint32{5, 9})
 	if !a.Contains(1, 2) {
@@ -126,14 +148,21 @@ func TestSetAlgebraProperties(t *testing.T) {
 		if !Equal(Minus(Union(a, b), b), Minus(a, b)) {
 			return false
 		}
-		// The Into forms over a reused buffer give what the allocating
-		// forms give, weights included.
-		buf := make(EdgeList, 0, 8)
-		for _, op := range []struct{ into, fresh func() EdgeList }{
-			{func() EdgeList { return MinusInto(buf[:0], a, b) }, func() EdgeList { return Minus(a, b) }},
-			{func() EdgeList { return UnionInto(buf[:0], a, b) }, func() EdgeList { return Union(a, b) }},
+		// Patch is Minus then Union in one pass, weights included, whether
+		// the change is small against the list or as big as it; PatchPair
+		// adds the CSR NewPair would build from that list.
+		for _, c := range []struct{ remove, add EdgeList }{
+			{b, randomCanonical(r, 40, 80)},
+			{randomCanonical(r, 40, 3), randomCanonical(r, 40, 3)},
+			{nil, b}, {b, nil}, {nil, nil}, {a, b},
 		} {
-			if buf = op.into(); !reflect.DeepEqual(append(EdgeList{}, buf...), append(EdgeList{}, op.fresh()...)) {
+			want := Union(Minus(a, c.remove), c.add)
+			if got := Patch(a, c.remove, c.add); !reflect.DeepEqual(append(EdgeList{}, got...), append(EdgeList{}, want...)) {
+				return false
+			}
+			got, pair := PatchPair(40, a, c.remove, c.add)
+			if !reflect.DeepEqual(append(EdgeList{}, got...), append(EdgeList{}, want...)) ||
+				!reflect.DeepEqual(pair.Out, NewCSR(40, want)) {
 				return false
 			}
 		}

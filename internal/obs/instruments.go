@@ -35,6 +35,7 @@ const (
 	helpSegBytes    = "Bytes written into durable-store segments."
 	helpSegLoads    = "Durable-store segments loaded from disk."
 	helpCompactions = "Durable-store compactions (overlays folded into a new base generation)."
+	helpFoldBacklog = "Edges in overlay segments behind the watcher's window as of its last slide, awaiting the slide compaction (folded once they reach 1/8 of the base segment)."
 	helpCompactGC   = "Compaction garbage-collection failures (superseded segment files left on disk)."
 	helpRecovered   = "Raw updates recovered from the WAL and re-seeded on open."
 
@@ -189,6 +190,12 @@ func SegmentLoads() *Counter {
 // Compactions counts durable-store base-fold compactions.
 func Compactions() *Counter {
 	return Default().Counter("commongraph_store_compactions_total", helpCompactions)
+}
+
+// FoldBacklogEdges is the size of the deferred slide compaction: the
+// edges behind the watcher's window that are still in overlay segments.
+func FoldBacklogEdges() *Gauge {
+	return Default().Gauge("commongraph_store_fold_backlog_edges", helpFoldBacklog)
 }
 
 // CompactionGCFailures counts superseded segments compaction failed to

@@ -32,10 +32,27 @@ type Store struct {
 	// long store never holds every snapshot in memory at once.
 	versions   map[int]graph.EdgeList
 	cacheOrder []int
+
+	// The head index: the latest version is anchor, version anchorAt
+	// materialized, with the transitions since composed into net applied
+	// to it. A transition is validated against the index (three binary
+	// searches an edge) and advances it by merging the batch into net, so
+	// a commit never touches a whole snapshot. anchor is nil until the
+	// first validation and after DropCache; it cannot go stale, because
+	// only NewVersion appends a transition and it does so under mu.
+	anchor   graph.EdgeList
+	anchorAt int
+	net      delta.Net
 }
 
-// maxCached bounds the number of non-zero versions kept materialized.
-const maxCached = 4
+const (
+	// maxCached bounds the number of non-zero versions kept materialized.
+	maxCached = 4
+	// reanchorRatio bounds the head index: once net holds more than
+	// 1/reanchorRatio as many edges as anchor, the head is materialized
+	// (one pass) and becomes the anchor.
+	reanchorRatio = 8
+)
 
 // NewStore creates a store over n vertices whose version 0 is initial.
 func NewStore(n int, initial graph.EdgeList) *Store {
@@ -109,7 +126,6 @@ func (s *Store) NewVersion(additions, deletions graph.EdgeList) (int, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	latest := len(s.adds)
 	add := delta.NewBatch(additions)
 	del := delta.NewBatch(deletions)
 	if err := s.checkBatchLocked(add, del); err != nil {
@@ -117,7 +133,11 @@ func (s *Store) NewVersion(additions, deletions graph.EdgeList) (int, error) {
 	}
 	s.adds = append(s.adds, add)
 	s.dels = append(s.dels, del)
-	return latest + 1, nil
+	s.net = s.net.Then(delta.Net{Adds: add.Edges(), Dels: del.Edges()})
+	if s.net.Len()*reanchorRatio > len(s.anchor) {
+		s.anchor, s.anchorAt, s.net = s.net.Apply(s.anchor), len(s.adds), delta.Net{}
+	}
+	return len(s.adds), nil
 }
 
 // CheckBatch validates a prospective transition against the latest
@@ -132,14 +152,16 @@ func (s *Store) CheckBatch(additions, deletions graph.EdgeList) error {
 
 func (s *Store) checkBatchLocked(add, del *delta.Batch) error {
 	latest := len(s.adds)
-	cur := s.materializeLocked(latest)
+	if s.anchor == nil {
+		s.anchor, s.anchorAt = s.materializeLocked(latest), latest // net is empty whenever anchor is nil
+	}
 	for _, e := range del.Edges() {
-		if !cur.Contains(e.Src, e.Dst) {
+		if !s.headContainsLocked(e) {
 			return fmt.Errorf("snapshot: version %d does not contain deleted edge %v", latest, e)
 		}
 	}
 	for _, e := range add.Edges() {
-		if cur.Contains(e.Src, e.Dst) {
+		if s.headContainsLocked(e) {
 			return fmt.Errorf("snapshot: version %d already contains added edge %v", latest, e)
 		}
 		if int(e.Src) >= s.n || int(e.Dst) >= s.n {
@@ -150,6 +172,14 @@ func (s *Store) checkBatchLocked(add, del *delta.Batch) error {
 		return fmt.Errorf("snapshot: additions and deletions overlap")
 	}
 	return nil
+}
+
+// headContainsLocked reports whether the latest version holds e: it was
+// added since the anchor, or the anchor holds it and it was not deleted
+// since (an edge deleted and re-added is in both halves of net).
+func (s *Store) headContainsLocked(e graph.Edge) bool {
+	return s.net.Adds.Contains(e.Src, e.Dst) ||
+		(s.anchor.Contains(e.Src, e.Dst) && !s.net.Dels.Contains(e.Src, e.Dst))
 }
 
 // GetVersion materializes snapshot i as a canonical edge list
@@ -164,13 +194,15 @@ func (s *Store) GetVersion(i int) (graph.EdgeList, error) {
 }
 
 // materializeLocked returns version i, computing from the nearest lower
-// cached version. Only version i itself enters the cache, which is
-// bounded by maxCached entries besides version 0.
+// materialized version — a cached one or the head index's anchor. The
+// transitions between are composed into one net delta over the small
+// lists and applied to the big list in a single pass, whatever their
+// number. Only version i itself enters the cache, which is bounded by
+// maxCached entries besides version 0.
 func (s *Store) materializeLocked(i int) graph.EdgeList {
 	if v, ok := s.versions[i]; ok {
 		return v
 	}
-	// Find the nearest cached predecessor.
 	from := 0
 	for j := i - 1; j > 0; j-- {
 		if _, ok := s.versions[j]; ok {
@@ -179,17 +211,13 @@ func (s *Store) materializeLocked(i int) graph.EdgeList {
 		}
 	}
 	cur := s.versions[from]
-	// Every step subtracts into scratch and unions into next, so a replay
-	// of any length allocates two lists, not two per transition.
-	size := len(cur)
-	for t := from; t < i; t++ {
-		size += s.adds[t].Len()
+	if s.anchor != nil && s.anchorAt <= i && s.anchorAt > from {
+		from, cur = s.anchorAt, s.anchor
 	}
-	scratch, next := make(graph.EdgeList, 0, size), make(graph.EdgeList, 0, size)
-	for t := from; t < i; t++ {
-		scratch = graph.MinusInto(scratch[:0], cur, s.dels[t].Edges())
-		next = graph.UnionInto(next[:0], scratch, s.adds[t].Edges())
-		cur = next
+	if from < i {
+		cur = delta.Compose(i-from, func(t int) delta.Net {
+			return delta.Net{Adds: s.adds[from+t].Edges(), Dels: s.dels[from+t].Edges()}
+		}).Apply(cur)
 	}
 	s.cacheLocked(i, cur)
 	return cur
@@ -239,11 +267,13 @@ func (s *Store) Pair(i int) (*graph.Pair, error) {
 	return graph.NewPair(s.n, edges), nil
 }
 
-// DropCache releases materialized snapshots other than version 0, for
+// DropCache releases materialized snapshots other than version 0, the
+// head index's anchor included (the next validation rebuilds it), for
 // long-lived stores that only need the batch view.
 func (s *Store) DropCache() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.versions = map[int]graph.EdgeList{0: s.base}
 	s.cacheOrder = nil
+	s.anchor, s.net = nil, delta.Net{}
 }

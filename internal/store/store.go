@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"commongraph/internal/delta"
 	"commongraph/internal/faults"
 	"commongraph/internal/graph"
 	"commongraph/internal/obs"
@@ -36,6 +37,10 @@ type Store struct {
 
 	baseCache graph.EdgeList
 	ovlCache  map[int][2]graph.EdgeList
+
+	// compactMu serializes CompactTo; it is taken before mu and held
+	// across the fold and the base-file write that mu is released for.
+	compactMu sync.Mutex
 
 	// mapSegments selects the zero-copy open path: segments are mmap'd
 	// read-only instead of materialized, CRC validation is deferred to
@@ -532,19 +537,45 @@ func (s *Store) Snapshot() (*snapshot.Store, error) {
 	return snapshot.NewStoreFromTransitions(s.man.vertices, base, adds, dels)
 }
 
+// FoldBacklog reports what a CompactTo(v) would fold against what it
+// would rewrite: the edges held by the overlays below the absolute
+// version v, and the edges of the base segment. Both are lengths of lists
+// the store has loaded already on every path that commits through it.
+func (s *Store) FoldBacklog(v int) (backlog, base int, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cur, err := s.baseLocked()
+	if err != nil {
+		return 0, 0, err
+	}
+	for t := s.man.baseVersion; t < v && t < s.man.transitions; t++ {
+		a, d, err := s.overlayLocked(t)
+		if err != nil {
+			return 0, 0, err
+		}
+		backlog += len(a) + len(d)
+	}
+	return backlog, len(cur), nil
+}
+
 // CompactTo folds overlays below the absolute version v into a new base
 // generation — the slide compaction: once a maintained window has moved
 // past those snapshots no query will ask for them, so their batches
 // collapse into the base and the folded segments are deleted. Live
 // segments are never mutated; the new base is a new file and the swap is
-// atomic. Safe to run concurrently with reads; the fold itself happens
-// outside the lock against immutable inputs.
+// atomic. Safe to run concurrently with reads and commits: the fold and
+// the write of the new base file happen outside the store lock, against
+// immutable inputs, and the lock is re-taken only to swap the manifest.
 func (s *Store) CompactTo(v int) error {
 	if err := faults.Check(faults.StoreCompact); err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	sp := obs.Env().StartSpan("store.compaction", obs.Int("to", v))
 	defer sp.End()
+	// One fold at a time: the new base file is named by the generation
+	// after the one read below, and is written without the store lock.
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
 
 	s.mu.Lock()
 	man := s.man
@@ -566,26 +597,56 @@ func (s *Store) CompactTo(v int) error {
 		s.mu.Unlock()
 		return err
 	}
-	type ovl struct{ adds, dels graph.EdgeList }
-	fold := make([]ovl, 0, v-man.baseVersion)
+	fold := make([]delta.Net, 0, v-man.baseVersion)
 	for t := man.baseVersion; t < v; t++ {
 		a, d, oerr := s.overlayLocked(t)
 		if oerr != nil {
 			s.mu.Unlock()
 			return oerr
 		}
-		fold = append(fold, ovl{a, d})
+		fold = append(fold, delta.Net{Adds: a, Dels: d})
 	}
 	s.mu.Unlock()
 
-	// Fold outside the lock: inputs are immutable, set algebra over
-	// canonical lists stays canonical.
-	for _, o := range fold {
-		cur = graph.Union(graph.Minus(cur, o.dels), o.adds)
+	// The overlays compose into one net delta over the small lists; the
+	// base is then rewritten in a single pass.
+	cur = delta.Compose(len(fold), func(t int) delta.Net { return fold[t] }).Apply(cur)
+	newBase := baseName(man.generation + 1)
+	if err := writeSegment(s.dir, newBase, kindBase, man.vertices, cur); err != nil {
+		removeFolded(s.dir, newBase)
+		return err
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.compactionStaleLocked(man); err != nil {
+		removeFolded(s.dir, newBase) // no manifest ever named it
+		return err
+	}
+	newMan := s.man
+	newMan.generation++
+	newMan.baseVersion = v
+	if err := swapManifest(s.dir, newMan); err != nil {
+		// The swap may have failed after its rename: the new base stays,
+		// and the next Open keeps whichever base the manifest names.
+		return err
+	}
+	s.man = newMan
+	s.baseCache = cur
+	for t := man.baseVersion; t < v; t++ {
+		delete(s.ovlCache, t)
+		removeFolded(s.dir, overlayName(t))
+	}
+	removeFolded(s.dir, baseName(man.generation))
+	obs.Compactions().Inc()
+	sp.SetAttr(obs.Int("folded", v-man.baseVersion), obs.Int("base_edges", len(cur)))
+	return nil
+}
+
+// compactionStaleLocked reports why a fold prepared against the manifest
+// was must not be committed any more: the store was closed, fenced or
+// compacted by someone else while the lock was released.
+func (s *Store) compactionStaleLocked(was manifest) error {
 	if s.closed {
 		return fmt.Errorf("store: closed")
 	}
@@ -593,29 +654,10 @@ func (s *Store) CompactTo(v int) error {
 		return fmt.Errorf("store: compact at epoch %d (fenced by %d): %w",
 			s.man.epoch, s.man.fencedBy, ErrFenced)
 	}
-	if s.man.generation != man.generation || s.man.baseVersion != man.baseVersion {
+	if s.man.generation != was.generation || s.man.baseVersion != was.baseVersion {
 		return fmt.Errorf("store: compaction raced another compaction (generation %d -> %d)",
-			man.generation, s.man.generation)
+			was.generation, s.man.generation)
 	}
-	newMan := s.man
-	newMan.generation++
-	newMan.baseVersion = v
-	if err := writeSegment(s.dir, baseName(newMan.generation), kindBase, newMan.vertices, cur); err != nil {
-		return err
-	}
-	if err := swapManifest(s.dir, newMan); err != nil {
-		return err
-	}
-	oldGen, oldBase := s.man.generation, s.man.baseVersion
-	s.man = newMan
-	s.baseCache = cur
-	for t := oldBase; t < v; t++ {
-		delete(s.ovlCache, t)
-		removeFolded(s.dir, overlayName(t))
-	}
-	removeFolded(s.dir, baseName(oldGen))
-	obs.Compactions().Inc()
-	sp.SetAttr(obs.Int("folded", v-oldBase), obs.Int("base_edges", len(cur)))
 	return nil
 }
 

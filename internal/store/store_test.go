@@ -246,6 +246,96 @@ func TestCompaction(t *testing.T) {
 	mustEqual(t, g2, graph.Union(v2, a2), "reopened version 2 (= absolute 3)")
 }
 
+// TestCompactionWritesBaseOutsideTheLock: the new base file is written
+// with the store lock released, so a commit arriving at that moment goes
+// through instead of waiting out the write (here it runs on the folding
+// goroutine itself, from the segment write's fault-point observer: under
+// the lock it would deadlock). A store fenced at that moment refuses the
+// swap and removes the base file no manifest names.
+func TestCompactionWritesBaseOutsideTheLock(t *testing.T) {
+	// duringBaseWrite arms f to run at the fold's base-segment write.
+	duringBaseWrite := func(f func()) (disarm func()) {
+		return faults.Arm(&faults.Plan{Observer: func(p faults.Point, hit int) {
+			if p == faults.StoreSegmentWrite && hit == 1 {
+				f()
+			}
+		}})
+	}
+	t.Run("commit", func(t *testing.T) {
+		dir, base, a0, d0, a1, d1 := newTestStore(t)
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a2 := el(e(5, 6, 1))
+		us := []RawUpdate{{Op: RawAdd, Edge: e(6, 7, 2)}}
+		disarm := duringBaseWrite(func() {
+			if err := s.AppendBatch(a2, nil, 0); err != nil {
+				t.Errorf("commit during the fold: %v", err)
+			}
+			if err := s.Journal(us); err != nil {
+				t.Errorf("journal during the fold: %v", err)
+			}
+		})
+		err = s.CompactTo(2)
+		disarm()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.BaseVersion() != 2 || s.Transitions() != 3 {
+			t.Fatalf("after the fold: base=%d transitions=%d, want 2 and 3", s.BaseVersion(), s.Transitions())
+		}
+		s.Close()
+		r, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		snap, err := r.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2 := graph.Union(graph.Minus(graph.Union(graph.Minus(base, d0), a0), d1), a1)
+		for v, want := range []graph.EdgeList{v2, graph.Union(v2, a2)} {
+			got, err := snap.GetVersion(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustEqual(t, got, want, "reopened version")
+		}
+		if p := r.TakePending(); len(p) != 1 || p[0].Edge != us[0].Edge {
+			t.Fatalf("journaled update lost across the fold: %+v", p)
+		}
+	})
+	t.Run("fenced", func(t *testing.T) {
+		dir, _, _, _, _, _ := newTestStore(t)
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		disarm := duringBaseWrite(func() {
+			if err := s.ObserveEpoch(7); !errors.Is(err, ErrFenced) {
+				t.Errorf("ObserveEpoch = %v, want ErrFenced", err)
+			}
+		})
+		err = s.CompactTo(2)
+		disarm()
+		if !errors.Is(err, ErrFenced) {
+			t.Fatalf("fold committed on a store fenced mid-write: %v", err)
+		}
+		if s.BaseVersion() != 0 {
+			t.Fatalf("base version %d after a refused fold", s.BaseVersion())
+		}
+		if _, err := os.Stat(filepath.Join(dir, baseName(1))); !os.IsNotExist(err) {
+			t.Fatalf("the refused fold left its base file behind (stat err %v)", err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, baseName(0))); err != nil {
+			t.Fatalf("the live base is gone: %v", err)
+		}
+	})
+}
+
 func TestCompactBeyondTransitionsFails(t *testing.T) {
 	dir, _, _, _, _, _ := newTestStore(t)
 	s, err := Open(dir)

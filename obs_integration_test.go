@@ -1,10 +1,12 @@
 package commongraph
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"testing"
@@ -117,6 +119,58 @@ func TestMaxHopTimeRecordedPerStrategy(t *testing.T) {
 	if res.MaxHopTime != 0 {
 		t.Errorf("KickStarter: MaxHopTime = %v, want 0 (no independent units)", res.MaxHopTime)
 	}
+}
+
+// TestDeferredFoldIsObservable: a slide that leaves its backlog for a
+// later fold says so — the backlog is on the watcher.slide span and in
+// the fold-backlog gauge, beside a compaction counter that did not move.
+func TestDeferredFoldIsObservable(t *testing.T) {
+	g, _ := buildEvolving(t, 7013, 4, 10, 10)
+	gs, err := g.Persist(filepath.Join(t.TempDir(), "s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gs.Close()
+	w, err := g.Watch(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	w.PersistMaintenance(gs)
+	compactions := obs.Compactions().Value()
+	if err := w.Slide(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WaitCompaction(); err != nil {
+		t.Fatal(err)
+	}
+	// One 10 + 10 transition is behind the window, far under the ratio.
+	var text bytes.Buffer
+	if err := obs.Default().WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	if got := promValue(t, text.String(), "commongraph_store_fold_backlog_edges"); got != 20 {
+		t.Errorf("fold backlog gauge = %d after one deferred slide, want 20", got)
+	}
+	if got := obs.Compactions().Value(); got != compactions {
+		t.Errorf("a 20-edge backlog was folded (%d compactions)", got-compactions)
+	}
+	if obs.Env() != nil {
+		return // spans go to the COMMONGRAPH_TRACE tracer, not the flight ring
+	}
+	recs := obs.Flight().Records()
+	for i := len(recs) - 1; i >= 0; i-- {
+		if recs[i].Root.Name != "watcher.slide" {
+			continue
+		}
+		for _, a := range recs[i].Root.Attrs {
+			if a.Key == "backlog_edges" && a.Value == "20" {
+				return
+			}
+		}
+		t.Fatalf("newest watcher.slide span carries no backlog_edges=20: %v", recs[i].Root.Attrs)
+	}
+	t.Fatal("no watcher.slide span in the flight ring")
 }
 
 // promValue extracts one sample's value from a Prometheus exposition.

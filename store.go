@@ -313,6 +313,23 @@ func (gs *GraphStore) Compact(beforeVersion int) error {
 	return gs.s.CompactTo(gs.s.Origin() + beforeVersion)
 }
 
+// foldRatio is the slide compaction's trigger: a watcher's background
+// fold runs once the overlays behind its window hold at least
+// 1/foldRatio as many edges as the base segment the fold rewrites. Every
+// fold then retires a backlog proportional to what it writes, so the
+// bytes written per committed edge stay O(1) however small a batch is
+// against the graph, while disk and reopen replay stay within
+// 1 + 1/foldRatio of the base.
+const foldRatio = 8
+
+// foldBacklog reports how many edges the overlays below the in-memory
+// version hold, and whether that is enough for a fold to pay for
+// rewriting the base.
+func (gs *GraphStore) foldBacklog(beforeVersion int) (backlog int, due bool, err error) {
+	backlog, base, err := gs.s.FoldBacklog(gs.s.Origin() + beforeVersion)
+	return backlog, backlog > 0 && backlog*foldRatio >= base, err
+}
+
 // CompactContext is Compact gated on a context: cancellation is checked
 // after the compaction slot is acquired, so folds still queued behind a
 // running one are skipped once ctx is cancelled (a fold already inside

@@ -4,9 +4,14 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"testing"
+	"unsafe"
 
 	"commongraph/internal/faults"
+	"commongraph/internal/gen"
+	"commongraph/internal/obs"
 )
 
 // TestPersistReopenDifferential is the acceptance differential: a graph
@@ -432,6 +437,215 @@ func TestWatcherPersistCompaction(t *testing.T) {
 			got.Snapshots[k].Reached != want.Snapshots[k].Reached {
 			t.Fatalf("compacted store disagrees at window snapshot %d", k)
 		}
+	}
+}
+
+// TestSlideCompactionWaitsForTheRatio: small batches against a base they
+// are no eighth of do not fold slide by slide. The overlays behind the
+// window stay on disk, and a reopen still starts at the old origin with
+// every snapshot answerable, until the slide that brings the backlog to
+// 1/8 of the base — and that slide folds all of it in one compaction.
+func TestSlideCompactionWaitsForTheRatio(t *testing.T) {
+	g, _ := buildEvolving(t, 83, 12, 10, 10)
+	last := g.NumSnapshots() - 1
+	want := func(from int) *Result {
+		res, err := g.Run(context.Background(), Request{Query: Query{Algorithm: SSSP, Source: 0},
+			Window: Window{From: from, To: last}, Strategy: WorkSharing})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	agrees := func(r *GraphStore, what string) {
+		t.Helper()
+		rg, from := r.Graph(), r.Origin()
+		if rg.NumSnapshots() != g.NumSnapshots()-from {
+			t.Fatalf("%s: %d snapshots from origin %d, want %d", what, rg.NumSnapshots(), from, g.NumSnapshots()-from)
+		}
+		got, err := rg.Run(context.Background(), Request{Query: Query{Algorithm: SSSP, Source: 0},
+			Window: Window{From: 0, To: rg.NumSnapshots() - 1}, Strategy: WorkSharing})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, snap := range want(from).Snapshots {
+			if got.Snapshots[k].Checksum != snap.Checksum || got.Snapshots[k].Reached != snap.Reached {
+				t.Fatalf("%s: snapshot %d disagrees with the never-compacted graph", what, from+k)
+			}
+		}
+	}
+	dir := filepath.Join(t.TempDir(), "s")
+	gs, err := g.Persist(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, base, err := gs.s.FoldBacklog(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every transition holds 20 edges; the fold is due at the first slide
+	// whose backlog times foldRatio reaches the base.
+	due := (base + 20*foldRatio - 1) / (20 * foldRatio)
+	if due < 3 || due+2 > last {
+		t.Fatalf("a %d-edge base folds at slide %d: the fixture no longer tests a deferred fold", base, due)
+	}
+	slideTo := func(gs *GraphStore, w *Watcher, from int) {
+		t.Helper()
+		for f, _ := w.Window(); f < from; f, _ = w.Window() {
+			if err := w.Slide(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.WaitCompaction(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	compactions := obs.Compactions().Value()
+	w, err := g.Watch(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.PersistMaintenance(gs)
+	slideTo(gs, w, due-1)
+	if got := gs.s.BaseVersion(); got != 0 || obs.Compactions().Value() != compactions {
+		t.Fatalf("%d slides under the ratio folded the base to version %d", due-1, got)
+	}
+	if err := errors.Join(w.Close(), gs.Close()); err != nil {
+		t.Fatal(err)
+	}
+
+	gs, err = OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gs.Origin() != 0 {
+		t.Fatalf("reopened origin %d with the fold still deferred, want 0", gs.Origin())
+	}
+	agrees(gs, "deferred fold")
+	if w, err = gs.Graph().Watch(due-1, due+1); err != nil {
+		t.Fatal(err)
+	}
+	w.PersistMaintenance(gs)
+	slideTo(gs, w, due)
+	if got := gs.s.BaseVersion(); got != due || obs.Compactions().Value() != compactions+1 {
+		t.Fatalf("the slide to %d left the base at version %d after %d compactions, want everything behind the window in one",
+			due, got, obs.Compactions().Value()-compactions)
+	}
+	if err := errors.Join(w.Close(), gs.Close()); err != nil {
+		t.Fatal(err)
+	}
+	if gs, err = OpenStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer gs.Close()
+	if gs.Origin() != due {
+		t.Fatalf("reopened origin %d after the fold, want %d", gs.Origin(), due)
+	}
+	agrees(gs, "after the fold")
+}
+
+// TestOneFoldInFlight: a slide that arrives while a fold is running does
+// not queue a second one behind it, which would rewrite the base for the
+// single snapshot between the two; what it left behind folds with the
+// next backlog that reaches the ratio.
+func TestOneFoldInFlight(t *testing.T) {
+	g, _ := buildEvolving(t, 85, 6, 50, 50)
+	gs, err := g.Persist(filepath.Join(t.TempDir(), "s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gs.Close()
+	w, err := g.Watch(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	w.PersistMaintenance(gs)
+	compactions := obs.Compactions().Value()
+	started, release := make(chan struct{}), make(chan struct{})
+	disarm := faults.Arm(&faults.Plan{Observer: func(p faults.Point, hit int) {
+		if p == faults.StoreCompact && hit == 1 {
+			close(started)
+			<-release
+		}
+	}})
+	defer disarm()
+	for i := 0; i < 2; i++ { // the second slide's 200-edge backlog is due
+		if err := w.Slide(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-started
+	if err := w.Slide(); err != nil { // due again, by the same backlog
+		t.Fatal(err)
+	}
+	close(release)
+	if err := w.WaitCompaction(); err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.Compactions().Value() - compactions; got != 1 || gs.s.BaseVersion() != 2 {
+		t.Fatalf("%d compactions left the base at version %d, want one fold to version 2", got, gs.s.BaseVersion())
+	}
+}
+
+// TestWritePathCostGuard pins the write path's cost to the batch, in
+// bytes allocated: on a 200 K-edge store a commit of 500 + 500 edges
+// allocates under 1 MB, and a slide under 2.5 times the common list and
+// base CSR it has to re-emit. Either going back to set algebra over whole
+// snapshots per step multiplies its figure and fails here.
+func TestWritePathCostGuard(t *testing.T) {
+	n, base := gen.RMAT(gen.DefaultRMAT(14, 200_000, 91))
+	const width, commits = 4, 10
+	trs, err := gen.Stream(n, base, gen.StreamConfig{Transitions: width - 1 + commits + 1, Additions: 500, Deletions: 500, Seed: 92})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := New(n, base)
+	for _, tr := range trs[:width-1] {
+		if _, err := g.ApplyUpdates(tr.Additions, tr.Deletions); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gs, err := g.Persist(filepath.Join(t.TempDir(), "s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gs.Close()
+	w, err := g.Watch(0, width-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	perCommit := make([]uint64, commits)
+	for i := range perCommit {
+		tr := trs[width-1+i]
+		perCommit[i] = allocated(func() {
+			if _, err := gs.ApplyUpdates(tr.Additions, tr.Deletions); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	sort.Slice(perCommit, func(i, j int) bool { return perCommit[i] < perCommit[j] })
+	if median := perCommit[commits/2]; median >= 1<<20 {
+		t.Fatalf("the median commit of 1000 edges allocated %d bytes on a %d-edge graph, want under 1 MB (all: %v)", median, len(base), perCommit)
+	}
+	slide := allocated(func() {
+		if err := w.Slide(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	w.mu.RLock()
+	rep := w.m.Rep()
+	w.mu.RUnlock()
+	reemitted := uint64(len(rep.Common))*uint64(unsafe.Sizeof(Edge{})) +
+		uint64(rep.Base.NumEdges())*8 + uint64(n+1)*4
+	if slide*2 >= reemitted*5 {
+		t.Fatalf("one slide allocated %d bytes, want under 2.5x the %d of its common list and base CSR", slide, reemitted)
 	}
 }
 

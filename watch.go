@@ -38,11 +38,13 @@ type Watcher struct {
 	// Advance, Slide) and fans each one out to registered hooks.
 	commitNotifier
 
-	// Slide persistence (PersistMaintenance): after the window moves
-	// forward, snapshots behind it fold into the durable store's base
-	// segment in the background. bgCtx is cancelled by Close so queued
-	// folds drain instead of outliving the watcher.
+	// Slide persistence (PersistMaintenance): once the window has moved
+	// far enough forward, the snapshots behind it fold into the durable
+	// store's base segment in the background (foldBehind). bgCtx is
+	// cancelled by Close so queued folds drain instead of outliving the
+	// watcher.
 	persist        *GraphStore
+	folding        atomic.Bool // a background fold is in flight
 	bg             sync.WaitGroup
 	bgCtx          context.Context
 	bgCancel       context.CancelFunc
@@ -159,23 +161,25 @@ func (w *Watcher) Advance() error { return w.maintain("advance", (*core.Maintain
 // maintained window back to its pre-Slide state.
 func (w *Watcher) Slide() error { return w.maintain("slide", (*core.MaintainedRep).Slide) }
 
-// PersistMaintenance ties the watcher's window to a durable store: each
-// time Advance or Slide moves the window start forward, the snapshots
-// the window left behind are folded into the store's base segment by a
-// background compaction (no query will ask for them again — the slide
-// compaction of DESIGN.md "Persistence"). The watcher's graph should be
-// the store's bound graph. WaitCompaction blocks until queued folds
-// finish and reports the most recent failure.
+// PersistMaintenance ties the watcher's window to a durable store: when
+// Advance or Slide has moved the window start forward far enough that
+// the snapshots left behind hold 1/8 as many edges as the store's base
+// segment, they are folded into it by a background compaction (no query
+// will ask for them again — the slide compaction of DESIGN.md
+// "Persistence"). A smaller backlog waits for a later slide. The
+// watcher's graph should be the store's bound graph. WaitCompaction
+// blocks until started folds finish and reports the most recent failure.
 func (w *Watcher) PersistMaintenance(gs *GraphStore) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.persist = gs
 }
 
-// WaitCompaction blocks until all background slide compactions queued so
+// WaitCompaction blocks until all background slide compactions started so
 // far complete, returning the most recent compaction error (compaction
 // failures never affect the in-memory window, so maintenance itself does
-// not surface them).
+// not surface them). It does not force a fold: a backlog still under 1/8
+// of the base stays in overlay segments; GraphStore.Compact folds now.
 func (w *Watcher) WaitCompaction() error {
 	w.bg.Wait()
 	w.compactErrMu.Lock()
@@ -246,16 +250,7 @@ func (w *Watcher) maintainLocked(kind string, step func(*core.MaintainedRep) err
 			win := w.m.Window()
 			sp.SetAttr(obs.Int("from", win.From), obs.Int("to", win.To))
 			if w.persist != nil && (kind == "advance" || kind == "slide") {
-				w.bg.Add(1)
-				go func(gs *GraphStore, before int) {
-					defer w.bg.Done()
-					cerr := gs.CompactContext(w.bgCtx, before)
-					if cerr != nil && !errors.Is(cerr, context.Canceled) {
-						w.compactErrMu.Lock()
-						w.lastCompactErr = cerr
-						w.compactErrMu.Unlock()
-					}
-				}(w.persist, win.From)
+				w.foldBehind(win.From, sp)
 			}
 			return nil
 		}
@@ -268,6 +263,42 @@ func (w *Watcher) maintainLocked(kind string, step func(*core.MaintainedRep) err
 	obs.MaintenanceErrors(kind).Inc()
 	sp.SetAttr(obs.String("error", err.Error()))
 	return fmt.Errorf("commongraph: maintenance failed after %d attempts: %w", attempts, err)
+}
+
+// foldBehind starts the background fold of the snapshots below the
+// window start into the durable store's base segment, if the overlays
+// there have grown to the store's fold ratio of the base; a smaller
+// backlog is left for a later slide and no goroutine is started. Nor is
+// one while a fold is still in flight: the store reports the backlog that
+// fold is retiring until its manifest swap, and a second fold queued
+// behind it would rewrite the base for the one slide between them.
+func (w *Watcher) foldBehind(before int, sp *obs.Span) {
+	backlog, due, err := w.persist.foldBacklog(before)
+	if err != nil {
+		w.noteCompactErr(err)
+		return
+	}
+	sp.SetAttr(obs.Int("backlog_edges", backlog))
+	obs.FoldBacklogEdges().Set(int64(backlog))
+	if !due || !w.folding.CompareAndSwap(false, true) {
+		return
+	}
+	w.bg.Add(1)
+	go func(gs *GraphStore) {
+		defer w.bg.Done()
+		defer w.folding.Store(false)
+		w.noteCompactErr(gs.CompactContext(w.bgCtx, before))
+	}(w.persist)
+}
+
+// noteCompactErr keeps a real slide-compaction failure for WaitCompaction.
+func (w *Watcher) noteCompactErr(err error) {
+	if err == nil || errors.Is(err, context.Canceled) {
+		return
+	}
+	w.compactErrMu.Lock()
+	w.lastCompactErr = err
+	w.compactErrMu.Unlock()
 }
 
 // Run runs the request's query over the maintained window with its

@@ -1,7 +1,9 @@
 package commongraph
 
 import (
+	"context"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -73,6 +75,19 @@ func TestWatcherSlide(t *testing.T) {
 		for k := range res.Snapshots {
 			if res.Snapshots[k].Checksum != fresh.Snapshots[k].Checksum {
 				t.Fatalf("slide %d snapshot %d differs", i, k)
+			}
+		}
+		// The first, a middle and the last slid window against the oracle
+		// on whole snapshots, not only against another CommonGraph run.
+		if i == 0 || i == 2 || i == 3 {
+			res, err := w.Run(context.Background(), Request{Query: q, Strategy: DirectHop, Options: Options{KeepValues: true}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, snap := range res.Snapshots {
+				if snap.Index != from+k || !reflect.DeepEqual(snap.Values, referenceValues(t, g, from+k, q)) {
+					t.Fatalf("slide %d snapshot %d differs from engine.Reference", i, from+k)
+				}
 			}
 		}
 	}
