@@ -5,7 +5,7 @@ FUZZTIME ?= 10s
 BENCH_JSON_OUT ?= BENCH_PR10.json
 BENCH_JSON_FLAGS ?= -exp all
 
-.PHONY: all build test race vet check sarif fuzz-smoke chaos bench-json bench bench-smoke metrics-smoke obs-bench obs-overhead store-crash repl-crash serve-soak shard-soak ci
+.PHONY: all build test race vet check sarif fuzz-smoke chaos bench-json bench bench-smoke metrics-smoke obs-bench obs-overhead store-crash repl-crash serve-soak ci
 
 all: build vet test
 
@@ -102,11 +102,14 @@ bench-smoke:
 
 # Durable-store crash matrix under the race detector: kill points injected
 # at every WAL/segment/manifest/compaction write boundary (internal/faults),
-# the byte-level torn-tail truncation sweep, and the end-to-end ingest
-# crash-replay that resumes from Acknowledged()+Recovered() and must land
-# byte-identical to the uncrashed run.
+# the byte-level torn-tail truncation sweep, the mmap segment tests (map
+# kill points, corruption, mapped-vs-materialized equivalence), and the
+# end-to-end ingest crash-replay that resumes from
+# Acknowledged()+Recovered() and must land byte-identical to the
+# uncrashed run.
 store-crash:
 	$(GO) test -race ./internal/store -count=1 -run 'KillPoint|TornTail|Corrupt|Recovery'
+	$(GO) test -race ./internal/store -count=1 -run 'Mapped'
 	$(GO) test -race . -count=1 -run 'TestDurableIngestCrashReplayMatrix|TestDurableIngestMatchesInMemory|TestPersistReopenDifferential|TestWatcherPersistCompaction'
 
 # Replication failover matrix under the race detector: kill points
@@ -129,14 +132,4 @@ serve-soak:
 	$(GO) test -race ./api/v1 -count=1
 	$(GO) test -race . -count=1 -run 'TestPlanCache'
 
-# Sharded-execution soak under the race detector: the differential
-# oracle matrix (every algorithm x shard counts x pinned/unpinned plans
-# vs reference.go), the mmap segment tests (kill points, corruption,
-# mapped-vs-materialized equivalence), and the public-API strategy
-# differential over Options.Shards.
-shard-soak:
-	$(GO) test -race ./internal/shard -count=1
-	$(GO) test -race ./internal/store -count=1 -run 'Mapped'
-	$(GO) test -race . -count=1 -run 'TestShardedStrategyDifferential|TestShardedEdgesEvaluated'
-
-ci: check test race fuzz-smoke chaos metrics-smoke obs-overhead bench-smoke store-crash repl-crash serve-soak shard-soak
+ci: check test race fuzz-smoke chaos metrics-smoke obs-overhead bench-smoke store-crash repl-crash serve-soak

@@ -11,6 +11,7 @@ package commongraph
 // within the process, so the expensive stand-in graphs build once.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -100,7 +101,7 @@ func BenchmarkEvaluateStrategies(b *testing.B) {
 		s := s
 		b.Run(s.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := g.Evaluate(q, 0, g.NumSnapshots()-1, s, Options{}); err != nil {
+				if _, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: g.NumSnapshots() - 1}, Strategy: s}); err != nil {
 					b.Fatal(err)
 				}
 			}

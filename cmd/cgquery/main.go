@@ -42,7 +42,6 @@ func main() {
 		optimal  = flag.Bool("optimal", false, "use the exact interval-DP Steiner schedule (work-sharing strategies and -plan)")
 		tracePth = flag.String("trace", "", "write a Chrome trace of the evaluation: a .json path, or 'log' to stream spans to stderr")
 		metrics  = flag.Bool("metrics", false, "dump the metric registry in Prometheus text format to stderr when done")
-		shards   = flag.Int("shards", 0, "vertex shards for the sharded executor (0 = unsharded; results are identical at any count)")
 		mapped   = flag.Bool("mmap", false, "with -store: mmap the binary segments instead of materializing them (out-of-core cold open)")
 	)
 	flag.Parse()
@@ -98,7 +97,7 @@ func main() {
 		fail(err)
 	}
 
-	opts := commongraph.Options{KeepValues: *vertex >= 0, OptimalSchedule: *optimal, Shards: *shards}
+	opts := commongraph.Options{KeepValues: *vertex >= 0, OptimalSchedule: *optimal}
 	var tracer *commongraph.Tracer
 	if *tracePth != "" {
 		switch strings.ToLower(*tracePth) {

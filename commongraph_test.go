@@ -1,7 +1,9 @@
 package commongraph
 
 import (
+	"context"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -55,7 +57,7 @@ func TestEvaluateAllStrategiesAgree(t *testing.T) {
 	opts := Options{KeepValues: true}
 	var results []*Result
 	for _, s := range []Strategy{KickStarter, DirectHop, DirectHopParallel, WorkSharing} {
-		res, err := g.Evaluate(q, 0, 5, s, opts)
+		res, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 5}, Strategy: s, Options: opts})
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -101,7 +103,7 @@ func TestEvaluateAllStrategiesAgree(t *testing.T) {
 
 func TestEvaluateSubWindow(t *testing.T) {
 	g, _ := buildEvolving(t, 67, 6, 30, 30)
-	res, err := g.Evaluate(Query{Algorithm: BFS, Source: 1}, 2, 4, DirectHop, Options{})
+	res, err := g.Run(context.Background(), Request{Query: Query{Algorithm: BFS, Source: 1}, Window: Window{From: 2, To: 4}, Strategy: DirectHop})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,7 @@ func TestEvaluateSubWindow(t *testing.T) {
 		}
 	}
 	// Same window via KickStarter must agree (it starts streaming at 2).
-	ks, err := g.Evaluate(Query{Algorithm: BFS, Source: 1}, 2, 4, KickStarter, Options{})
+	ks, err := g.Run(context.Background(), Request{Query: Query{Algorithm: BFS, Source: 1}, Window: Window{From: 2, To: 4}, Strategy: KickStarter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,16 +129,30 @@ func TestEvaluateSubWindow(t *testing.T) {
 
 func TestEvaluateValidation(t *testing.T) {
 	g, _ := buildEvolving(t, 71, 2, 10, 10)
-	if _, err := g.Evaluate(Query{Algorithm: nil, Source: 0}, 0, 1, DirectHop, Options{}); err == nil {
+	if _, err := g.Run(context.Background(), Request{Query: Query{Algorithm: nil, Source: 0}, Window: Window{From: 0, To: 1}, Strategy: DirectHop}); err == nil {
 		t.Fatal("nil algorithm accepted")
 	}
-	if _, err := g.Evaluate(Query{Algorithm: BFS, Source: 1 << 30}, 0, 1, DirectHop, Options{}); err == nil {
+	if _, err := g.Run(context.Background(), Request{Query: Query{Algorithm: BFS, Source: 1 << 30}, Window: Window{From: 0, To: 1}, Strategy: DirectHop}); err == nil {
 		t.Fatal("out-of-range source accepted")
 	}
-	if _, err := g.Evaluate(Query{Algorithm: BFS, Source: 0}, 0, 99, DirectHop, Options{}); err == nil {
+	// The same source check guards every entry point, not only Run: an
+	// unchecked source indexes past the engine's state array.
+	w, err := g.Watch(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	n := VertexID(g.NumVertices())
+	if _, err := w.Run(context.Background(), Request{Query: Query{Algorithm: BFS, Source: n}, Strategy: DirectHop}); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("Watcher.Run: out-of-range source: %v", err)
+	}
+	if _, err := g.RunMulti(context.Background(), []Query{{Algorithm: BFS, Source: 0}, {Algorithm: BFS, Source: n}}, Window{From: 0, To: 1}, Options{}); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("RunMulti: out-of-range source: %v", err)
+	}
+	if _, err := g.Run(context.Background(), Request{Query: Query{Algorithm: BFS, Source: 0}, Window: Window{From: 0, To: 99}, Strategy: DirectHop}); err == nil {
 		t.Fatal("bad window accepted")
 	}
-	if _, err := g.Evaluate(Query{Algorithm: BFS, Source: 0}, 0, 1, Strategy(99), Options{}); err == nil {
+	if _, err := g.Run(context.Background(), Request{Query: Query{Algorithm: BFS, Source: 0}, Window: Window{From: 0, To: 1}, Strategy: Strategy(99)}); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
 }
@@ -196,14 +212,14 @@ func TestMaxHopTimeReported(t *testing.T) {
 	q := Query{Algorithm: SSWP, Source: 0}
 	// Sequential Direct-Hop times each hop in isolation, so it reports the
 	// longest hop (the Table 5 estimate) too.
-	seq, err := g.Evaluate(q, 0, 3, DirectHop, Options{})
+	seq, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 3}, Strategy: DirectHop})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq.MaxHopTime <= 0 {
 		t.Fatal("direct hop should report the longest hop")
 	}
-	par, err := g.Evaluate(q, 0, 3, DirectHopParallel, Options{Parallelism: 2})
+	par, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 3}, Strategy: DirectHopParallel, Options: Options{Parallelism: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +253,7 @@ func TestEvaluatePropertyRandomWindows(t *testing.T) {
 		q := Query{Algorithm: a, Source: VertexID(uint64(seed) % 64)}
 		var prev *Result
 		for _, s := range []Strategy{KickStarter, DirectHop, DirectHopParallel, WorkSharing} {
-			res, err := g.Evaluate(q, from, to, s, Options{})
+			res, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: from, To: to}, Strategy: s})
 			if err != nil {
 				return false
 			}
@@ -262,7 +278,7 @@ func TestEvaluateSchedulerModesAgree(t *testing.T) {
 	q := Query{Algorithm: SSNP, Source: 0}
 	var sums []uint64
 	for _, mode := range []SchedulerMode{Auto, Sync, Async} {
-		res, err := g.Evaluate(q, 0, 4, WorkSharing, Options{Scheduler: mode})
+		res, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 4}, Strategy: WorkSharing, Options: Options{Scheduler: mode}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -141,20 +141,10 @@ type Options struct {
 	// larger values let incremental passes use cores. Values are exact
 	// either way — monotonic fixpoints are schedule-independent.
 	AsyncWorkers int
-	// Shards routes engine passes through the sharded executor
-	// (internal/shard): the vertex space splits into that many
-	// contiguous degree-balanced ranges, each with its own frontier,
-	// cross-shard edges flowing through per-shard inboxes with work
-	// stealing between shards. 0 or 1 keeps the unsharded engine.
-	// Values are exact at every shard count — monotonic fixpoints are
-	// schedule-independent — as the differential tests assert. Applies
-	// to the CommonGraph strategies and Independent; KickStarter's
-	// mutable adjacency has no flat CSR form and always runs unsharded.
-	Shards int
 	// KeepValues retains full per-snapshot value arrays in the result.
 	KeepValues bool
-	// Parallelism bounds concurrent hops for DirectHopParallel
-	// (0 = one goroutine per snapshot).
+	// Parallelism bounds how many hops of DirectHopParallel, or root
+	// subtrees of WorkSharingParallel, run at once (0 = all of them).
 	Parallelism int
 	// OptimalSchedule makes the Work-Sharing strategies solve the
 	// Triangular Grid Steiner problem exactly (interval DP) instead of
@@ -162,15 +152,6 @@ type Options struct {
 	// substantially fewer additions on wide windows at a higher one-off
 	// scheduling cost.
 	OptimalSchedule bool
-	// Context cancels the evaluation cooperatively: deadlines and client
-	// disconnects are observed at every schedule-edge boundary, so the
-	// work stops within one edge of the cancellation. Nil means
-	// context.Background() — never cancelled.
-	//
-	// Deprecated: pass the context to Run instead. Run overwrites this
-	// field with its context parameter; only the deprecated Evaluate
-	// entry points still read it.
-	Context context.Context
 	// Degrade makes WorkSharingParallel survive a failed schedule
 	// subtree (an error or a contained panic): the subtree's snapshots
 	// are recomputed via Direct-Hop from the base state and the Result
@@ -205,24 +186,12 @@ func (o Options) tracer() *obs.Tracer {
 }
 
 func (o Options) engine() engine.Options {
-	return engine.Options{Workers: o.Workers, Mode: o.Scheduler, AsyncWorkers: o.AsyncWorkers, Shards: o.Shards}
+	return engine.Options{Workers: o.Workers, Mode: o.Scheduler, AsyncWorkers: o.AsyncWorkers}
 }
 
-// context resolves the evaluation context uniformly: every entry point
-// (Evaluate, EvaluateMulti, Watcher.Evaluate) goes through this helper, so
-// a nil Options.Context always means "never cancelled" rather than a nil
-// dereference somewhere down the stack.
-func (o Options) context() context.Context {
-	if o.Context == nil {
-		return context.Background() //cgvet:ignore ctxflow -- the documented nil-Options.Context meaning is "never cancelled"; this helper is the single place that decision lives
-	}
-	return o.Context
-}
-
-// config builds the core configuration for one query. Centralizing this
-// keeps every entry point passing the full option set — Parallelism and
-// OptimalSchedule used to be silently dropped on the EvaluateMulti path.
-func (o Options) config(q Query) core.Config {
+// config builds the core configuration for one query under root span sp.
+// Centralizing this keeps every entry point passing the full option set.
+func (o Options) config(ctx context.Context, q Query, sp *obs.Span) core.Config {
 	return core.Config{
 		Algo:            q.Algorithm,
 		Source:          q.Source,
@@ -230,8 +199,9 @@ func (o Options) config(q Query) core.Config {
 		KeepValues:      o.KeepValues,
 		Parallelism:     o.Parallelism,
 		OptimalSchedule: o.OptimalSchedule,
-		Ctx:             o.context(),
+		Ctx:             ctx,
 		Degrade:         o.Degrade,
+		Trace:           sp,
 	}
 }
 
@@ -337,8 +307,7 @@ type Request struct {
 	Query    Query
 	Window   Window
 	Strategy Strategy
-	// Options tunes the evaluation. Options.Context is ignored here: Run
-	// takes the context as a real parameter.
+	// Options tunes the evaluation.
 	Options Options
 }
 
@@ -348,32 +317,44 @@ type Request struct {
 // boundary; pass context.Background() (or nil, which means the same) when
 // cancellation is not needed.
 func (g *EvolvingGraph) Run(ctx context.Context, req Request) (*Result, error) {
+	return g.run(ctx, req, nil)
+}
+
+// checkSource rejects a query source outside the graph's vertex space.
+func (g *EvolvingGraph) checkSource(src VertexID) error {
+	if int(src) >= g.NumVertices() {
+		return fmt.Errorf("commongraph: source %d out of range %d", src, g.NumVertices())
+	}
+	return nil
+}
+
+// run is the query envelope every single-query entry point shares:
+// validation, the root "evaluate" span, the slow log, the query counters,
+// the incident on a contained panic and the wall-clock total around one
+// strategy's execution. A Watcher passes the representation it maintains
+// as held (req.Window is then that representation's window); it is the
+// only thing a watcher evaluation does differently.
+func (g *EvolvingGraph) run(ctx context.Context, req Request, held *core.Rep) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background() //cgvet:ignore ctxflow -- nil-ctx compatibility shim; callers with a real context pass it through
 	}
-	opt := req.Options
-	opt.Context = ctx
-	return g.evaluate(req.Query, req.Window.From, req.Window.To, req.Strategy, opt)
-}
-
-// Evaluate runs the query on every snapshot in [from, to] using the given
-// strategy and returns per-snapshot results in snapshot order.
-// Cancellation comes from Options.Context.
-//
-// Deprecated: use Run, which takes the context as a parameter and groups
-// the window into a Request.
-func (g *EvolvingGraph) Evaluate(q Query, from, to int, strategy Strategy, opt Options) (*Result, error) {
-	return g.evaluate(q, from, to, strategy, opt)
-}
-
-func (g *EvolvingGraph) evaluate(q Query, from, to int, strategy Strategy, opt Options) (*Result, error) {
+	q, strategy, opt := req.Query, req.Strategy, req.Options
 	if q.Algorithm == nil {
 		return nil, fmt.Errorf("commongraph: query has no algorithm")
 	}
-	if int(q.Source) >= g.NumVertices() {
-		return nil, fmt.Errorf("commongraph: source %d out of range %d", q.Source, g.NumVertices())
+	if err := g.checkSource(q.Source); err != nil {
+		return nil, err
 	}
-	w := core.Window{Store: g.store, From: from, To: to}
+	switch strategy {
+	case DirectHop, DirectHopParallel, WorkSharing, WorkSharingParallel:
+	case KickStarter, Independent:
+		if held != nil {
+			return nil, fmt.Errorf("commongraph: watcher supports only CommonGraph strategies, not %v", strategy)
+		}
+	default:
+		return nil, fmt.Errorf("commongraph: unknown strategy %v", strategy)
+	}
+	w := core.Window{Store: g.store, From: req.Window.From, To: req.Window.To}
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
@@ -382,11 +363,14 @@ func (g *EvolvingGraph) evaluate(q Query, from, to int, strategy Strategy, opt O
 	// The root span joins any trace context riding on the request context
 	// (obs.ContextWithSpan) — a follower read links to the primary ingest
 	// trace that produced the data it reads; a plain query starts fresh.
-	sp := tr.StartRemote(obs.FromContext(opt.context()), "evaluate",
+	sp := tr.StartRemote(obs.FromContext(ctx), "evaluate",
 		obs.String("strategy", slug),
 		obs.String("algo", q.Algorithm.Name()),
 		obs.Int("source", int(q.Source)),
-		obs.Int("from", from), obs.Int("to", to), obs.Int("width", w.Width()))
+		obs.Int("from", w.From), obs.Int("to", w.To), obs.Int("width", w.Width()))
+	if held != nil {
+		sp.SetAttr(obs.String("origin", "watcher"))
+	}
 	var m0 runtime.MemStats
 	if tr.Detailed() {
 		// ReadMemStats is too expensive for the always-on ring-only
@@ -395,29 +379,21 @@ func (g *EvolvingGraph) evaluate(q Query, from, to int, strategy Strategy, opt O
 	}
 	start := time.Now()
 	var (
-		res *Result
-		err error
+		res   *Result
+		inner *core.Result
+		err   error
 	)
 	switch strategy {
 	case KickStarter:
-		res, err = g.evaluateKickStarter(q, w, opt, sp)
+		res, err = g.evaluateKickStarter(ctx, q, w, opt, sp)
 	case Independent:
-		cfg := opt.config(q)
-		cfg.Trace = sp
-		var inner *core.Result
-		inner, err = core.Independent(w, cfg)
-		if err == nil {
-			res = convertResult(inner, from, Independent)
-		}
-	case DirectHop, DirectHopParallel, WorkSharing, WorkSharingParallel:
-		res, err = g.evaluateCommonGraph(q, w, strategy, opt, sp)
+		inner, err = core.Independent(w, opt.config(ctx, q, sp))
 	default:
-		sp.End()
-		return nil, fmt.Errorf("commongraph: unknown strategy %v", strategy)
+		inner, err = g.runCommonGraph(w, held, strategy, opt, opt.config(ctx, q, sp))
 	}
 	obs.Queries(slug).Inc()
 	slow := obs.SlowEntry{Trace: sp.TraceID(), Strategy: slug,
-		Dur: time.Since(start), Start: start, From: from, To: to}
+		Dur: time.Since(start), Start: start, From: w.From, To: w.To}
 	if err != nil {
 		obs.QueryErrors(slug).Inc()
 		sp.SetAttr(obs.String("error", err.Error()))
@@ -432,6 +408,9 @@ func (g *EvolvingGraph) evaluate(q Query, from, to int, strategy Strategy, opt O
 			obs.Incident("panic", err)
 		}
 		return nil, err
+	}
+	if inner != nil {
+		res = convertResult(inner, w.From, strategy)
 	}
 	res.Strategy = strategy
 	res.Timings.Total = time.Since(start)
@@ -457,12 +436,11 @@ func (g *EvolvingGraph) evaluate(q Query, from, to int, strategy Strategy, opt O
 	return res, nil
 }
 
-func (g *EvolvingGraph) evaluateKickStarter(q Query, w core.Window, opt Options, sp *obs.Span) (*Result, error) {
+func (g *EvolvingGraph) evaluateKickStarter(ctx context.Context, q Query, w core.Window, opt Options, sp *obs.Span) (*Result, error) {
 	first, err := g.store.GetVersion(w.From)
 	if err != nil {
 		return nil, err
 	}
-	ctx := opt.context()
 	solve := sp.StartChild("common.solve")
 	sys := kickstarter.New(g.NumVertices(), first, q.Algorithm, q.Source, opt.engine().WithSpan(solve))
 	solve.End()
@@ -502,16 +480,6 @@ func (g *EvolvingGraph) evaluateKickStarter(q Query, w core.Window, opt Options,
 	return res, nil
 }
 
-func (g *EvolvingGraph) evaluateCommonGraph(q Query, w core.Window, strategy Strategy, opt Options, sp *obs.Span) (*Result, error) {
-	cfg := opt.config(q)
-	cfg.Trace = sp
-	inner, err := g.runCommonGraph(w, nil, strategy, opt, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return convertResult(inner, w.From, strategy), nil
-}
-
 // runCommonGraph executes one CommonGraph strategy over window w — the
 // shared tail of the EvolvingGraph and Watcher evaluation paths (a Watcher
 // passes the representation it maintains as held). The window's plan
@@ -520,7 +488,7 @@ func (g *EvolvingGraph) evaluateCommonGraph(q Query, w core.Window, strategy Str
 // solve is skipped.
 func (g *EvolvingGraph) runCommonGraph(w core.Window, held *core.Rep, strategy Strategy, opt Options, cfg core.Config) (*core.Result, error) {
 	walksSchedule := strategy == WorkSharing || strategy == WorkSharingParallel
-	rep, tg, sched, err := g.windowPlan(w, held, walksSchedule, opt, cfg.Trace)
+	rep, tg, sched, err := g.windowPlan(cfg.Ctx, w, held, walksSchedule, opt, cfg.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -569,7 +537,7 @@ func (g *EvolvingGraph) Plan(from, to int, opt Options) (*Plan, error) {
 		obs.Bool("optimal_schedule", opt.OptimalSchedule))
 	defer sp.End()
 	w := core.Window{Store: g.store, From: from, To: to}
-	rep, _, sched, err := g.windowPlan(w, nil, true, opt, sp)
+	rep, _, sched, err := g.windowPlan(context.Background(), w, nil, true, opt, sp) //cgvet:ignore ctxflow -- Plan takes no context: it is never cancelled
 	if err != nil {
 		return nil, err
 	}

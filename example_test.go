@@ -1,15 +1,16 @@
 package commongraph_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"commongraph"
 )
 
-// ExampleEvolvingGraph_Evaluate tracks a shortest-path query across three
+// ExampleEvolvingGraph_Run tracks a shortest-path query across three
 // snapshots of a small evolving graph.
-func ExampleEvolvingGraph_Evaluate() {
+func ExampleEvolvingGraph_Run() {
 	g := commongraph.New(4, []commongraph.Edge{
 		{Src: 0, Dst: 1, W: 5},
 		{Src: 1, Dst: 2, W: 5},
@@ -23,9 +24,12 @@ func ExampleEvolvingGraph_Evaluate() {
 		log.Fatal(err)
 	}
 
-	res, err := g.Evaluate(
-		commongraph.Query{Algorithm: commongraph.SSSP, Source: 0},
-		0, 2, commongraph.DirectHop, commongraph.Options{KeepValues: true})
+	res, err := g.Run(context.Background(), commongraph.Request{
+		Query:    commongraph.Query{Algorithm: commongraph.SSSP, Source: 0},
+		Window:   commongraph.Window{From: 0, To: 2},
+		Strategy: commongraph.DirectHop,
+		Options:  commongraph.Options{KeepValues: true},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

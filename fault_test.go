@@ -13,32 +13,31 @@ import (
 )
 
 // TestCancelledContextRejectedEverywhere pins the uniform cancellation
-// contract: an already-cancelled Options.Context stops every entry point
-// — all six strategies, EvaluateMulti, and Watcher.Evaluate — with an
-// error that unwraps to context.Canceled.
+// contract: an already-cancelled context stops every entry point — all
+// six strategies, RunMulti, and Watcher.Run — with an error that unwraps
+// to context.Canceled.
 func TestCancelledContextRejectedEverywhere(t *testing.T) {
 	g, _ := buildEvolving(t, 337, 5, 30, 30)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opt := Options{Context: ctx}
 	q := Query{Algorithm: SSSP, Source: 0}
 
 	for _, st := range []Strategy{
 		KickStarter, Independent, DirectHop, DirectHopParallel, WorkSharing, WorkSharingParallel,
 	} {
-		if _, err := g.Evaluate(q, 0, 5, st, opt); !errors.Is(err, context.Canceled) {
+		if _, err := g.Run(ctx, Request{Query: q, Window: Window{From: 0, To: 5}, Strategy: st}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%v: cancelled context not observed: %v", st, err)
 		}
 	}
-	if _, err := g.EvaluateMulti([]Query{q}, 0, 5, opt); !errors.Is(err, context.Canceled) {
-		t.Fatalf("EvaluateMulti: cancelled context not observed: %v", err)
+	if _, err := g.RunMulti(ctx, []Query{q}, Window{From: 0, To: 5}, Options{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunMulti: cancelled context not observed: %v", err)
 	}
 	w, err := g.Watch(0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Evaluate(q, WorkSharing, opt); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Watcher.Evaluate: cancelled context not observed: %v", err)
+	if _, err := w.Run(ctx, Request{Query: q, Strategy: WorkSharing}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Watcher.Run: cancelled context not observed: %v", err)
 	}
 }
 
@@ -47,7 +46,7 @@ func TestCancelledContextRejectedEverywhere(t *testing.T) {
 func TestUnsupportedStrategyNamesItself(t *testing.T) {
 	g, _ := buildEvolving(t, 339, 3, 20, 20)
 	q := Query{Algorithm: BFS, Source: 0}
-	_, err := g.Evaluate(q, 0, 3, Strategy(99), Options{})
+	_, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 3}, Strategy: Strategy(99)})
 	if err == nil || !strings.Contains(err.Error(), "Strategy(99)") {
 		t.Fatalf("unknown strategy error does not name it: %v", err)
 	}
@@ -55,49 +54,80 @@ func TestUnsupportedStrategyNamesItself(t *testing.T) {
 	if werr != nil {
 		t.Fatal(werr)
 	}
-	_, err = w.Evaluate(q, KickStarter, Options{})
+	_, err = w.Run(context.Background(), Request{Query: q, Strategy: KickStarter})
 	if err == nil || !strings.Contains(err.Error(), "KickStarter") {
 		t.Fatalf("watcher rejection does not name the strategy: %v", err)
 	}
 }
 
-// TestEvaluateDegradeAcrossAPI drives the public Options.Degrade path: a
+// TestEvaluateDegradeAcrossAPI drives the public Options.Degrade path, on
+// the graph and on a Watcher whose window does not start at snapshot 0: a
 // panic injected into one schedule subtree must yield a successful,
 // exact, Degraded-marked result with absolute snapshot indices in its
-// failure causes.
+// failure causes, under a root span that says so.
 func TestEvaluateDegradeAcrossAPI(t *testing.T) {
 	g, _ := buildEvolving(t, 341, 8, 35, 35)
 	q := Query{Algorithm: SSSP, Source: 0}
-	clean, err := g.Evaluate(q, 0, 8, WorkSharing, Options{KeepValues: true})
+	w, err := g.Watch(2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Close()
+	for _, tc := range []struct {
+		name   string
+		from   int
+		origin string
+		run    func(context.Context, Request) (*Result, error)
+	}{
+		{"EvolvingGraph", 0, "", g.Run},
+		{"Watcher", 2, "watcher", w.Run},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			win := Window{From: tc.from, To: 8}
+			clean, err := g.Run(context.Background(), Request{Query: q, Window: win, Strategy: WorkSharing, Options: Options{KeepValues: true}})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	defer faults.Arm(&faults.Plan{Specs: []faults.Spec{
-		{Point: faults.CoreSubtreeWalk, Mode: faults.Panic, After: 1, Times: 1},
-	}})()
-	res, err := g.Evaluate(q, 0, 8, WorkSharingParallel, Options{Degrade: true, KeepValues: true})
-	if err != nil {
-		t.Fatalf("degrade did not absorb the failed subtree: %v", err)
-	}
-	if !res.Degraded {
-		t.Fatal("result not marked Degraded")
-	}
-	if len(res.SnapshotErrors) == 0 {
-		t.Fatal("degraded result carries no failure causes")
-	}
-	for idx, cause := range res.SnapshotErrors {
-		if idx < 0 || idx > 8 {
-			t.Fatalf("failure cause at out-of-window snapshot %d", idx)
-		}
-		if cause == nil {
-			t.Fatalf("snapshot %d has a nil failure cause", idx)
-		}
-	}
-	for k := range clean.Snapshots {
-		if clean.Snapshots[k].Checksum != res.Snapshots[k].Checksum {
-			t.Fatalf("degraded snapshot %d differs from clean evaluation", k)
-		}
+			defer faults.Arm(&faults.Plan{Specs: []faults.Spec{
+				{Point: faults.CoreSubtreeWalk, Mode: faults.Panic, After: 1, Times: 1},
+			}})()
+			tr := NewTracer()
+			res, err := tc.run(context.Background(), Request{Query: q, Window: win, Strategy: WorkSharingParallel,
+				Options: Options{Degrade: true, KeepValues: true, Trace: tr}})
+			if err != nil {
+				t.Fatalf("degrade did not absorb the failed subtree: %v", err)
+			}
+			if !res.Degraded {
+				t.Fatal("result not marked Degraded")
+			}
+			if len(res.SnapshotErrors) == 0 {
+				t.Fatal("degraded result carries no failure causes")
+			}
+			for idx, cause := range res.SnapshotErrors {
+				if idx < tc.from || idx > 8 {
+					t.Fatalf("failure cause at out-of-window snapshot %d", idx)
+				}
+				if cause == nil {
+					t.Fatalf("snapshot %d has a nil failure cause", idx)
+				}
+			}
+			for k := range clean.Snapshots {
+				if clean.Snapshots[k].Checksum != res.Snapshots[k].Checksum {
+					t.Fatalf("degraded snapshot %d differs from clean evaluation", k)
+				}
+			}
+			for _, ev := range tr.Events() {
+				if ev.Name != "evaluate" {
+					continue
+				}
+				if ev.Attr("degraded") != "true" || ev.Attr("origin") != tc.origin {
+					t.Fatalf("root span: degraded=%q origin=%q, want true and %q", ev.Attr("degraded"), ev.Attr("origin"), tc.origin)
+				}
+				return
+			}
+			t.Fatal("no root evaluate span recorded")
+		})
 	}
 }
 
@@ -206,14 +236,14 @@ func TestWatcherConcurrentMaintenanceAndEvaluate(t *testing.T) {
 				default:
 				}
 				runtime.Gosched()
-				res, err := w.Evaluate(q, DirectHop, Options{})
+				res, err := w.Run(context.Background(), Request{Query: q, Strategy: DirectHop})
 				if err != nil {
 					errc <- fmt.Errorf("evaluate: %w", err)
 					return
 				}
 				from := res.Snapshots[0].Index
 				to := res.Snapshots[len(res.Snapshots)-1].Index
-				fresh, err := g.Evaluate(q, from, to, DirectHop, Options{})
+				fresh, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: from, To: to}, Strategy: DirectHop})
 				if err != nil {
 					errc <- fmt.Errorf("fresh [%d,%d]: %w", from, to, err)
 					return

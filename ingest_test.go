@@ -1,6 +1,9 @@
 package commongraph
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestIngestorCreatesSnapshots(t *testing.T) {
 	g := New(6, []Edge{{Src: 0, Dst: 1, W: 1}, {Src: 1, Dst: 2, W: 1}})
@@ -59,7 +62,7 @@ func TestIngestorCreatesSnapshots(t *testing.T) {
 	}
 
 	// The result is a normal evolving graph: evaluate across it.
-	res, err := g.Evaluate(Query{Algorithm: BFS, Source: 0}, 0, 3, WorkSharing, Options{})
+	res, err := g.Run(context.Background(), Request{Query: Query{Algorithm: BFS, Source: 0}, Window: Window{From: 0, To: 3}, Strategy: WorkSharing})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ package commongraph
 // every strategy.
 
 import (
+	"context"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -28,11 +29,11 @@ func TestDatasetRoundTripPreservesResults(t *testing.T) {
 			loaded.NumSnapshots(), loaded.NumVertices(), g.NumSnapshots(), g.NumVertices())
 	}
 	q := Query{Algorithm: SSNP, Source: 0}
-	want, err := g.Evaluate(q, 0, 6, WorkSharing, Options{})
+	want, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 6}, Strategy: WorkSharing})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := loaded.Evaluate(q, 0, 6, WorkSharing, Options{})
+	got, err := loaded.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 6}, Strategy: WorkSharing})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestConcurrentEvaluations(t *testing.T) {
 		wg.Add(1)
 		go func(i int, j job) {
 			defer wg.Done()
-			res, err := g.Evaluate(j.q, j.w.From, j.w.To, j.s, Options{Plan: pc})
+			res, err := g.Run(context.Background(), Request{Query: j.q, Window: Window{From: j.w.From, To: j.w.To}, Strategy: j.s, Options: Options{Plan: pc}})
 			if err != nil {
 				t.Errorf("job %d: %v", i, err)
 				return
@@ -94,7 +95,7 @@ func TestConcurrentEvaluations(t *testing.T) {
 		if results[i] == nil {
 			continue
 		}
-		serial, err := g.Evaluate(j.q, j.w.From, j.w.To, j.s, Options{})
+		serial, err := g.Run(context.Background(), Request{Query: j.q, Window: Window{From: j.w.From, To: j.w.To}, Strategy: j.s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func TestLongHorizonAllStrategies(t *testing.T) {
 	strategies := []Strategy{Independent, KickStarter, DirectHop, DirectHopParallel, WorkSharing, WorkSharingParallel}
 	var base *Result
 	for _, s := range strategies {
-		res, err := g.Evaluate(q, 0, 30, s, Options{})
+		res, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 30}, Strategy: s})
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -136,7 +137,7 @@ func TestLongHorizonAllStrategies(t *testing.T) {
 		}
 	}
 	// And the optimal schedule agrees too.
-	opt, err := g.Evaluate(q, 0, 30, WorkSharing, Options{OptimalSchedule: true})
+	opt, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 30}, Strategy: WorkSharing, Options: Options{OptimalSchedule: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

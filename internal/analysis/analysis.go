@@ -87,7 +87,6 @@ type Analyzer struct {
 // the CFG in flow.go), then the suppression auditor.
 var All = []*Analyzer{
 	CSRImmutable, LockDiscipline, StateWrite, Determinism, GoPanic, ObsDiscipline, CloseCheck,
-	DeprecatedAPI,
 	GoLeak, CtxFlow, AtomicGuard, ErrFlow, SpanEnd,
 	IgnoreHygiene,
 }

@@ -109,23 +109,6 @@ func TestObsDisciplineFixture(t *testing.T) {
 	runFixture(t, "obsdiscipline", "commongraph/internal/core", ObsDiscipline)
 }
 
-func TestDeprecatedAPIFixture(t *testing.T) {
-	runFixture(t, "deprecatedapi", "app", DeprecatedAPI)
-}
-
-// TestDeprecatedAPISkipsDefiningPackage proves the shims' own package may
-// keep referencing them: the consumer fixture loaded under a path ending
-// in /commongraph yields zero diagnostics.
-func TestDeprecatedAPISkipsDefiningPackage(t *testing.T) {
-	pkg, err := LoadDir(filepath.Join("testdata", "src", "deprecatedapi", "commongraph"), "x/commongraph")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{DeprecatedAPI}); len(diags) > 0 {
-		t.Fatalf("defining package flagged: %v", diags)
-	}
-}
-
 // TestObsDisciplineScopedToLibraries proves commands and examples keep
 // their terminal: the same printing under cmd/ and examples/ paths yields
 // zero diagnostics.

@@ -51,7 +51,6 @@ func builtins() []Experiment {
 		{Name: "store", Paper: "Persistence", Run: StorePersistence},
 		{Name: "repl", Paper: "Replication", Run: Replication},
 		{Name: "obs-overhead", Paper: "Observability overhead gate", Run: ObsOverhead},
-		{Name: "shard", Paper: "Sharded execution", Run: ShardExecution},
 	}
 }
 

@@ -2,10 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime/pprof"
-	"sync"
 	"time"
 
 	"commongraph/internal/algo"
@@ -14,7 +11,6 @@ import (
 	"commongraph/internal/faults"
 	"commongraph/internal/graph"
 	"commongraph/internal/obs"
-	"commongraph/internal/shard"
 )
 
 // Config selects what to evaluate over a window and how.
@@ -25,8 +21,8 @@ type Config struct {
 	// KeepValues retains the full per-snapshot value arrays in the result
 	// (tests and small runs); otherwise only counts and checksums are kept.
 	KeepValues bool
-	// Parallelism bounds concurrent hops in DirectHopParallel; 0 means
-	// one goroutine per snapshot.
+	// Parallelism bounds how many hops of DirectHopParallel, or root
+	// subtrees of WorkSharingParallel, run at once; 0 means all of them.
 	Parallelism int
 	// OptimalSchedule selects the interval-DP Steiner solver instead of
 	// the paper's greedy (Algorithm 1). On wide windows the DP finds
@@ -74,7 +70,7 @@ func solveCommon(g delta.Graph, cfg Config) (*engine.State, engine.Stats) {
 		return st, engine.Stats{}
 	}
 	sp := cfg.Trace.StartChild("common.solve")
-	st, stats := shard.Run(g, cfg.Algo, cfg.Source, cfg.Engine.WithSpan(sp))
+	st, stats := engine.Run(g, cfg.Algo, cfg.Source, cfg.Engine.WithSpan(sp))
 	sp.End()
 	return st, stats
 }
@@ -166,240 +162,253 @@ func snapshotResult(k int, st *engine.State, keep bool) SnapshotResult {
 	return r
 }
 
+// execution is one CommonGraph evaluation in progress: the set-up every
+// strategy shares (the entry checkpoint and the common graph's solution)
+// and the result its units — Direct-Hop's hops, Work-Sharing's root
+// subtrees — account into.
+type execution struct {
+	rep   *Rep
+	cfg   Config
+	label string // strategy slug: the HopSeconds series and the pprof label
+	// width is how many units may be in flight at once; at 1 they run in
+	// order on the calling goroutine.
+	width int
+	base  *engine.State // the common graph's fixpoint
+	res   *Result
+}
+
+// start passes the entry checkpoint and solves the common graph. A
+// parallel strategy runs cfg.Parallelism of its units at a time (all of
+// them when that is zero), any other strategy one.
+func start(rep *Rep, cfg Config, label string, units int, parallel bool) (*execution, error) {
+	if err := checkpoint(cfg.Ctx, faults.CoreEngineRun); err != nil {
+		return nil, err
+	}
+	x := &execution{rep: rep, cfg: cfg, label: label, width: 1,
+		res: &Result{Snapshots: make([]SnapshotResult, len(rep.Deltas))}}
+	if parallel {
+		x.width = cfg.Parallelism
+		if x.width <= 0 || x.width > units {
+			x.width = units
+		}
+	}
+	t0 := time.Now()
+	var stats engine.Stats
+	x.base, stats = solveCommon(rep.Base, cfg)
+	x.res.Cost.InitialCompute = time.Since(t0)
+	x.res.Work.Add(stats)
+	return x, nil
+}
+
+// absorb folds one unit's accounting into r. Snapshot results never pass
+// through here: units write them to the evaluation's Snapshots directly.
+func (r *Result) absorb(u *Result) {
+	r.Cost.IncrementalAdd += u.Cost.IncrementalAdd
+	r.Cost.OverlayBuild += u.Cost.OverlayBuild
+	r.Cost.StateClone += u.Cost.StateClone
+	r.Work.Add(u.Work)
+	r.AdditionsProcessed += u.AdditionsProcessed
+	for k, cause := range u.SnapshotErrors {
+		r.degrade(k, cause)
+	}
+}
+
+// degrade records that snapshot k was recomputed on the fallback path
+// after cause.
+func (r *Result) degrade(k int, cause error) {
+	r.Degraded = true
+	if r.SnapshotErrors == nil {
+		r.SnapshotErrors = make(map[int]error)
+	}
+	r.SnapshotErrors[k] = cause
+}
+
+// unitDone records a finished unit: the units are mutually independent,
+// so the longest one estimates the wall time with a core per unit
+// (Table 5).
+func (r *Result) unitDone(hops *obs.Histogram, d time.Duration) {
+	hops.Observe(d)
+	if d > r.MaxHopTime {
+		r.MaxHopTime = d
+	}
+}
+
+// hop reaches snapshot k from the common graph's solution (§3.1): the
+// snapshot's leaf overlay, a clone of the base state and one addition
+// batch, accounted into acc. It is a schedule-edge boundary, so
+// cancellation and injected faults are observed before the work starts.
+// With fork the hop's span renders on its own trace track, showing the
+// real overlap of concurrent hops.
+func (x *execution) hop(k int, parent *obs.Span, name string, fork bool, acc *Result) error {
+	if err := checkpoint(x.cfg.Ctx, faults.CoreOverlayBuild); err != nil {
+		return err
+	}
+	batch := x.rep.Deltas[k]
+	var sp *obs.Span
+	if fork {
+		sp = parent.Fork(name, obs.Int("snapshot", k), obs.Int("batch", batch.Len()))
+	} else {
+		sp = parent.StartChild(name, obs.Int("snapshot", k), obs.Int("batch", batch.Len()))
+	}
+	t1 := time.Now()
+	og := x.rep.SnapshotGraph(k)
+	t2 := time.Now()
+	st := x.base.Clone()
+	t3 := time.Now()
+	s := engine.IncrementalAdd(og, st, batch.Edges(), x.cfg.Engine.WithSpan(sp))
+	t4 := time.Now()
+	sp.End()
+	acc.Cost.OverlayBuild += t2.Sub(t1)
+	acc.Cost.StateClone += t3.Sub(t2)
+	acc.Cost.IncrementalAdd += t4.Sub(t3)
+	acc.Work.Add(s)
+	acc.AdditionsProcessed += int64(batch.Len())
+	x.res.Snapshots[k] = snapshotResult(k, st, x.cfg.KeepValues)
+	return nil
+}
+
 // DirectHop evaluates the query on every snapshot of the window via §3.1:
 // solve the common graph once, then for each snapshot independently stream
 // its Δ_ck addition batch and update incrementally. Sequential; see
 // DirectHopParallel for the parallel variant.
 func DirectHop(rep *Rep, cfg Config) (*Result, error) {
-	if err := checkpoint(cfg.Ctx, faults.CoreEngineRun); err != nil {
-		return nil, err
-	}
-	cfg.Engine = rep.pinShardPlan(cfg.Engine)
-	res := &Result{}
-	t0 := time.Now()
-	baseState, stats := solveCommon(rep.Base, cfg)
-	res.Cost.InitialCompute = time.Since(t0)
-	res.Work.Add(stats)
-	hops := obs.HopSeconds("direct-hop")
-
-	for k := range rep.Deltas {
-		// Hops are the schedule edges of the §3.1 plan: cancellation and
-		// injected faults are observed once per hop.
-		if err := checkpoint(cfg.Ctx, faults.CoreOverlayBuild); err != nil {
-			return nil, err
-		}
-		sp := cfg.Trace.StartChild("hop",
-			obs.Int("snapshot", k), obs.Int("batch", rep.Deltas[k].Len()))
-		t1 := time.Now()
-		og := rep.SnapshotGraph(k)
-		t2 := time.Now()
-		res.Cost.OverlayBuild += t2.Sub(t1)
-
-		st := baseState.Clone()
-		t3 := time.Now()
-		res.Cost.StateClone += t3.Sub(t2)
-
-		s := shard.IncrementalAdd(og, st, rep.Deltas[k].Edges(), cfg.Engine.WithSpan(sp))
-		t4 := time.Now()
-		res.Cost.IncrementalAdd += t4.Sub(t3)
-		sp.End()
-		// Hops are mutually independent, so the longest one estimates the
-		// wall time with a core per snapshot (Table 5); measuring it here,
-		// in the sequential loop, keeps hops from inflating each other on
-		// small machines.
-		hop := t4.Sub(t1)
-		hops.Observe(hop)
-		if hop > res.MaxHopTime {
-			res.MaxHopTime = hop
-		}
-		res.Work.Add(s)
-		res.AdditionsProcessed += int64(rep.Deltas[k].Len())
-		res.Snapshots = append(res.Snapshots, snapshotResult(k, st, cfg.KeepValues))
-	}
-	return res, nil
+	return directHop(rep, cfg, "direct-hop", false)
 }
 
-// DirectHopParallel runs every hop of DirectHop concurrently (the paper's
-// Table 5): hops are independent because each starts from the common
-// graph's solution, the dependency streaming imposes having been broken.
-// MaxHopTime in the result is the longest single hop.
+// DirectHopParallel runs the hops of DirectHop concurrently (the paper's
+// Table 5), Config.Parallelism at a time: hops are independent because
+// each starts from the common graph's solution, the dependency streaming
+// imposes having been broken. MaxHopTime in the result is the longest
+// single hop.
 func DirectHopParallel(rep *Rep, cfg Config) (*Result, error) {
-	if err := checkpoint(cfg.Ctx, faults.CoreEngineRun); err != nil {
-		return nil, err
-	}
-	cfg.Engine = rep.pinShardPlan(cfg.Engine)
-	res := &Result{}
-	t0 := time.Now()
-	baseState, stats := solveCommon(rep.Base, cfg)
-	res.Cost.InitialCompute = time.Since(t0)
-	res.Work.Add(stats)
-	hops := obs.HopSeconds("direct-hop-parallel")
-	busy := obs.WorkersBusy()
-	ctx := executorCtx(cfg)
+	return directHop(rep, cfg, "direct-hop-parallel", true)
+}
 
-	w := len(rep.Deltas)
-	res.Snapshots = make([]SnapshotResult, w)
-	durations := make([]time.Duration, w)
-	errs := make([]error, w)
-	par := cfg.Parallelism
-	if par <= 0 || par > w {
-		par = w
-	}
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			// Each hop owns exactly one slot k of these slices, so the
-			// writes are disjoint and need no lock; wg.Wait publishes them.
-			var hopErr error
-			defer func() {
-				errs[k] = hopErr //cgvet:ignore lockdiscipline -- index-disjoint, one k per goroutine
-			}()
-			defer recoverToError(&hopErr)
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			busy.Add(1)
-			defer busy.Add(-1)
-			// Cancellation and injected faults are observed at the hop
-			// boundary, before the hop's work starts.
-			if hopErr = checkpoint(cfg.Ctx, faults.CoreOverlayBuild); hopErr != nil {
-				return
-			}
-			// Fork: each hop renders on its own trace track, so the
-			// Chrome view shows the hops' actual overlap.
-			sp := cfg.Trace.Fork("hop",
-				obs.Int("snapshot", k), obs.Int("batch", rep.Deltas[k].Len()))
-			pprof.Do(ctx, pprof.Labels("cg_executor", "direct-hop-parallel"), func(context.Context) {
-				start := time.Now()
-				og := rep.SnapshotGraph(k)
-				st := baseState.Clone()
-				shard.IncrementalAdd(og, st, rep.Deltas[k].Edges(), cfg.Engine.WithSpan(sp))
-				durations[k] = time.Since(start)                         //cgvet:ignore lockdiscipline -- index-disjoint, one k per goroutine
-				res.Snapshots[k] = snapshotResult(k, st, cfg.KeepValues) //cgvet:ignore lockdiscipline -- index-disjoint, one k per goroutine
-			})
-			sp.End()
-			hops.Observe(durations[k])
-		}(k)
-	}
-	wg.Wait()
-	// Hop failures (including recovered panics) join into one error; a
-	// partial snapshot slice is never returned.
-	if err := errors.Join(errs...); err != nil {
+func directHop(rep *Rep, cfg Config, label string, parallel bool) (res *Result, err error) {
+	defer recoverToError(&err)
+	x, err := start(rep, cfg, label, len(rep.Deltas), parallel)
+	if err != nil {
 		return nil, err
 	}
-	for k := 0; k < w; k++ {
-		res.AdditionsProcessed += int64(rep.Deltas[k].Len())
-		if durations[k] > res.MaxHopTime {
-			res.MaxHopTime = durations[k]
-		}
+	err = x.each(len(rep.Deltas), func(k int, acc *Result) error {
+		return x.hop(k, cfg.Trace, "hop", x.width > 1, acc)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return x.res, nil
 }
 
 // WorkSharing evaluates the window along a schedule tree: the common graph
 // is solved once, and the DFS streams each schedule edge's merged batch
 // exactly once, sharing both the batch's streaming and the intermediate
-// common graph states among every snapshot below it (§3.2).
+// common graph states among every snapshot below it (§3.2). The root's
+// subtrees are walked in order on the calling goroutine.
 func WorkSharing(rep *Rep, tg *TG, sched *Schedule, cfg Config) (*Result, error) {
+	return workSharing(rep, tg, sched, cfg, "work-sharing", false)
+}
+
+// WorkSharingParallel executes a schedule with the root's child subtrees
+// running concurrently, Config.Parallelism at a time — the parallelization
+// §5 notes is possible for the work-sharing algorithm ("resulting in a
+// more work efficient algorithm" than parallel direct hop). Subtrees are
+// independent: each starts from its own clone of the common graph's
+// solution, so no synchronization is needed beyond joining.
+//
+// Fault tolerance: every subtree runs panic-contained — a panic becomes a
+// *PanicError instead of crashing the process — and cancellation is
+// observed at each schedule-edge boundary. When Config.Degrade is set, a
+// failed subtree falls back to Direct-Hop recomputation of its snapshots
+// from the base state and the Result is marked Degraded with the
+// per-snapshot failure cause; otherwise a failure aborts the whole
+// evaluation.
+//
+// Result.MaxHopTime reports the longest subtree (the wall-time estimate
+// with one core per subtree); the Cost fields aggregate CPU time across
+// subtrees.
+func WorkSharingParallel(rep *Rep, tg *TG, sched *Schedule, cfg Config) (*Result, error) {
+	return workSharing(rep, tg, sched, cfg, "work-sharing-parallel", true)
+}
+
+func workSharing(rep *Rep, tg *TG, sched *Schedule, cfg Config, label string, parallel bool) (res *Result, err error) {
+	defer recoverToError(&err)
 	if tg.W != rep.Window.Width() {
 		return nil, fmt.Errorf("core: TG width %d does not match window width %d", tg.W, rep.Window.Width())
 	}
-	if err := checkpoint(cfg.Ctx, faults.CoreEngineRun); err != nil {
+	roots := sched.Root.Edges
+	x, err := start(rep, cfg, label, len(roots), parallel)
+	if err != nil {
 		return nil, err
 	}
-	cfg.Engine = rep.pinShardPlan(cfg.Engine)
-	res := &Result{}
-	t0 := time.Now()
-	baseState, stats := solveCommon(rep.Base, cfg)
-	res.Cost.InitialCompute = time.Since(t0)
-	res.Work.Add(stats)
-	hops := obs.HopSeconds("work-sharing")
-
 	if sched.Root.IsLeaf() {
 		// Single-snapshot window: the common graph is the snapshot.
-		res.Snapshots = append(res.Snapshots, snapshotResult(0, baseState, cfg.KeepValues))
-		return res, nil
+		x.res.Snapshots[0] = snapshotResult(0, x.base, cfg.KeepValues)
+		return x.res, nil
 	}
-
 	// Labels and overlay stacks come from the schedule's memo; only its
 	// first evaluation pays for them.
 	tL := time.Now()
 	sched.executable()
-	res.Cost.OverlayBuild += time.Since(tL)
+	x.res.Cost.OverlayBuild = time.Since(tL)
 
-	var walk func(n *ScheduleNode, st *engine.State) error
-	walk = func(n *ScheduleNode, st *engine.State) error {
-		if n.IsLeaf() {
-			res.Snapshots = append(res.Snapshots, snapshotResult(n.I, st, cfg.KeepValues))
-			return nil
+	err = x.each(len(roots), func(i int, acc *Result) error {
+		if parallel {
+			return x.isolatedSubtree(sched.Root, roots[i], acc)
 		}
-		for idx, e := range n.Edges {
-			// Schedule-edge boundary: cancellation (and armed faults) stop
-			// the DFS here, before the edge's batch is streamed.
-			if err := checkpoint(cfg.Ctx, faults.CoreSubtreeWalk); err != nil {
-				return err
-			}
-			// A root edge opens one of the independent subtrees — the
-			// Table 5 unit this strategy would parallelize — so its whole
-			// walk is timed for MaxHopTime and the hop histogram.
-			rootEdge := n == sched.Root
-			var subtreeStart time.Time
-			if rootEdge {
-				subtreeStart = time.Now()
-			}
-			sp := cfg.Trace.StartChild("schedule.edge",
-				obs.String("from", nodeRef(n)), obs.String("to", nodeRef(e.To)),
-				obs.Int("spans", len(e.Spans)))
-			t1 := time.Now()
-			og := edgeGraph(rep, e)
-			t2 := time.Now()
-			res.Cost.OverlayBuild += t2.Sub(t1)
-
-			child := st
-			if idx < len(n.Edges)-1 {
-				child = st.Clone() // further siblings still need st
-			}
-			t3 := time.Now()
-			res.Cost.StateClone += t3.Sub(t2)
-
-			s := shard.IncrementalAddParts(og, child, e.parts, cfg.Engine.WithSpan(sp))
-			res.Cost.IncrementalAdd += time.Since(t3)
-			sp.SetAttr(obs.Int64("batch", e.AddCount))
-			sp.End()
-			res.Work.Add(s)
-			res.AdditionsProcessed += e.AddCount
-			if err := walk(e.To, child); err != nil {
-				return err
-			}
-			if rootEdge {
-				d := time.Since(subtreeStart)
-				hops.Observe(d)
-				if d > res.MaxHopTime {
-					res.MaxHopTime = d
-				}
-			}
-		}
-		return nil
-	}
-	// The walk runs panic-contained: a panicking subtree (a bug, or an
-	// armed Panic-mode fault) surfaces as a *PanicError instead of killing
-	// the calling service.
-	err := func() (err error) {
-		defer recoverToError(&err)
-		return walk(sched.Root, baseState)
-	}()
+		return x.walkSubtree(sched.Root, roots[i], childState(x.base, i == len(roots)-1, acc), cfg.Trace, acc)
+	})
 	if err != nil {
 		return nil, err
 	}
-	// Snapshots arrive in DFS order; restore window order.
-	ordered := make([]SnapshotResult, len(res.Snapshots))
-	for _, s := range res.Snapshots {
-		ordered[s.Index] = s
+	return x.res, nil
+}
+
+// childState is the state one of a node's outgoing edges starts from:
+// the last sibling takes its parent's state, the others — whose later
+// siblings still need it — a clone.
+func childState(st *engine.State, last bool, acc *Result) *engine.State {
+	if last {
+		return st
 	}
-	res.Snapshots = ordered
-	return res, nil
+	t := time.Now()
+	st = st.Clone()
+	acc.Cost.StateClone += time.Since(t)
+	return st
+}
+
+// walkSubtree executes the schedule edge e out of node from and the
+// subtree below it, from state st, which it owns. Every invocation is a
+// schedule-edge boundary: cancellation and armed faults are observed
+// before the edge's batch is streamed.
+func (x *execution) walkSubtree(from *ScheduleNode, e *ScheduleEdge, st *engine.State, parent *obs.Span, acc *Result) error {
+	if err := checkpoint(x.cfg.Ctx, faults.CoreSubtreeWalk); err != nil {
+		return err
+	}
+	sp := parent.StartChild("schedule.edge",
+		obs.String("from", nodeRef(from)), obs.String("to", nodeRef(e.To)),
+		obs.Int("spans", len(e.Spans)))
+	t1 := time.Now()
+	og := edgeGraph(x.rep, e)
+	t2 := time.Now()
+	acc.Cost.OverlayBuild += t2.Sub(t1)
+
+	s := engine.IncrementalAddParts(og, st, e.parts, x.cfg.Engine.WithSpan(sp))
+	acc.Cost.IncrementalAdd += time.Since(t2)
+	sp.SetAttr(obs.Int64("batch", e.AddCount))
+	sp.End()
+	acc.Work.Add(s)
+	acc.AdditionsProcessed += e.AddCount
+
+	if e.To.IsLeaf() {
+		x.res.Snapshots[e.To.I] = snapshotResult(e.To.I, st, x.cfg.KeepValues)
+		return nil
+	}
+	for idx, child := range e.To.Edges {
+		if err := x.walkSubtree(e.To, child, childState(st, idx == len(e.To.Edges)-1, acc), parent, acc); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // edgeGraph is the graph at a schedule edge's destination: the common

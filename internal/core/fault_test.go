@@ -210,29 +210,41 @@ func TestSlideRollsBackOnMidMaintenanceError(t *testing.T) {
 }
 
 // TestWorkSharingParallelPanicContained is the acceptance test for panic
-// isolation: an armed subtree-walk panic must come back as an error (a
-// *PanicError carrying the stack) instead of crashing the process.
+// isolation: on every CommonGraph strategy an armed panic at a schedule
+// boundary must come back as an error (a *PanicError carrying the stack)
+// instead of crashing the process.
 func TestWorkSharingParallelPanicContained(t *testing.T) {
 	f := newFaultFixture(t, 411, 9)
-	defer faults.Arm(&faults.Plan{Specs: []faults.Spec{
-		{Point: faults.CoreSubtreeWalk, Mode: faults.Panic},
-	}})()
-	res, err := WorkSharingParallel(f.rep, f.tg, f.sched, f.cfg)
-	if err == nil {
-		t.Fatal("panicking subtree produced no error")
-	}
-	if res != nil {
-		t.Fatal("panicking subtree produced a partial result")
-	}
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("error is not a *PanicError: %v", err)
-	}
-	if _, ok := pe.Value.(*faults.InjectedPanic); !ok {
-		t.Fatalf("recovered value %T is not the injected panic", pe.Value)
-	}
-	if !strings.Contains(err.Error(), "goroutine") {
-		t.Fatal("panic error carries no stack trace")
+	for _, tc := range []struct {
+		name  string
+		point faults.Point
+		run   func() (*Result, error)
+	}{
+		{"WorkSharingParallel", faults.CoreSubtreeWalk, func() (*Result, error) { return WorkSharingParallel(f.rep, f.tg, f.sched, f.cfg) }},
+		{"WorkSharing", faults.CoreSubtreeWalk, func() (*Result, error) { return WorkSharing(f.rep, f.tg, f.sched, f.cfg) }},
+		{"DirectHopParallel", faults.CoreOverlayBuild, func() (*Result, error) { return DirectHopParallel(f.rep, f.cfg) }},
+		{"DirectHop", faults.CoreOverlayBuild, func() (*Result, error) { return DirectHop(f.rep, f.cfg) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer faults.Arm(&faults.Plan{Specs: []faults.Spec{{Point: tc.point, Mode: faults.Panic}}})()
+			res, err := tc.run()
+			if err == nil {
+				t.Fatal("armed panic produced no error")
+			}
+			if res != nil {
+				t.Fatal("armed panic produced a partial result")
+			}
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("error is not a *PanicError: %v", err)
+			}
+			if _, ok := pe.Value.(*faults.InjectedPanic); !ok {
+				t.Fatalf("recovered value %T is not the injected panic", pe.Value)
+			}
+			if !strings.Contains(err.Error(), "goroutine") {
+				t.Fatal("panic error carries no stack trace")
+			}
+		})
 	}
 }
 

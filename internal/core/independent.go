@@ -3,10 +3,10 @@ package core
 import (
 	"time"
 
+	"commongraph/internal/engine"
 	"commongraph/internal/faults"
 	"commongraph/internal/graph"
 	"commongraph/internal/obs"
-	"commongraph/internal/shard"
 )
 
 // Independent evaluates the query on every snapshot of the window from
@@ -39,7 +39,7 @@ func Independent(w Window, cfg Config) (*Result, error) {
 		t1 := time.Now()
 		res.Cost.OverlayBuild += t1.Sub(t0)
 
-		st, stats := shard.Run(pair, cfg.Algo, cfg.Source, cfg.Engine.WithSpan(sp))
+		st, stats := engine.Run(pair, cfg.Algo, cfg.Source, cfg.Engine.WithSpan(sp))
 		t2 := time.Now()
 		res.Cost.InitialCompute += t2.Sub(t1)
 		sp.End()

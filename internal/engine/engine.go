@@ -49,21 +49,6 @@ type Options struct {
 	// are per engine pass, never per vertex — the hot loop stays
 	// untouched, and a nil Span costs one pointer test per pass.
 	Span *obs.Span
-	// Shards selects the sharded executor (internal/shard): the vertex
-	// space is partitioned into contiguous degree-balanced ranges, each
-	// with its own frontier, and cross-shard edges route through
-	// per-shard inboxes. 0 or 1 keeps this unsharded engine — the engine
-	// itself never reads the field; internal/shard's dispatchers do, and
-	// fall back here when it is off or the graph has no flat CSR form.
-	Shards int
-	// ShardPlan optionally pins the shard cut points (len Shards+1,
-	// ascending, first 0 and last NumVertices) so every pass of one
-	// evaluation — and every ICG edge of a Work-Sharing schedule — reuses
-	// one plan. Empty means the sharded executor cuts its own plan from
-	// base-CSR degree statistics per pass. Plain data by design: the
-	// field threads through core/evaluate without importing the shard
-	// package.
-	ShardPlan []graph.VertexID
 }
 
 // WithSpan returns a copy of the options with the trace span replaced —
@@ -223,9 +208,6 @@ const (
 	minChunkEdges = 1024
 	// denseWordChunk is the stealing granularity of dense word scans.
 	denseWordChunk = 128
-	// DenseWordChunk exports the dense stealing granularity for the
-	// sharded executor, which keeps the same per-shard switchover.
-	DenseWordChunk = denseWordChunk
 	// sparseVertexChunk is the stealing granularity of sparse scans when
 	// no flat layers are available (no degree information).
 	sparseVertexChunk = 256
@@ -402,12 +384,10 @@ func (r *syncRunner) publish(bufs [][]graph.VertexID) {
 	r.next.adopt(collected)
 }
 
-// ChunkEdges is the degree-aware chunk size for an edge-space scan:
+// chunkEdges is the degree-aware chunk size for an edge-space scan:
 // roughly chunkTargetPerWorker chunks per worker, floored so tiny
-// frontiers do not shatter into cache-hostile slivers. Exported for the
-// sharded executor, whose cross-shard stealing hands out chunks cut with
-// the same policy.
-func ChunkEdges(totalEdges, workers int) int {
+// frontiers do not shatter into cache-hostile slivers.
+func chunkEdges(totalEdges, workers int) int {
 	if workers < 1 {
 		workers = 1
 	}
@@ -424,7 +404,7 @@ func ChunkEdges(totalEdges, workers int) int {
 // row spans several chunks, so it parallelizes instead of pinning the
 // worker that drew it.
 func (r *syncRunner) sparsePar(list []graph.VertexID, prefix []int, total int) (int64, int64) {
-	sz := ChunkEdges(total, r.workers)
+	sz := chunkEdges(total, r.workers)
 	chunks := (total + sz - 1) / sz
 	workers := r.workers
 	if workers > chunks {

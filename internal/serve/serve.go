@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"strings"
@@ -301,6 +302,9 @@ func (s *Server) resolve(wreq *apiv1.RunRequest) (commongraph.Request, commongra
 	algo, ok := commongraph.AlgorithmByName(wreq.Algorithm)
 	if !ok {
 		return bad("unknown algorithm %q (want BFS, SSSP, SSWP, SSNP or Viterbi)", wreq.Algorithm)
+	}
+	if wreq.Source < 0 || wreq.Source > math.MaxUint32 {
+		return bad("source %d is not a vertex id", wreq.Source)
 	}
 	strategy := s.cfg.DefaultStrategy
 	if wreq.Strategy != "" {

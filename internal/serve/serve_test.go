@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -197,21 +198,39 @@ func TestServeBadRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	_, c := newTestServer(t, WatchSource(w), Config{Workers: 1})
-	for name, req := range map[string]*apiv1.RunRequest{
-		"unknown algorithm": {Algorithm: "PageRank"},
-		"unknown strategy":  {Algorithm: "BFS", Strategy: "quantum"},
-		"window mismatch":   {Algorithm: "BFS", Window: &apiv1.Window{From: 0, To: 5}},
-		"kickstarter":       {Algorithm: "BFS", Strategy: "kickstarter"},
+	_, watch := newTestServer(t, WatchSource(w), Config{Workers: 1})
+	_, unshared := newTestServer(t, WatchSource(w), Config{Workers: 1, DisableSharing: true})
+	_, graph := newTestServer(t, GraphSource(g), Config{Workers: 1})
+	for _, tc := range []struct {
+		name string
+		c    *apiv1.Client
+		req  apiv1.RunRequest
+	}{
+		{"unknown algorithm", watch, apiv1.RunRequest{Algorithm: "PageRank"}},
+		{"unknown strategy", watch, apiv1.RunRequest{Algorithm: "BFS", Strategy: "quantum"}},
+		{"window mismatch", watch, apiv1.RunRequest{Algorithm: "BFS", Window: &apiv1.Window{From: 0, To: 5}}},
+		{"kickstarter", watch, apiv1.RunRequest{Algorithm: "BFS", Strategy: "kickstarter"}},
+		// A source is a vertex of the graph: past |V| it must not reach the
+		// engine, and outside [0, 2^32) it must not wrap to a vertex that
+		// exists.
+		{"watch: source past |V|", watch, apiv1.RunRequest{Algorithm: "BFS", Source: 1 << 20}},
+		{"watch, no sharing: source past |V|", unshared, apiv1.RunRequest{Algorithm: "BFS", Source: 1 << 20}},
+		{"graph: source past |V|", graph, apiv1.RunRequest{Algorithm: "BFS", Source: 1 << 20}},
+		{"watch: negative source", watch, apiv1.RunRequest{Algorithm: "BFS", Source: -1}},
+		{"graph: negative source", graph, apiv1.RunRequest{Algorithm: "BFS", Source: -1}},
+		{"watch: source past uint32", watch, apiv1.RunRequest{Algorithm: "BFS", Source: 1<<32 + 3}},
+		{"graph: source past uint32", graph, apiv1.RunRequest{Algorithm: "BFS", Source: 1<<32 + 3}},
 	} {
-		_, err := c.Run(t.Context(), req)
+		_, err := tc.c.Run(t.Context(), &tc.req)
 		var werr *apiv1.Error
 		if !errors.As(err, &werr) || werr.Code != apiv1.CodeBadRequest {
-			t.Errorf("%s: want bad_request, got %v", name, err)
+			t.Errorf("%s: want bad_request, got %v", tc.name, err)
+		} else if tc.req.Source != 0 && !strings.Contains(werr.Message, fmt.Sprint(tc.req.Source)) {
+			t.Errorf("%s: message does not name the source the client sent: %q", tc.name, werr.Message)
 		}
 	}
 	// The maintained window, requested explicitly, is accepted.
-	if _, err := c.Run(t.Context(), &apiv1.RunRequest{Algorithm: "BFS", Window: &apiv1.Window{From: 1, To: 4}}); err != nil {
+	if _, err := watch.Run(t.Context(), &apiv1.RunRequest{Algorithm: "BFS", Window: &apiv1.Window{From: 1, To: 4}}); err != nil {
 		t.Errorf("explicit matching window rejected: %v", err)
 	}
 }

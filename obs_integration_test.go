@@ -2,6 +2,7 @@ package commongraph
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -24,10 +25,7 @@ func TestTimingsAttributionAllStrategies(t *testing.T) {
 	q := Query{Algorithm: SSSP, Source: 0}
 
 	// Which phases each strategy is expected to exercise on a
-	// multi-snapshot window with churn. DirectHopParallel deliberately
-	// leaves its per-hop phases unattributed — summing CPU time across
-	// goroutines misstates a wall-time breakdown — so only its initial
-	// solve appears.
+	// multi-snapshot window with churn.
 	cases := []struct {
 		strategy             Strategy
 		add, del, mut, clone bool
@@ -35,7 +33,7 @@ func TestTimingsAttributionAllStrategies(t *testing.T) {
 		{KickStarter, true, true, true, false},
 		{Independent, false, false, true, false},
 		{DirectHop, true, false, true, true},
-		{DirectHopParallel, false, false, false, false},
+		{DirectHopParallel, true, false, true, true},
 		{WorkSharing, true, false, true, false},
 		{WorkSharingParallel, true, false, true, false},
 	}
@@ -45,12 +43,12 @@ func TestTimingsAttributionAllStrategies(t *testing.T) {
 			// paid for, so the window's plan must be cold.
 			g, _ := buildEvolving(t, 7007, 9, 120, 120)
 			opt := Options{Workers: 1, Parallelism: 1, Trace: NewTracer()}
-			res, err := g.Evaluate(q, 0, 9, c.strategy, opt)
+			res, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 9}, Strategy: c.strategy, Options: opt})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if c.strategy == DirectHop || c.strategy == WorkSharing {
-				warm, err := g.Evaluate(q, 0, 9, c.strategy, opt)
+				warm, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 9}, Strategy: c.strategy, Options: opt})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -101,7 +99,7 @@ func TestMaxHopTimeRecordedPerStrategy(t *testing.T) {
 	g, _ := buildEvolving(t, 7009, 8, 100, 100)
 	q := Query{Algorithm: BFS, Source: 0}
 	for _, s := range []Strategy{Independent, DirectHop, DirectHopParallel, WorkSharing, WorkSharingParallel} {
-		res, err := g.Evaluate(q, 0, 8, s, Options{})
+		res, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 8}, Strategy: s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +110,7 @@ func TestMaxHopTimeRecordedPerStrategy(t *testing.T) {
 			t.Errorf("%s: MaxHopTime %v exceeds total %v", s, res.MaxHopTime, res.Timings.Total)
 		}
 	}
-	res, err := g.Evaluate(q, 0, 8, KickStarter, Options{})
+	res, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 8}, Strategy: KickStarter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,14 +225,14 @@ func TestMetricsEndpointReflectsEvaluations(t *testing.T) {
 
 	// Prime the series so the before-scrape has them even on a fresh
 	// registry, then measure the deltas of three more evaluations.
-	if _, err := w.Evaluate(Query{Algorithm: BFS, Source: 0}, WorkSharing, Options{}); err != nil {
+	if _, err := w.Run(context.Background(), Request{Query: Query{Algorithm: BFS, Source: 0}, Strategy: WorkSharing}); err != nil {
 		t.Fatal(err)
 	}
 	before := scrape()
 	var adds, snaps int64
 	const runs = 3
 	for i := 0; i < runs; i++ {
-		res, err := w.Evaluate(Query{Algorithm: BFS, Source: 0}, WorkSharing, Options{})
+		res, err := w.Run(context.Background(), Request{Query: Query{Algorithm: BFS, Source: 0}, Strategy: WorkSharing})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -148,18 +148,18 @@ func (g *EvolvingGraph) rep(ctx context.Context, w core.Window, pc *PlanCache) (
 // strategies that walk one, the Triangular Grid and schedule memoized on
 // it. Whatever it has to construct is the "plan.build" span under parent;
 // hit=true on the span means nothing was constructed.
-func (g *EvolvingGraph) windowPlan(w core.Window, held *core.Rep, withSchedule bool, opt Options, parent *obs.Span) (rep *core.Rep, tg *core.TG, sched *core.Schedule, err error) {
+func (g *EvolvingGraph) windowPlan(ctx context.Context, w core.Window, held *core.Rep, withSchedule bool, opt Options, parent *obs.Span) (rep *core.Rep, tg *core.TG, sched *core.Schedule, err error) {
 	sp := parent.StartChild("plan.build")
 	defer sp.End()
 	rep, hit := held, true
 	if rep == nil {
-		if rep, hit, err = g.rep(opt.context(), w, opt.Plan); err != nil {
+		if rep, hit, err = g.rep(ctx, w, opt.Plan); err != nil {
 			return nil, nil, nil, err
 		}
 	}
 	if withSchedule {
 		var built bool
-		tg, sched, built, err = rep.Schedule(opt.context(), opt.OptimalSchedule)
+		tg, sched, built, err = rep.Schedule(ctx, opt.OptimalSchedule)
 		opt.Plan.countPlan("sched", !built)
 		if err != nil {
 			return nil, nil, nil, err

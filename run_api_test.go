@@ -6,17 +6,16 @@ import (
 	"testing"
 )
 
-// TestRunMatchesEvaluate pins the deprecated-wrapper contract: Run with a
-// background context must produce byte-identical results to the legacy
-// Evaluate call for every strategy.
+// TestRunMatchesEvaluate: Run under every strategy must produce the
+// results of evaluating each snapshot from scratch (Independent).
 func TestRunMatchesEvaluate(t *testing.T) {
 	g, _ := buildEvolving(t, 19, 4, 60, 60)
 	q := Query{Algorithm: SSSP, Source: 0}
+	old, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 4}, Strategy: Independent})
+	if err != nil {
+		t.Fatalf("Independent: %v", err)
+	}
 	for _, s := range Strategies() {
-		old, err := g.Evaluate(q, 0, 4, s, Options{})
-		if err != nil {
-			t.Fatalf("%v: Evaluate: %v", s, err)
-		}
 		res, err := g.Run(context.Background(), Request{
 			Query:    q,
 			Window:   Window{From: 0, To: 4},
@@ -31,7 +30,7 @@ func TestRunMatchesEvaluate(t *testing.T) {
 		for i := range res.Snapshots {
 			if res.Snapshots[i].Checksum != old.Snapshots[i].Checksum ||
 				res.Snapshots[i].Reached != old.Snapshots[i].Reached {
-				t.Fatalf("%v snapshot %d: Run and Evaluate disagree", s, i)
+				t.Fatalf("%v snapshot %d: Run and the from-scratch evaluation disagree", s, i)
 			}
 		}
 	}
@@ -66,26 +65,9 @@ func TestRunCancelledContext(t *testing.T) {
 	}
 }
 
-// TestRunContextParameterWins: Run's context parameter overrides any
-// context smuggled in through the deprecated Options.Context field.
-func TestRunContextParameterWins(t *testing.T) {
-	g, _ := buildEvolving(t, 31, 2, 30, 30)
-	stale, cancelStale := context.WithCancel(context.Background())
-	cancelStale()
-	res, err := g.Run(context.Background(), Request{
-		Query:    Query{Algorithm: BFS, Source: 0},
-		Window:   Window{From: 0, To: 2},
-		Strategy: DirectHop,
-		Options:  Options{Context: stale},
-	})
-	if err != nil || len(res.Snapshots) != 3 {
-		t.Fatalf("parameter should win over Options.Context: res=%v err=%v", res, err)
-	}
-}
-
-// TestWatcherRunMatchesEvaluate: the Watcher's Run must agree with its
-// deprecated Evaluate, and the request's Window must be ignored in favor
-// of the maintained window.
+// TestWatcherRunMatchesEvaluate: the Watcher's Run must agree with the
+// graph's evaluation of the maintained window, and the request's Window
+// must be ignored in favor of it.
 func TestWatcherRunMatchesEvaluate(t *testing.T) {
 	g, _ := buildEvolving(t, 37, 4, 50, 50)
 	w, err := g.Watch(0, 3)
@@ -93,7 +75,7 @@ func TestWatcherRunMatchesEvaluate(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Query{Algorithm: SSSP, Source: 0}
-	old, err := w.Evaluate(q, WorkSharing, Options{})
+	old, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 3}, Strategy: WorkSharing})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,21 +92,26 @@ func TestWatcherRunMatchesEvaluate(t *testing.T) {
 	}
 	for i := range res.Snapshots {
 		if res.Snapshots[i].Checksum != old.Snapshots[i].Checksum {
-			t.Fatalf("snapshot %d: Watcher Run and Evaluate disagree", i)
+			t.Fatalf("snapshot %d: Watcher.Run and EvolvingGraph.Run disagree", i)
 		}
 	}
 }
 
-// TestRunMultiMatchesEvaluateMulti pins the multi-query wrapper pair.
+// TestRunMultiMatchesEvaluateMulti: RunMulti must agree with evaluating
+// each of its queries alone.
 func TestRunMultiMatchesEvaluateMulti(t *testing.T) {
 	g, _ := buildEvolving(t, 41, 3, 40, 40)
 	queries := []Query{
 		{Algorithm: BFS, Source: 0},
 		{Algorithm: SSSP, Source: 1},
 	}
-	old, err := g.EvaluateMulti(queries, 0, 3, Options{})
-	if err != nil {
-		t.Fatal(err)
+	old := make([]*Result, len(queries))
+	for i, q := range queries {
+		var err error
+		old[i], err = g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 3}, Strategy: DirectHop})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	res, err := g.RunMulti(context.Background(), queries, Window{From: 0, To: 3}, Options{})
 	if err != nil {
@@ -136,7 +123,7 @@ func TestRunMultiMatchesEvaluateMulti(t *testing.T) {
 	for qi := range res {
 		for i := range res[qi].Snapshots {
 			if res[qi].Snapshots[i].Checksum != old[qi].Snapshots[i].Checksum {
-				t.Fatalf("query %d snapshot %d: RunMulti and EvaluateMulti disagree", qi, i)
+				t.Fatalf("query %d snapshot %d: RunMulti and Run disagree", qi, i)
 			}
 		}
 	}

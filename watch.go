@@ -307,68 +307,14 @@ func (w *Watcher) noteCompactErr(err error) {
 // KickStarter would stream from the store directly. The context cancels
 // the evaluation at schedule-edge boundaries, like EvolvingGraph.Run.
 func (w *Watcher) Run(ctx context.Context, req Request) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background() //cgvet:ignore ctxflow -- nil-ctx compatibility shim; callers with a real context pass it through
-	}
-	opt := req.Options
-	opt.Context = ctx
-	return w.evaluate(req.Query, req.Strategy, opt)
-}
-
-// Evaluate runs a query over the maintained window. Cancellation comes
-// from Options.Context.
-//
-// Deprecated: use Run, which takes the context as a parameter.
-func (w *Watcher) Evaluate(q Query, strategy Strategy, opt Options) (*Result, error) {
-	return w.evaluate(q, strategy, opt)
-}
-
-func (w *Watcher) evaluate(q Query, strategy Strategy, opt Options) (*Result, error) {
-	if q.Algorithm == nil {
-		return nil, fmt.Errorf("commongraph: query has no algorithm")
-	}
-	cfg := opt.config(q)
 	// Snapshot the representation under the read lock; it is immutable,
 	// so the evaluation itself runs lock-free even while maintenance
 	// swaps in a newer window.
 	w.mu.RLock()
 	rep := w.m.Rep()
 	w.mu.RUnlock()
-	slug := strategy.Slug()
-	// Join any trace context on the request context — a follower read
-	// under a live ingest trace links back to the primary's commit spans.
-	sp := opt.tracer().StartRemote(obs.FromContext(opt.context()), "evaluate",
-		obs.String("strategy", slug), obs.String("algo", q.Algorithm.Name()),
-		obs.Int("source", int(q.Source)), obs.String("origin", "watcher"),
-		obs.Int("from", rep.Window.From), obs.Int("to", rep.Window.To))
-	cfg.Trace = sp
-	start := time.Now()
-	switch strategy {
-	case DirectHop, DirectHopParallel, WorkSharing, WorkSharingParallel:
-	default:
-		sp.End()
-		return nil, fmt.Errorf("commongraph: watcher supports only CommonGraph strategies, not %v", strategy)
-	}
-	inner, err := w.g.runCommonGraph(rep.Window, rep, strategy, opt, cfg)
-	obs.Queries(slug).Inc()
-	slow := obs.SlowEntry{Trace: sp.TraceID(), Strategy: slug,
-		Dur: time.Since(start), Start: start,
-		From: rep.Window.From, To: rep.Window.To}
-	if err != nil {
-		obs.QueryErrors(slug).Inc()
-		sp.SetAttr(obs.String("error", err.Error()))
-		sp.End()
-		slow.Err = err.Error()
-		obs.Slow().Observe(slow)
-		return nil, err
-	}
-	res := convertResult(inner, rep.Window.From, strategy)
-	obs.Slow().Observe(slow)
-	obs.AdditionsStreamed(slug).Add(res.AdditionsProcessed)
-	obs.SnapshotsEvaluated(slug).Add(int64(len(res.Snapshots)))
-	sp.SetAttr(obs.Int64("additions_processed", res.AdditionsProcessed))
-	sp.End()
-	return res, nil
+	req.Window = Window{From: rep.Window.From, To: rep.Window.To}
+	return w.g.run(ctx, req, rep)
 }
 
 // MetricsServer is a running metrics/ops endpoint started by
@@ -479,21 +425,8 @@ func (g *EvolvingGraph) RunMulti(ctx context.Context, queries []Query, win Windo
 	if ctx == nil {
 		ctx = context.Background() //cgvet:ignore ctxflow -- nil-ctx compatibility shim; callers with a real context pass it through
 	}
-	opt.Context = ctx
-	return g.evaluateMulti(queries, win.From, win.To, opt)
-}
-
-// EvaluateMulti evaluates several queries over the same window with the
-// Work-Sharing schedule built once and shared across all of them.
-//
-// Deprecated: use RunMulti, which takes the context as a parameter.
-func (g *EvolvingGraph) EvaluateMulti(queries []Query, from, to int, opt Options) ([]*Result, error) {
-	return g.evaluateMulti(queries, from, to, opt)
-}
-
-func (g *EvolvingGraph) evaluateMulti(queries []Query, from, to int, opt Options) ([]*Result, error) {
-	w := core.Window{Store: g.store, From: from, To: to}
-	rep, tg, sched, err := g.windowPlan(w, nil, true, opt, nil)
+	w := core.Window{Store: g.store, From: win.From, To: win.To}
+	rep, tg, sched, err := g.windowPlan(ctx, w, nil, true, opt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -502,7 +435,10 @@ func (g *EvolvingGraph) evaluateMulti(queries []Query, from, to int, opt Options
 		if q.Algorithm == nil {
 			return nil, fmt.Errorf("commongraph: query %d has no algorithm", i)
 		}
-		cfgs[i] = opt.config(q)
+		if err := g.checkSource(q.Source); err != nil {
+			return nil, err
+		}
+		cfgs[i] = opt.config(ctx, q, nil)
 	}
 	inner, err := core.EvaluateMany(rep, tg, sched, cfgs)
 	if err != nil {
@@ -510,7 +446,7 @@ func (g *EvolvingGraph) evaluateMulti(queries []Query, from, to int, opt Options
 	}
 	out := make([]*Result, len(inner))
 	for i, r := range inner {
-		out[i] = convertResult(r, from, WorkSharing)
+		out[i] = convertResult(r, win.From, WorkSharing)
 	}
 	return out, nil
 }

@@ -28,12 +28,12 @@ func TestWatcherTracksGrowth(t *testing.T) {
 		if err := w.Append(); err != nil {
 			t.Fatal(err)
 		}
-		res, err := w.Evaluate(q, DirectHop, Options{})
+		res, err := w.Run(context.Background(), Request{Query: q, Strategy: DirectHop})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Must match a fresh evaluation of the same window.
-		fresh, err := g.Evaluate(q, 0, to, DirectHop, Options{})
+		fresh, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: to}, Strategy: DirectHop})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,11 +64,11 @@ func TestWatcherSlide(t *testing.T) {
 		if to-from != 4 {
 			t.Fatalf("slide changed width: [%d,%d]", from, to)
 		}
-		res, err := w.Evaluate(q, WorkSharing, Options{})
+		res, err := w.Run(context.Background(), Request{Query: q, Strategy: WorkSharing})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := g.Evaluate(q, from, to, WorkSharing, Options{})
+		fresh, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: from, To: to}, Strategy: WorkSharing})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,10 +105,10 @@ func TestWatcherRejections(t *testing.T) {
 	if err := w.Append(); err == nil {
 		t.Fatal("append past the latest snapshot should fail")
 	}
-	if _, err := w.Evaluate(Query{Algorithm: BFS, Source: 0}, KickStarter, Options{}); err == nil {
+	if _, err := w.Run(context.Background(), Request{Query: Query{Algorithm: BFS, Source: 0}, Strategy: KickStarter}); err == nil {
 		t.Fatal("watcher should reject the streaming strategy")
 	}
-	if _, err := w.Evaluate(Query{Source: 0}, DirectHop, Options{}); err == nil {
+	if _, err := w.Run(context.Background(), Request{Query: Query{Source: 0}, Strategy: DirectHop}); err == nil {
 		t.Fatal("nil algorithm accepted")
 	}
 }
@@ -116,11 +116,11 @@ func TestWatcherRejections(t *testing.T) {
 func TestWorkSharingParallelStrategy(t *testing.T) {
 	g, _ := buildEvolving(t, 313, 6, 35, 35)
 	q := Query{Algorithm: SSNP, Source: 0}
-	seq, err := g.Evaluate(q, 0, 6, WorkSharing, Options{})
+	seq, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 6}, Strategy: WorkSharing})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := g.Evaluate(q, 0, 6, WorkSharingParallel, Options{})
+	par, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 6}, Strategy: WorkSharingParallel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestEvaluateMulti(t *testing.T) {
 		{Algorithm: SSSP, Source: 3},
 		{Algorithm: Viterbi, Source: 0},
 	}
-	multi, err := g.EvaluateMulti(queries, 0, 5, Options{})
+	multi, err := g.RunMulti(context.Background(), queries, Window{From: 0, To: 5}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestEvaluateMulti(t *testing.T) {
 		t.Fatalf("results=%d", len(multi))
 	}
 	for i, q := range queries {
-		single, err := g.Evaluate(q, 0, 5, WorkSharing, Options{})
+		single, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 5}, Strategy: WorkSharing})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,10 +163,10 @@ func TestEvaluateMulti(t *testing.T) {
 		}
 	}
 	// Validation.
-	if _, err := g.EvaluateMulti([]Query{{Source: 0}}, 0, 5, Options{}); err == nil {
+	if _, err := g.RunMulti(context.Background(), []Query{{Source: 0}}, Window{From: 0, To: 5}, Options{}); err == nil {
 		t.Fatal("nil algorithm accepted")
 	}
-	if _, err := g.EvaluateMulti(queries, 0, 99, Options{}); err == nil {
+	if _, err := g.RunMulti(context.Background(), queries, Window{From: 0, To: 99}, Options{}); err == nil {
 		t.Fatal("bad window accepted")
 	}
 }
@@ -174,14 +174,14 @@ func TestEvaluateMulti(t *testing.T) {
 func TestIndependentStrategyAgrees(t *testing.T) {
 	g, _ := buildEvolving(t, 331, 5, 30, 30)
 	q := Query{Algorithm: SSSP, Source: 0}
-	ind, err := g.Evaluate(q, 0, 5, Independent, Options{})
+	ind, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 5}, Strategy: Independent})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ind.Strategy != Independent || ind.Strategy.String() != "Independent" {
 		t.Fatalf("strategy metadata wrong: %v", ind.Strategy)
 	}
-	ks, err := g.Evaluate(q, 0, 5, KickStarter, Options{})
+	ks, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 5}, Strategy: KickStarter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestIndependentStrategyAgrees(t *testing.T) {
 		t.Fatal("independent evaluation streams no batches")
 	}
 	// Sub-window indices must be absolute.
-	sub, err := g.Evaluate(q, 2, 4, Independent, Options{})
+	sub, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 2, To: 4}, Strategy: Independent})
 	if err != nil {
 		t.Fatal(err)
 	}
