@@ -41,8 +41,9 @@ type RunRequest struct {
 	// KeepValues returns full per-vertex values for every snapshot —
 	// large; off by default.
 	KeepValues bool `json:"keep_values,omitempty"`
-	// OptimalSchedule selects the exact interval-DP Steiner solver for
-	// the Work-Sharing strategies.
+	// OptimalSchedule is accepted and ignored: every Work-Sharing schedule
+	// is the exact one, so there is nothing left to select. It stays on
+	// the wire so requests written against earlier servers keep decoding.
 	OptimalSchedule bool `json:"optimal_schedule,omitempty"`
 	// Trace, when set, is a 16-hex-digit trace ID the evaluation joins,
 	// linking the server-side spans to the caller's trace.

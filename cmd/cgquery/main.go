@@ -39,7 +39,6 @@ func main() {
 		strategy = flag.String("strategy", "direct-hop", "kickstarter | independent | direct-hop | direct-hop-parallel | work-sharing | work-sharing-parallel")
 		vertex   = flag.Int("vertex", -1, "also print this vertex's value at each snapshot")
 		plan     = flag.Bool("plan", false, "print the schedule comparison instead of evaluating")
-		optimal  = flag.Bool("optimal", false, "use the exact interval-DP Steiner schedule (work-sharing strategies and -plan)")
 		tracePth = flag.String("trace", "", "write a Chrome trace of the evaluation: a .json path, or 'log' to stream spans to stderr")
 		metrics  = flag.Bool("metrics", false, "dump the metric registry in Prometheus text format to stderr when done")
 		mapped   = flag.Bool("mmap", false, "with -store: mmap the binary segments instead of materializing them (out-of-core cold open)")
@@ -75,14 +74,14 @@ func main() {
 	}
 
 	if *plan {
-		p, err := g.Plan(*from, *to, commongraph.Options{OptimalSchedule: *optimal})
+		p, err := g.Plan(*from, *to, commongraph.Options{})
 		if err != nil {
 			fail(err)
 		}
 		fmt.Printf("window [%d,%d]: %d snapshots, common graph %d edges\n",
 			*from, *to, p.Snapshots, p.CommonEdges)
-		fmt.Printf("direct-hop additions:   %d\n", p.DirectHopAdditions)
-		fmt.Printf("work-sharing additions: %d\n", p.WorkSharingAdditions)
+		fmt.Printf("direct-hop additions:   %d (the star, depth 1)\n", p.DirectHopAdditions)
+		fmt.Printf("work-sharing additions: %d (the exact Steiner tree, depth %d)\n", p.WorkSharingAdditions, p.Depth)
 		fmt.Println("schedule tree:")
 		fmt.Print(p.Tree)
 		return
@@ -97,7 +96,7 @@ func main() {
 		fail(err)
 	}
 
-	opts := commongraph.Options{KeepValues: *vertex >= 0, OptimalSchedule: *optimal}
+	opts := commongraph.Options{KeepValues: *vertex >= 0}
 	var tracer *commongraph.Tracer
 	if *tracePth != "" {
 		switch strings.ToLower(*tracePth) {

@@ -146,12 +146,6 @@ type Options struct {
 	// Parallelism bounds how many hops of DirectHopParallel, or root
 	// subtrees of WorkSharingParallel, run at once (0 = all of them).
 	Parallelism int
-	// OptimalSchedule makes the Work-Sharing strategies solve the
-	// Triangular Grid Steiner problem exactly (interval DP) instead of
-	// with the paper's greedy Algorithm 1; the resulting schedules stream
-	// substantially fewer additions on wide windows at a higher one-off
-	// scheduling cost.
-	OptimalSchedule bool
 	// Degrade makes WorkSharingParallel survive a failed schedule
 	// subtree (an error or a contained panic): the subtree's snapshots
 	// are recomputed via Direct-Hop from the base state and the Result
@@ -193,15 +187,14 @@ func (o Options) engine() engine.Options {
 // Centralizing this keeps every entry point passing the full option set.
 func (o Options) config(ctx context.Context, q Query, sp *obs.Span) core.Config {
 	return core.Config{
-		Algo:            q.Algorithm,
-		Source:          q.Source,
-		Engine:          o.engine(),
-		KeepValues:      o.KeepValues,
-		Parallelism:     o.Parallelism,
-		OptimalSchedule: o.OptimalSchedule,
-		Ctx:             ctx,
-		Degrade:         o.Degrade,
-		Trace:           sp,
+		Algo:        q.Algorithm,
+		Source:      q.Source,
+		Engine:      o.engine(),
+		KeepValues:  o.KeepValues,
+		Parallelism: o.Parallelism,
+		Ctx:         ctx,
+		Degrade:     o.Degrade,
+		Trace:       sp,
 	}
 }
 
@@ -447,12 +440,8 @@ func (g *EvolvingGraph) evaluateKickStarter(ctx context.Context, q Query, w core
 	sys.Trace = sp
 	res := &Result{}
 	record := func(index int) {
-		st := sys.State()
-		sr := SnapshotResult{Index: index, Reached: st.Reached(), Checksum: core.Checksum(st)}
-		if opt.KeepValues {
-			sr.Values = st.Values()
-		}
-		res.Snapshots = append(res.Snapshots, sr)
+		reached, checksum, values := sys.State().Summary(opt.KeepValues)
+		res.Snapshots = append(res.Snapshots, SnapshotResult{Index: index, Reached: reached, Checksum: checksum, Values: values})
 	}
 	record(w.From)
 	for t := w.From; t < w.To; t++ {
@@ -522,19 +511,18 @@ type Plan struct {
 	DirectHopAdditions int64
 	// WorkSharingAdditions is the Steiner schedule's cost (maximal sharing).
 	WorkSharingAdditions int64
+	// Depth is the Work-Sharing schedule's longest root-to-snapshot path, in schedule edges.
+	Depth int
 	// Tree renders the compressed Work-Sharing schedule.
 	Tree string
 }
 
-// Plan computes the schedule comparison for [from, to]. It honors the
-// same Options the evaluation entry points do — in particular
-// Options.OptimalSchedule selects the exact interval-DP Steiner solver,
-// so the reported Work-Sharing cost is the cost Run would actually pay —
-// and records a "plan" span on the configured tracer.
+// Plan computes the schedule comparison for [from, to]: the Work-Sharing
+// schedule it reports is the one Run walks (both take the window's memoized
+// plan), so its cost is the cost Run would actually pay. It records a
+// "plan" span on the configured tracer.
 func (g *EvolvingGraph) Plan(from, to int, opt Options) (*Plan, error) {
-	sp := opt.tracer().StartSpan("plan",
-		obs.Int("from", from), obs.Int("to", to),
-		obs.Bool("optimal_schedule", opt.OptimalSchedule))
+	sp := opt.tracer().StartSpan("plan", obs.Int("from", from), obs.Int("to", to))
 	defer sp.End()
 	w := core.Window{Store: g.store, From: from, To: to}
 	rep, _, sched, err := g.windowPlan(context.Background(), w, nil, true, opt, sp) //cgvet:ignore ctxflow -- Plan takes no context: it is never cancelled
@@ -550,6 +538,7 @@ func (g *EvolvingGraph) Plan(from, to int, opt Options) (*Plan, error) {
 		CommonEdges:          rep.Base.NumEdges(),
 		DirectHopAdditions:   rep.TotalDeltaEdges(),
 		WorkSharingAdditions: sched.Cost,
+		Depth:                sched.Depth(),
 		Tree:                 sched.String(),
 	}, nil
 }

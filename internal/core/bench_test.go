@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"commongraph/internal/algo"
@@ -85,29 +86,26 @@ func BenchmarkBuildTG(b *testing.B) {
 	}
 }
 
-// BenchmarkSteinerSolvers contrasts the scheduling solvers on a 50-wide
-// grid (brute force is exponential and excluded here; see the tests).
+// BenchmarkSteinerSolvers contrasts the paper's greedy with the exact
+// solver at the benchmark's window width and well past it (brute force is
+// exponential and excluded here; see the tests).
 func BenchmarkSteinerSolvers(b *testing.B) {
-	w := benchWindow(b, 50)
-	tg, err := BuildTG(w)
-	if err != nil {
-		b.Fatal(err)
+	for _, width := range []int{56, 256} {
+		tg, err := BuildTG(benchWindow(b, width))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, s := range []struct {
+			name  string
+			solve func(*TG) *SteinerTree
+		}{{"Greedy", SteinerGreedy}, {"IntervalDP", SteinerIntervalDP}} {
+			b.Run(fmt.Sprintf("%s/w=%d", s.name, width), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					s.solve(tg)
+				}
+			})
+		}
 	}
-	b.Run("Greedy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			SteinerGreedy(tg)
-		}
-	})
-	b.Run("IntervalDP", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			SteinerIntervalDP(tg)
-		}
-	})
-	b.Run("DirectHopSchedule", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			DirectHopSchedule(tg)
-		}
-	})
 }
 
 // BenchmarkLabels measures label materialization for a full greedy tree.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"commongraph/internal/algo"
 	"commongraph/internal/engine"
@@ -154,34 +155,129 @@ func TestGridEdgeEndpoints(t *testing.T) {
 	}
 }
 
+// gridWindow builds the grid of a seeded window of w snapshots.
+func gridWindow(t *testing.T, seed uint64, w, adds, dels int) (*snapshot.Store, *TG) {
+	t.Helper()
+	s, _ := randomStore(seed, w-1, adds, dels)
+	tg, err := BuildTG(Window{Store: s, From: 0, To: w - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, tg
+}
+
+// TestRootPathCostsTelescope is the identity the exact solver rests on:
+// every root→[a,b] path streams rootDistances' entry for [a,b] — checked
+// on the two extreme zigzags, all-left-then-right and all-right-then-left
+// — and that entry is |C[a,b]| − |E_c|.
+func TestRootPathCostsTelescope(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		w := 2 + int(seed%9)
+		s, tg := gridWindow(t, 300+seed, w, 30, 30)
+		size := tg.rootDistances()
+		common := len(bruteCommon(t, s, 0, w-1))
+		for a := 0; a < w; a++ {
+			for b := a; b < w; b++ {
+				var leftFirst, rightFirst []GridEdge
+				for j := w - 1; j > b; j-- {
+					leftFirst = append(leftFirst, GridEdge{I: 0, J: j, Left: true})
+				}
+				for i := 0; i < a; i++ {
+					leftFirst = append(leftFirst, GridEdge{I: i, J: b, Left: false})
+					rightFirst = append(rightFirst, GridEdge{I: i, J: w - 1, Left: false})
+				}
+				for j := w - 1; j > b; j-- {
+					rightFirst = append(rightFirst, GridEdge{I: a, J: j, Left: true})
+				}
+				want := size[a*w+b]
+				if l, r := tg.PathCost(leftFirst), tg.PathCost(rightFirst); l != want || r != want {
+					t.Fatalf("seed %d [%d,%d]: paths cost %d and %d, table says %d", seed, a, b, l, r, want)
+				}
+				if got := int64(len(bruteCommon(t, s, a, b)) - common); got != want {
+					t.Fatalf("seed %d [%d,%d]: |C[a,b]|-|Ec| = %d, table says %d", seed, a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
+// checkExactTree asserts what every SteinerIntervalDP result must satisfy
+// whatever the width.
+func checkExactTree(t *testing.T, tg *TG, tree *SteinerTree) {
+	t.Helper()
+	if !tree.SpansAllLeaves() {
+		t.Fatalf("w=%d: exact tree does not span all leaves", tg.W)
+	}
+	if sum := tg.PathCost(tree.Edges); sum != tree.Cost {
+		t.Fatalf("w=%d: cost %d != edge sum %d", tg.W, tree.Cost, sum)
+	}
+	if g := SteinerGreedy(tg); tree.Cost > g.Cost {
+		t.Fatalf("w=%d: exact cost %d exceeds greedy %d", tg.W, tree.Cost, g.Cost)
+	}
+	if d := DirectHopSchedule(tg); tree.Cost > d.Cost {
+		t.Fatalf("w=%d: exact cost %d exceeds direct-hop %d", tg.W, tree.Cost, d.Cost)
+	}
+	sched, err := NewSchedule(tg, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A binary tree over w leaves: every chain compresses to one edge.
+	edges := 0
+	var walk func(n *ScheduleNode)
+	walk = func(n *ScheduleNode) {
+		edges += len(n.Edges)
+		for _, e := range n.Edges {
+			walk(e.To)
+		}
+	}
+	walk(sched.Root)
+	if edges != 2*(tg.W-1) {
+		t.Fatalf("w=%d: %d schedule edges, want %d", tg.W, edges, 2*(tg.W-1))
+	}
+}
+
 func TestSteinerSolversAgainstBrute(t *testing.T) {
-	// On random small windows: brute is optimal; DP and greedy must span
-	// all leaves; DP ≥ brute and greedy ≥ brute; empirically the interval
-	// DP matches brute on these instances.
-	f := func(seed int64) bool {
-		s, _ := randomStore(uint64(seed), 5, 25, 25)
-		tg, err := BuildTG(Window{Store: s, From: 0, To: 5})
-		if err != nil {
-			return false
+	// Brute force is the optimum; the exact solver must meet it on every
+	// window, and greedy can only cost more. Brute is exponential in w, so
+	// most of the 216 windows are narrow and a handful have w = 7.
+	for seed := uint64(1); seed <= 216; seed++ {
+		w := 2 + int(seed%5)
+		if seed%36 == 0 {
+			w = 7
 		}
-		brute := SteinerBrute(tg)
-		greedy := SteinerGreedy(tg)
-		dp := SteinerIntervalDP(tg)
-		if !brute.SpansAllLeaves() || !greedy.SpansAllLeaves() || !dp.SpansAllLeaves() {
-			return false
-		}
-		if greedy.Cost < brute.Cost || dp.Cost < brute.Cost {
-			return false // brute must be a true lower bound
+		_, tg := gridWindow(t, seed, w, 10+int(seed%23), 10+int(seed%17))
+		brute, dp := SteinerBrute(tg), SteinerIntervalDP(tg)
+		if !brute.SpansAllLeaves() {
+			t.Fatalf("seed %d: brute tree does not span all leaves", seed)
 		}
 		if dp.Cost != brute.Cost {
-			return false // contiguous-split DP has matched brute on all tested instances
+			t.Fatalf("seed %d w=%d: exact solver cost %d, brute force %d", seed, w, dp.Cost, brute.Cost)
 		}
-		// Both must beat or match the no-sharing direct-hop schedule.
-		direct := DirectHopSchedule(tg)
-		return greedy.Cost <= direct.Cost && brute.Cost <= direct.Cost
+		checkExactTree(t, tg, dp)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
-		t.Fatal(err)
+}
+
+// TestSteinerExactOnWideWindows: past brute force's reach the exact tree
+// still spans, adds up, and undercuts greedy and the star.
+func TestSteinerExactOnWideWindows(t *testing.T) {
+	for _, w := range []int{8, 13, 24, 41, 64} {
+		_, tg := gridWindow(t, uint64(500+w), w, 40, 40)
+		checkExactTree(t, tg, SteinerIntervalDP(tg))
+	}
+}
+
+// TestSteinerExactIsCubic is the complexity guard: a 512-snapshot window
+// (billions of states for a four-index DP, which would not finish) solves
+// well inside a bound that only a super-cubic solver would miss.
+func TestSteinerExactIsCubic(t *testing.T) {
+	_, tg := gridWindow(t, 9, 512, 12, 12)
+	t0 := time.Now()
+	tree := SteinerIntervalDP(tg)
+	if d := time.Since(t0); d > 10*time.Second {
+		t.Fatalf("w=512 took %v", d)
+	}
+	if !tree.SpansAllLeaves() {
+		t.Fatal("w=512 tree does not span all leaves")
 	}
 }
 

@@ -24,11 +24,6 @@ type Config struct {
 	// Parallelism bounds how many hops of DirectHopParallel, or root
 	// subtrees of WorkSharingParallel, run at once; 0 means all of them.
 	Parallelism int
-	// OptimalSchedule selects the interval-DP Steiner solver instead of
-	// the paper's greedy (Algorithm 1). On wide windows the DP finds
-	// schedules streaming several times fewer additions, at a solver cost
-	// of O(w^5) — see the ablation-steiner experiment.
-	OptimalSchedule bool
 	// Ctx cancels the evaluation cooperatively: it is observed at every
 	// schedule-edge boundary (each Direct-Hop, each Work-Sharing DFS
 	// edge), so a deadline or client disconnect stops the work within one
@@ -142,24 +137,13 @@ type Result struct {
 // Checksum folds the state's values FNV-style so snapshot results can be
 // compared across evaluation strategies without retaining full arrays.
 func Checksum(st *engine.State) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i, n := 0, st.NumVertices(); i < n; i++ {
-		h ^= uint64(uint32(st.Value(graph.VertexID(i))))
-		h *= prime
-	}
+	_, h, _ := st.Summary(false)
 	return h
 }
 
 func snapshotResult(k int, st *engine.State, keep bool) SnapshotResult {
-	r := SnapshotResult{Index: k, Reached: st.Reached(), Checksum: Checksum(st)}
-	if keep {
-		r.Values = st.Values()
-	}
-	return r
+	reached, checksum, values := st.Summary(keep)
+	return SnapshotResult{Index: k, Reached: reached, Checksum: checksum, Values: values}
 }
 
 // execution is one CommonGraph evaluation in progress: the set-up every
@@ -424,10 +408,9 @@ func edgeGraph(rep *Rep, e *ScheduleEdge) *delta.OverlayGraph {
 }
 
 // EvaluateWorkSharing is the one-call §3.2 pipeline: take the rep's TG
-// and schedule (greedy Algorithm 1, or the interval DP when
-// cfg.OptimalSchedule is set) and execute.
+// and schedule and execute.
 func EvaluateWorkSharing(rep *Rep, cfg Config) (*Result, *Schedule, error) {
-	tg, sched, _, err := rep.Schedule(cfg.Ctx, cfg.OptimalSchedule)
+	tg, sched, _, err := rep.Schedule(cfg.Ctx)
 	if err != nil {
 		return nil, nil, err
 	}

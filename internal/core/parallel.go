@@ -148,7 +148,7 @@ func subtreeLeaves(e *ScheduleEdge) []int {
 // EvaluateWorkSharingParallel is the one-call parallel pipeline: the
 // rep's TG and schedule, concurrent execution.
 func EvaluateWorkSharingParallel(rep *Rep, cfg Config) (*Result, *Schedule, error) {
-	tg, sched, _, err := rep.Schedule(cfg.Ctx, cfg.OptimalSchedule)
+	tg, sched, _, err := rep.Schedule(cfg.Ctx)
 	if err != nil {
 		return nil, nil, err
 	}

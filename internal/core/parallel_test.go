@@ -107,7 +107,7 @@ func TestEvaluateMany(t *testing.T) {
 		{Algo: algo.SSSP{}, Source: 5, KeepValues: true},
 		{Algo: algo.SSWP{}, Source: 9, KeepValues: true},
 	}
-	tg, sched, _, err := rep.Schedule(context.Background(), false)
+	tg, sched, _, err := rep.Schedule(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,36 +132,48 @@ func TestEvaluateMany(t *testing.T) {
 	}
 }
 
-func TestOptimalScheduleOption(t *testing.T) {
+// TestExactScheduleStreamsNoMoreThanGreedy: the schedule a rep hands out
+// (the exact one) streams no more additions than the paper's greedy tree
+// over the same grid, and both reach the same snapshot values.
+func TestExactScheduleStreamsNoMoreThanGreedy(t *testing.T) {
 	s, _ := randomStore(241, 10, 40, 40)
 	rep, err := BuildRep(Window{Store: s, From: 0, To: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, gSched, err := EvaluateWorkSharing(rep, Config{Algo: algo.SSSP{}, Source: 0})
+	cfg := Config{Algo: algo.SSSP{}, Source: 0}
+	exact, eSched, err := EvaluateWorkSharing(rep, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	optimal, oSched, err := EvaluateWorkSharing(rep, Config{Algo: algo.SSSP{}, Source: 0, OptimalSchedule: true})
+	tg, err := BuildTG(rep.Window)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oSched.Cost > gSched.Cost {
-		t.Fatalf("optimal schedule cost %d exceeds greedy %d", oSched.Cost, gSched.Cost)
+	gSched, err := NewSchedule(tg, SteinerGreedy(tg))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if optimal.AdditionsProcessed > greedy.AdditionsProcessed {
-		t.Fatalf("optimal streamed more: %d vs %d", optimal.AdditionsProcessed, greedy.AdditionsProcessed)
+	greedy, err := WorkSharing(rep, tg, gSched, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eSched.Cost > gSched.Cost {
+		t.Fatalf("exact schedule cost %d exceeds greedy %d", eSched.Cost, gSched.Cost)
+	}
+	if exact.AdditionsProcessed > greedy.AdditionsProcessed {
+		t.Fatalf("exact streamed more: %d vs %d", exact.AdditionsProcessed, greedy.AdditionsProcessed)
 	}
 	for k := range greedy.Snapshots {
-		if greedy.Snapshots[k].Checksum != optimal.Snapshots[k].Checksum {
+		if greedy.Snapshots[k].Checksum != exact.Snapshots[k].Checksum {
 			t.Fatalf("schedules disagree at snapshot %d", k)
 		}
 	}
 }
 
-// TestRepScheduleMemo: the schedule memoized on a rep is built once per
-// solver, and executing it — cold, then warm — gives what a TG and
-// schedule built by hand over the same window give.
+// TestRepScheduleMemo: the schedule memoized on a rep is built once, and
+// executing it — cold, then warm — gives what a TG and schedule built by
+// hand over the same window give.
 func TestRepScheduleMemo(t *testing.T) {
 	s, _ := randomStore(229, 9, 60, 60)
 	w := Window{Store: s, From: 1, To: 9}
@@ -169,22 +181,19 @@ func TestRepScheduleMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tg, sched, built, err := rep.Schedule(context.Background(), false)
+	tg, sched, built, err := rep.Schedule(context.Background())
 	if err != nil || !built {
 		t.Fatalf("first call: built=%v err=%v", built, err)
 	}
-	if tg2, sched2, built, _ := rep.Schedule(context.Background(), false); built || tg2 != tg || sched2 != sched {
-		t.Fatal("second call built the greedy schedule again")
-	}
-	if _, dp, built, err := rep.Schedule(context.Background(), true); err != nil || !built || dp == sched {
-		t.Fatalf("the interval-DP schedule is its own memo: built=%v err=%v", built, err)
+	if tg2, sched2, built, _ := rep.Schedule(context.Background()); built || tg2 != tg || sched2 != sched {
+		t.Fatal("second call built the schedule again")
 	}
 
 	handTG, err := BuildTG(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	handSched, err := NewSchedule(handTG, SteinerGreedy(handTG))
+	handSched, err := NewSchedule(handTG, SteinerIntervalDP(handTG))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,13 +203,13 @@ func TestRepScheduleMemo(t *testing.T) {
 	}
 
 	// A waiter on someone else's build leaves when its own context ends.
-	fresh.scheds[0] = &schedFlight{done: make(chan struct{})}
+	fresh.sched = &schedFlight{done: make(chan struct{})}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, _, err := fresh.Schedule(ctx, false); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := fresh.Schedule(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled waiter: err=%v", err)
 	}
-	fresh.scheds[0] = nil
+	fresh.sched = nil
 
 	// A materialisation that panics is not published: the next call
 	// starts over and the schedule executes in full.

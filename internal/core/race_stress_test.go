@@ -96,7 +96,7 @@ func TestEvaluateManyRaceStress(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			tg, sched, _, err := rep.Schedule(context.Background(), false)
+			tg, sched, _, err := rep.Schedule(context.Background())
 			if err != nil {
 				errs[r] = err
 				return

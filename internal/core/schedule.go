@@ -239,6 +239,18 @@ func (s *Schedule) Leaves() []*ScheduleNode {
 	return out
 }
 
+// Depth returns the most schedule edges between the root and a leaf: how
+// many streaming steps, and non-leaf overlays, the deepest snapshot is under.
+func (s *Schedule) Depth() int { return s.Root.depth() }
+
+func (n *ScheduleNode) depth() int {
+	d := 0
+	for _, e := range n.Edges {
+		d = max(d, 1+e.To.depth())
+	}
+	return d
+}
+
 // GridEdges returns every grid edge any schedule edge spans.
 func (s *Schedule) GridEdges() []GridEdge {
 	var out []GridEdge

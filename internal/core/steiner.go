@@ -1,6 +1,10 @@
 package core
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // The query evaluation schedule is a tree in the TG rooted at the common
 // graph [0,w-1] and spanning every leaf [k,k]; its cost is the sum of
@@ -8,11 +12,11 @@ import "math"
 // Finding the minimum-cost such tree is the (directed) Steiner tree
 // problem (§3.2). Three solvers are provided:
 //
+//   - SteinerIntervalDP: the exact interval dynamic program, O(w³); the
+//     solver every evaluation uses.
 //   - SteinerGreedy: the paper's Algorithm 1 — grow the tree by repeatedly
-//     connecting the terminal nearest to it via a shortest path. O(w³).
-//   - SteinerIntervalDP: dynamic program over contiguous leaf-coverage
-//     splits. Exact on every instance we have brute-force checked;
-//     O(w⁵) time, so intended for moderate windows and ablations.
+//     connecting the terminal nearest to it via a shortest path. Slower
+//     and costlier than the DP; the baseline of the ablation.
 //   - SteinerBrute: exhaustive path-assignment enumeration, exponential,
 //     for w ≤ 7; the oracle in tests.
 //
@@ -135,20 +139,15 @@ func SteinerGreedy(tg *TG) *SteinerTree {
 // sortGridEdges orders edges deterministically (by J desc, I asc, left
 // first) so results are stable across runs.
 func sortGridEdges(es []GridEdge) {
-	lessEdge := func(a, b GridEdge) bool {
-		if a.J != b.J {
-			return a.J > b.J
+	slices.SortFunc(es, func(a, b GridEdge) int {
+		if c := cmp.Or(b.J-a.J, a.I-b.I); c != 0 || a.Left == b.Left {
+			return c
 		}
-		if a.I != b.I {
-			return a.I < b.I
+		if a.Left {
+			return -1
 		}
-		return a.Left && !b.Left
-	}
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && lessEdge(es[j], es[j-1]); j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
-	}
+		return 1
+	})
 }
 
 // SpansAllLeaves verifies the tree reaches every leaf from the root using
@@ -183,82 +182,65 @@ func (t *SteinerTree) SpansAllLeaves() bool {
 	return true
 }
 
-// SteinerIntervalDP computes the cheapest schedule tree under the
-// restriction that at each node the leaves are covered by a contiguous
-// split between the two children. f(i,j,a,b) is the cheapest subtree
-// rooted at [i,j] covering leaves a..b.
+// SteinerIntervalDP computes the minimum-cost schedule tree in O(w³) time
+// and O(w²) space. Every root→[a,b] path streams size(a,b) = |C[a,b]| − |E_c|
+// whichever way it zigzags (TG.rootDistances), so a subtree covering leaves
+// a..b that branches at some [p,q] ⊋ [a,b] pays size(a,b) − size(p,q) ≥ 0
+// more than one that walks to [a,b] first and branches there. With via(a,b)
+// the least a tree streams to reach [a,b] from the root and cover leaves
+// a..b below it,
+//
+//	via(k,k) = size(k,k)
+//	via(a,b) = min over a ≤ m < b of via(a,m) + via(m+1,b) − size(a,b)
+//
+// a left chain [a,b]→[a,m] and a right chain [a,b]→[m+1,b] per split, each
+// of which NewSchedule's bypass compression turns into one schedule edge.
+// Giving every node a contiguous range of leaves loses nothing — root paths
+// that cross in the planar grid share a node and can swap tails without
+// changing the edge union — and SteinerBrute agrees on every tested window.
 func SteinerIntervalDP(tg *TG) *SteinerTree {
 	w := tg.W
 	if w == 1 {
 		return &SteinerTree{W: 1}
 	}
-	type key struct{ i, j, a, b int }
-	memo := map[key]int64{}
-	choice := map[key]int{} // split point m; leaves a..m left, m+1..b right
-
-	var solve func(i, j, a, b int) int64
-	solve = func(i, j, a, b int) int64 {
-		if i == j {
-			return 0 // at a leaf; covers exactly itself
-		}
-		if a == b && a == i && i == j {
-			return 0
-		}
-		k := key{i, j, a, b}
-		if v, ok := memo[k]; ok {
-			return v
-		}
-		best := int64(math.MaxInt64)
-		bestM := a - 1
-		leftEdge := GridEdge{I: i, J: j, Left: true}
-		rightEdge := GridEdge{I: i, J: j, Left: false}
-		// m = a-1: everything goes right; m = b: everything left.
-		for m := a - 1; m <= b; m++ {
-			var c int64
-			if m >= a { // left child [i, j-1] covers a..m
-				if m > j-1 || a < i {
-					continue
+	// Dense w×w tables indexed a*w+b.
+	size := tg.rootDistances()
+	via := make([]int64, w*w)
+	split := make([]int32, w*w)
+	for k := 0; k < w; k++ {
+		via[k*w+k] = size[k*w+k]
+	}
+	for n := 1; n < w; n++ {
+		for a := 0; a+n < w; a++ {
+			b := a + n
+			best, bestM := int64(math.MaxInt64), a
+			for m := a; m < b; m++ {
+				if c := via[a*w+m] + via[(m+1)*w+b]; c < best {
+					best, bestM = c, m
 				}
-				c += tg.LabelSize(leftEdge) + solve(i, j-1, a, m)
 			}
-			if m < b { // right child [i+1, j] covers m+1..b
-				if m+1 < i+1 || b > j {
-					continue
-				}
-				c += tg.LabelSize(rightEdge) + solve(i+1, j, m+1, b)
-			}
-			if c < best {
-				best = c
-				bestM = m
-			}
+			via[a*w+b] = best - size[a*w+b]
+			split[a*w+b] = int32(bestM)
 		}
-		memo[k] = best
-		choice[k] = bestM
-		return best
 	}
 
-	cost := solve(0, w-1, 0, w-1)
-	t := &SteinerTree{W: w, Cost: cost}
-	used := map[GridEdge]bool{}
-	var rebuild func(i, j, a, b int)
-	rebuild = func(i, j, a, b int) {
-		if i == j {
+	t := &SteinerTree{W: w, Cost: via[w-1]}
+	var rebuild func(a, b int)
+	rebuild = func(a, b int) {
+		if a == b {
 			return
 		}
-		m := choice[key{i, j, a, b}]
-		if m >= a {
-			used[GridEdge{I: i, J: j, Left: true}] = true
-			rebuild(i, j-1, a, m)
+		m := int(split[a*w+b])
+		for j := b; j > m; j-- {
+			t.Edges = append(t.Edges, GridEdge{I: a, J: j, Left: true})
 		}
-		if m < b {
-			used[GridEdge{I: i, J: j, Left: false}] = true
-			rebuild(i+1, j, m+1, b)
+		for i := a; i <= m; i++ {
+			t.Edges = append(t.Edges, GridEdge{I: i, J: b, Left: false})
 		}
+		rebuild(a, m)
+		rebuild(m+1, b)
 	}
-	rebuild(0, w-1, 0, w-1)
-	for e := range used {
-		t.Edges = append(t.Edges, e)
-	}
+	rebuild(0, w-1)
 	sortGridEdges(t.Edges)
 	return t
 }

@@ -150,6 +150,27 @@ func (tg *TG) LabelSize(e GridEdge) int64 {
 	return tg.sizeRight[e.I][e.J]
 }
 
+// rootDistances returns, indexed a*W+b for a ≤ b, what any path from the
+// root to node [a,b] streams: every label is C[to] \ C[from] with
+// C[from] ⊆ C[to], so label sizes telescope to |C[a,b]| − |E_c| whichever
+// way the path zigzags. The table fills from the root outwards off either
+// parent.
+func (tg *TG) rootDistances() []int64 {
+	w := tg.W
+	size := make([]int64, w*w)
+	for n := w - 2; n >= 0; n-- {
+		for a := 0; a+n < w; a++ {
+			b := a + n
+			if b+1 < w {
+				size[a*w+b] = size[a*w+b+1] + tg.sizeLeft[a][b+1]
+			} else {
+				size[a*w+b] = size[(a-1)*w+b] + tg.sizeRight[a-1][b]
+			}
+		}
+	}
+	return size
+}
+
 // NumNodes returns the node count of the grid: w(w+1)/2.
 func (tg *TG) NumNodes() int { return tg.W * (tg.W + 1) / 2 }
 

@@ -52,10 +52,9 @@ func (w Window) deletions(t int) graph.EdgeList { return w.Store.Deletions(w.Fro
 //
 // A Rep is also where the window's plan lives. Everything an evaluation
 // needs that is a pure function of the window — the per-snapshot leaf
-// overlays, and per Steiner solver the Triangular Grid and the schedule
-// with its labels and overlays — is built on first use, published once
-// and then shared read-only by every later evaluation of the rep,
-// concurrent ones included.
+// overlays, the Triangular Grid and the schedule with its labels and
+// overlays — is built on first use, published once and then shared
+// read-only by every later evaluation of the rep, concurrent ones included.
 type Rep struct {
 	Window Window
 	N      int
@@ -70,10 +69,10 @@ type Rep struct {
 	// leaves[k] indexes Deltas[k] for traversal (LeafOverlay).
 	leaves []leafOverlay
 
-	// schedMu guards scheds, the single-flight slots of Schedule, indexed
-	// by solver (greedy, interval DP). It is never held while building.
+	// schedMu guards sched, the single-flight slot of Schedule. It is
+	// never held while building.
 	schedMu sync.Mutex
-	scheds  [2]*schedFlight
+	sched   *schedFlight
 }
 
 type leafOverlay struct {
@@ -109,19 +108,14 @@ func (r *Rep) LeafOverlay(k int) *delta.Overlay {
 }
 
 // Schedule returns the window's Triangular Grid and its Work-Sharing
-// schedule under the paper's greedy Steiner solver (Algorithm 1) or, with
-// optimal set, the exact interval DP. The first caller builds them while
-// concurrent callers wait, each for as long as its ctx (nil = never
-// cancelled) allows; built reports whether this call did the building. A
-// failed build is handed to everyone waiting on it and then forgotten, so
-// a later call tries again.
-func (r *Rep) Schedule(ctx context.Context, optimal bool) (tg *TG, sched *Schedule, built bool, err error) {
-	slot := 0
-	if optimal {
-		slot = 1
-	}
+// schedule, the minimum-cost Steiner tree (SteinerIntervalDP). The first
+// caller builds them while concurrent callers wait, each for as long as
+// its ctx (nil = never cancelled) allows; built reports whether this call
+// did the building. A failed build is handed to everyone waiting on it and
+// then forgotten, so a later call tries again.
+func (r *Rep) Schedule(ctx context.Context) (tg *TG, sched *Schedule, built bool, err error) {
 	r.schedMu.Lock()
-	f := r.scheds[slot]
+	f := r.sched
 	if f != nil {
 		r.schedMu.Unlock()
 		var cancelled <-chan struct{}
@@ -136,39 +130,25 @@ func (r *Rep) Schedule(ctx context.Context, optimal bool) (tg *TG, sched *Schedu
 		}
 	}
 	f = &schedFlight{done: make(chan struct{}), err: errBuildPanicked}
-	r.scheds[slot] = f
+	r.sched = f
 	r.schedMu.Unlock()
 	defer func() {
 		if f.err != nil {
 			r.schedMu.Lock()
-			r.scheds[slot] = nil
+			r.sched = nil
 			r.schedMu.Unlock()
 		}
 		close(f.done)
 	}()
-	f.tg, f.sched, f.err = buildSchedule(r.Window, optimal)
+	if f.tg, f.err = BuildTG(r.Window); f.err == nil {
+		f.sched, f.err = NewSchedule(f.tg, SteinerIntervalDP(f.tg))
+	}
 	return f.tg, f.sched, true, f.err
 }
 
 // errBuildPanicked is what waiters on a plan build see if the builder
 // panics out of it; the builder's own goroutine carries the panic.
 var errBuildPanicked = errors.New("core: window plan construction panicked")
-
-func buildSchedule(w Window, optimal bool) (*TG, *Schedule, error) {
-	tg, err := BuildTG(w)
-	if err != nil {
-		return nil, nil, err
-	}
-	tree := SteinerGreedy(tg)
-	if optimal {
-		tree = SteinerIntervalDP(tg)
-	}
-	sched, err := NewSchedule(tg, tree)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tg, sched, nil
-}
 
 // BuildRep constructs the CommonGraph representation of a window.
 //

@@ -504,27 +504,18 @@ func (r *syncRunner) pushRange(u graph.VertexID, a, b int, buf *[]graph.VertexID
 }
 
 // pushFull pushes u's whole row (all layers), collecting newly activated
-// vertices — the dense-scan worker body.
+// vertices — the dense-scan worker body. The callback form is a method of
+// its own: its closure over p and imp would heap-allocate both here.
 func (r *syncRunner) pushFull(u graph.VertexID, buf *[]graph.VertexID) (int64, int64) {
 	uval := r.st.Value(u)
 	if uval == r.id {
 		return 0, 0
 	}
+	if r.layers == nil {
+		return r.pushCallback(u, uval, buf)
+	}
 	var p, imp int64
 	st, next, min := r.st, r.next, r.min
-	if r.layers == nil {
-		r.g.OutEdges(u, func(v graph.VertexID, w graph.Weight) {
-			p++
-			cand := r.alg.Propagate(uval, w)
-			if st.Improves(v, cand, min) && st.TryImprove(v, cand, u) {
-				imp++
-				if next.trySet(v) {
-					*buf = append(*buf, v)
-				}
-			}
-		})
-		return p, imp
-	}
 	for li := range r.layers {
 		L := &r.layers[li]
 		lo, hi := L.offs[u], L.offs[u+1]
@@ -541,6 +532,24 @@ func (r *syncRunner) pushFull(u graph.VertexID, buf *[]graph.VertexID) (int64, i
 		}
 		p += int64(len(ts))
 	}
+	return p, imp
+}
+
+// pushCallback is pushFull through the adjacency callback, for a graph
+// without flat layers (the mutable baseline).
+func (r *syncRunner) pushCallback(u graph.VertexID, uval algo.Value, buf *[]graph.VertexID) (int64, int64) {
+	var p, imp int64
+	st, next, min := r.st, r.next, r.min
+	r.g.OutEdges(u, func(v graph.VertexID, w graph.Weight) {
+		p++
+		cand := r.alg.Propagate(uval, w)
+		if st.Improves(v, cand, min) && st.TryImprove(v, cand, u) {
+			imp++
+			if next.trySet(v) {
+				*buf = append(*buf, v)
+			}
+		}
+	})
 	return p, imp
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 
 	"commongraph/internal/algo"
@@ -312,5 +313,52 @@ func TestStatsAccumulate(t *testing.T) {
 	a.add(Stats{Iterations: 2, EdgesPushed: 5, Improved: 1})
 	if a.Iterations != 3 || a.EdgesPushed != 15 || a.Improved != 3 {
 		t.Fatalf("%+v", a)
+	}
+}
+
+// TestDenseParallelPassAllocationsDoNotScaleWithV: a from-scratch parallel
+// solve over a flat graph runs its middle iterations as dense word scans,
+// whose per-vertex body (pushFull) must not allocate — the allocations of
+// a pass are its per-iteration scratch, not a function of how many
+// vertices were active.
+func TestDenseParallelPassAllocationsDoNotScaleWithV(t *testing.T) {
+	allocs := func(scale int) (float64, int) {
+		n, edges := gen.RMAT(gen.DefaultRMAT(scale, 8<<scale, 3))
+		g := graph.NewPair(n, edges)
+		_, stats := Run(g, algo.BFS{}, 0, Options{Workers: 2, Mode: Sync})
+		return testing.AllocsPerRun(3, func() {
+			Run(g, algo.BFS{}, 0, Options{Workers: 2, Mode: Sync})
+		}), int(stats.Improved)
+	}
+	small, _ := allocs(15)
+	large, reached := allocs(17)
+	if reached < 1<<15 {
+		t.Fatalf("only %d vertices reached: the dense path was not exercised", reached)
+	}
+	// Four times the vertices may cost a few more iterations' scratch,
+	// never anything proportional to the vertices themselves.
+	if large > small+200 || large > float64(reached)/64 {
+		t.Fatalf("allocations grew with V: %.0f at 2^15 vertices, %.0f at 2^17 (%d reached)", small, large, reached)
+	}
+}
+
+// TestSummaryMatchesSeparateScans: the one-pass Summary is Reached, Values
+// and the FNV-1a fold over Value(v) — the checksum's definition — exactly.
+func TestSummaryMatchesSeparateScans(t *testing.T) {
+	n, edges := gen.RMAT(gen.DefaultRMAT(10, 6000, 5))
+	for _, a := range algo.All() {
+		st, _ := Run(graph.NewPair(n, edges), a, 3, Options{})
+		want := uint64(14695981039346656037)
+		for v := 0; v < n; v++ {
+			want ^= uint64(uint32(st.Value(graph.VertexID(v))))
+			want *= 1099511628211
+		}
+		reached, sum, values := st.Summary(true)
+		if reached != st.Reached() || sum != want || !reflect.DeepEqual(values, st.Values()) {
+			t.Fatalf("%s: Summary = (%d, %x), separate scans (%d, %x)", a.Name(), reached, sum, st.Reached(), want)
+		}
+		if _, sum, values := st.Summary(false); sum != want || values != nil {
+			t.Fatalf("%s: Summary(false) = %x with %d values", a.Name(), sum, len(values))
+		}
 	}
 }

@@ -8,6 +8,7 @@
 package engine
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"commongraph/internal/algo"
@@ -119,30 +120,43 @@ func (s *State) Reset(v graph.VertexID, val algo.Value, parent graph.VertexID) {
 // Clone returns an independent copy of the state. The receiver must be
 // quiescent (no concurrent writers).
 func (s *State) Clone() *State {
-	c := &State{a: s.a, src: s.src, min: s.min, words: make([]uint64, len(s.words))}
-	copy(c.words, s.words)
-	return c
+	// slices.Clone skips the zero-fill that make followed by copy pays.
+	return &State{a: s.a, src: s.src, min: s.min, words: slices.Clone(s.words)}
+}
+
+// Summary is a snapshot's result in one scan of a quiescent state: how
+// many vertices hold a non-identity value, the FNV-1a fold of the values'
+// 32-bit patterns in vertex order (the checksum strategies are compared
+// by and api/v1 pins) and, with keep, a copy of the values.
+func (s *State) Summary(keep bool) (reached int, checksum uint64, values []algo.Value) {
+	if keep {
+		values = make([]algo.Value, len(s.words))
+	}
+	id := uint32(s.a.Identity())
+	checksum = 14695981039346656037 // FNV-1a 64-bit offset basis
+	for i, w := range s.words {
+		v := uint32(w >> 32)
+		if v != id {
+			reached++
+		}
+		checksum = (checksum ^ uint64(v)) * 1099511628211 // FNV prime
+		if keep {
+			values[i] = algo.Value(int32(v))
+		}
+	}
+	return reached, checksum, values
 }
 
 // Values copies the value array out (for result reporting).
 func (s *State) Values() []algo.Value {
-	out := make([]algo.Value, len(s.words))
-	for i := range s.words {
-		out[i], _ = unpack(s.words[i])
-	}
-	return out
+	_, _, values := s.Summary(true)
+	return values
 }
 
 // Reached counts vertices whose value is not the identity.
 func (s *State) Reached() int {
-	id := s.a.Identity()
-	n := 0
-	for i := range s.words {
-		if v, _ := unpack(s.words[i]); v != id {
-			n++
-		}
-	}
-	return n
+	reached, _, _ := s.Summary(false)
+	return reached
 }
 
 // Equal reports whether two states agree on every vertex value (parents

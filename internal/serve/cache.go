@@ -21,7 +21,6 @@ type cacheKey struct {
 	source     int
 	window     commongraph.Window
 	strategy   commongraph.Strategy
-	optimal    bool
 	keepValues bool
 	gen        uint64
 }

@@ -71,7 +71,7 @@ type Config struct {
 	RetryAfter time.Duration
 	// Options is the base evaluation tuning applied to every request
 	// (engine workers, scheduler mode). Per-request fields (KeepValues,
-	// OptimalSchedule, Plan, Context) are overwritten by the service.
+	// Plan) are overwritten by the service.
 	Options commongraph.Options
 }
 
@@ -194,8 +194,7 @@ func (s *Server) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 	key := cacheKey{
 		algo: creq.Query.Algorithm.Name(), source: int(creq.Query.Source),
 		window: win, strategy: creq.Strategy,
-		optimal: creq.Options.OptimalSchedule, keepValues: creq.Options.KeepValues,
-		gen: gen,
+		keepValues: creq.Options.KeepValues, gen: gen,
 	}
 	if s.cache != nil {
 		if res, ok := s.cache.get(key); ok {
@@ -339,7 +338,6 @@ func (s *Server) resolve(wreq *apiv1.RunRequest) (commongraph.Request, commongra
 	}
 	opt := s.cfg.Options
 	opt.KeepValues = wreq.KeepValues
-	opt.OptimalSchedule = opt.OptimalSchedule || wreq.OptimalSchedule
 	return commongraph.Request{
 		Query:    commongraph.Query{Algorithm: algo, Source: commongraph.VertexID(wreq.Source)},
 		Window:   win,

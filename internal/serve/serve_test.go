@@ -190,6 +190,41 @@ func TestServeKeepValues(t *testing.T) {
 	}
 }
 
+// countingSource counts the evaluations that reach the source behind it.
+type countingSource struct {
+	Source
+	runs atomic.Int64
+}
+
+func (s *countingSource) Run(ctx context.Context, req commongraph.Request) (*commongraph.Result, error) {
+	s.runs.Add(1)
+	return s.Source.Run(ctx, req)
+}
+
+// TestServeOptimalScheduleIsOneCacheIdentity: optimal_schedule is accepted
+// and ignored, so two requests that differ only in it are the same
+// servable response — one evaluation, one cache entry, the second a hit.
+func TestServeOptimalScheduleIsOneCacheIdentity(t *testing.T) {
+	src := &countingSource{Source: GraphSource(testGraph(t, 5))}
+	s, c := newTestServer(t, src, Config{Workers: 1})
+	req := apiv1.RunRequest{Algorithm: "SSSP", Source: 1, Strategy: "work-sharing"}
+	first, err := c.Run(t.Context(), &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.OptimalSchedule = true
+	second, err := c.Run(t.Context(), &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Cached || !second.Cached || !equalChecksums(checksums(first), checksums(second)) {
+		t.Fatalf("cached: first=%v second=%v; want a miss then a hit with equal checksums", first.Cached, second.Cached)
+	}
+	if runs, entries := src.runs.Load(), s.cache.len(); runs != 1 || entries != 1 {
+		t.Fatalf("%d evaluations and %d cache entries, want 1 and 1", runs, entries)
+	}
+}
+
 // TestServeBadRequests pins the bad_request surface.
 func TestServeBadRequests(t *testing.T) {
 	g := testGraph(t, 6)

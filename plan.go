@@ -21,7 +21,7 @@ const maxCachedWindows = 8
 
 // repCache is the graph-owned, single-flight, bounded memo of window
 // representations. A rep carries the rest of the window's plan on itself
-// (core.Rep: leaf overlays, TG, schedules), so this one map is the whole
+// (core.Rep: leaf overlays, TG, schedule), so this one map is the whole
 // plan cache.
 //
 // Entries never go stale: the snapshot store is append-only and windows
@@ -159,7 +159,7 @@ func (g *EvolvingGraph) windowPlan(ctx context.Context, w core.Window, held *cor
 	}
 	if withSchedule {
 		var built bool
-		tg, sched, built, err = rep.Schedule(ctx, opt.OptimalSchedule)
+		tg, sched, built, err = rep.Schedule(ctx)
 		opt.Plan.countPlan("sched", !built)
 		if err != nil {
 			return nil, nil, nil, err
