@@ -38,7 +38,7 @@ func main() {
 		to       = flag.Int("to", -1, "last snapshot of the window (-1 = latest)")
 		strategy = flag.String("strategy", "direct-hop", "kickstarter | independent | direct-hop | direct-hop-parallel | work-sharing | work-sharing-parallel")
 		vertex   = flag.Int("vertex", -1, "also print this vertex's value at each snapshot")
-		plan     = flag.Bool("plan", false, "print the schedule comparison instead of evaluating")
+		plan     = flag.Bool("plan", false, "print the schedule comparison instead of evaluating; with -algo or -source also Direct-Hop's useful seed share for that query")
 		tracePth = flag.String("trace", "", "write a Chrome trace of the evaluation: a .json path, or 'log' to stream spans to stderr")
 		metrics  = flag.Bool("metrics", false, "dump the metric registry in Prometheus text format to stderr when done")
 		mapped   = flag.Bool("mmap", false, "with -store: mmap the binary segments instead of materializing them (out-of-core cold open)")
@@ -73,6 +73,11 @@ func main() {
 		*to = g.NumSnapshots() - 1
 	}
 
+	a, ok := commongraph.AlgorithmByName(*algoName)
+	if !ok {
+		fail(fmt.Errorf("unknown algorithm %q", *algoName))
+	}
+
 	if *plan {
 		p, err := g.Plan(*from, *to, commongraph.Options{})
 		if err != nil {
@@ -84,13 +89,20 @@ func main() {
 		fmt.Printf("work-sharing additions: %d (the exact Steiner tree, depth %d)\n", p.WorkSharingAdditions, p.Depth)
 		fmt.Println("schedule tree:")
 		fmt.Print(p.Tree)
+		queryGiven := false
+		flag.Visit(func(f *flag.Flag) { queryGiven = queryGiven || f.Name == "algo" || f.Name == "source" })
+		if queryGiven {
+			streamed, useful, err := g.SeedShare(context.Background(),
+				commongraph.Query{Algorithm: a, Source: commongraph.VertexID(*source)}, *from, *to, commongraph.Options{})
+			if err != nil {
+				fail(err)
+			}
+			fmt.Printf("direct-hop useful seeds for %s from %d: %d of %d additions (%.1f%%) improve on the common graph's solution\n",
+				a.Name(), *source, useful, streamed, 100*float64(useful)/float64(max(streamed, 1)))
+		}
 		return
 	}
 
-	a, ok := commongraph.AlgorithmByName(*algoName)
-	if !ok {
-		fail(fmt.Errorf("unknown algorithm %q", *algoName))
-	}
 	strat, err := commongraph.ParseStrategy(*strategy)
 	if err != nil {
 		fail(err)

@@ -542,3 +542,25 @@ func (g *EvolvingGraph) Plan(from, to int, opt Options) (*Plan, error) {
 		Tree:                 sched.String(),
 	}, nil
 }
+
+// SeedShare reports, for one query over [from, to], how much of Direct-Hop's
+// streaming can seed anything: streamed is the star schedule's additions
+// (Plan.DirectHopAdditions) and useful the additions whose relaxation from
+// the common graph's solution improves their destination — the only ones a
+// hop hands the engine. It solves the common graph once and runs no hop.
+func (g *EvolvingGraph) SeedShare(ctx context.Context, q Query, from, to int, opt Options) (streamed, useful int64, err error) {
+	if q.Algorithm == nil {
+		return 0, 0, fmt.Errorf("commongraph: query has no algorithm")
+	}
+	if err := g.checkSource(q.Source); err != nil {
+		return 0, 0, err
+	}
+	sp := opt.tracer().StartSpan("seed.share", obs.Int("from", from), obs.Int("to", to))
+	defer sp.End()
+	w := core.Window{Store: g.store, From: from, To: to}
+	rep, _, _, err := g.windowPlan(ctx, w, nil, false, opt, sp)
+	if err != nil {
+		return 0, 0, err
+	}
+	return core.SeedShare(rep, opt.config(ctx, q, sp))
+}

@@ -8,10 +8,12 @@ import (
 // StateWrite protects the monotonicity contract behind additions-only
 // evaluation: engine values only ever improve, so every write to the
 // packed (value, parent) words of engine.State must go through the
-// approved update sites — construction, the CASMIN/CASMAX of Table 3, the
-// trimming reset, and cloning. A stray direct write (plain or atomic)
-// anywhere else could move a value against the algorithm's order and
-// silently invalidate every incremental result built on top of it.
+// approved update sites — construction, the CASMIN/CASMAX of Table 3 and
+// its single-writer twin, the trimming reset, cloning, and the free list
+// (a copy into recycled storage; the scribble over a released state). A
+// stray direct write (plain or atomic) anywhere else could move a value
+// against the algorithm's order and silently invalidate every incremental
+// result built on top of it.
 var StateWrite = &Analyzer{
 	Name: "statewrite",
 	Doc:  "flag writes to engine.State value words outside approved update sites",
@@ -20,10 +22,13 @@ var StateWrite = &Analyzer{
 
 // stateWriters are the only functions allowed to store into State.words.
 var stateWriters = map[string]bool{
-	"NewState":   true,
-	"TryImprove": true,
-	"Reset":      true,
-	"Clone":      true,
+	"NewState":      true,
+	"TryImprove":    true,
+	"improveSeq":    true,
+	"Reset":         true,
+	"Clone":         true,
+	"CloneRecycled": true,
+	"Recycle":       true,
 }
 
 var stateFields = map[string]bool{"words": true}

@@ -158,6 +158,9 @@ type execution struct {
 	// order on the calling goroutine.
 	width int
 	base  *engine.State // the common graph's fixpoint
+	// seeds[k] is the part of Deltas[k] hop k hands the engine (seedChain);
+	// nil when nothing derived it, and a hop then streams its whole batch.
+	seeds []graph.EdgeList
 	res   *Result
 }
 
@@ -217,29 +220,97 @@ func (r *Result) unitDone(hops *obs.Histogram, d time.Duration) {
 	}
 }
 
+// appendUseful appends to dst the edges of batch whose candidate, computed
+// from the common fixpoint base, improves their destination's common
+// value — the only additions that can seed anything (DESIGN.md
+// "Direct-Hop seeding").
+func appendUseful(dst graph.EdgeList, base *engine.State, batch graph.EdgeList) graph.EdgeList {
+	a := base.Algorithm()
+	id, min := a.Identity(), a.Direction() == algo.Minimize
+	for _, e := range batch {
+		uval := base.Value(e.Src)
+		if uval == id {
+			continue
+		}
+		if base.Improves(e.Dst, a.Propagate(uval, e.W), min) {
+			dst = append(dst, e)
+		}
+	}
+	return dst
+}
+
+// seedChain derives every hop's useful seed set S_k = useful(Deltas[k])
+// from the common fixpoint without filtering each batch: S_0 filters
+// Deltas[0], and S_k follows by the recurrence BuildRep derives the deltas
+// with, S_{k+1} = (S_k \ Δ−_k) ∪ useful(Δ+_k), on the window's own
+// batches — O(|Δ_c0| + Σ|Δ_k| + Σ|S_k|) sequential steps where the hops
+// would spend Σ|Δ_ck| random-access relaxations. Patch keeps S_k's copy of
+// an edge it still holds and takes Δ+_k's of one Δ−_k removed first,
+// exactly as the deltas do, so a re-weighted edge carries the weight the
+// hop's overlay does. Each S_k is allocated once, at its bound. The
+// chain's time counts as IncrementalAdd: it is the seeding the hops no
+// longer do. It returns Σ|S_k|.
+func (x *execution) seedChain() (useful int64) {
+	t0 := time.Now()
+	sp := x.cfg.Trace.StartChild("hop.seeds")
+	w, deltas := x.rep.Window, x.rep.Deltas
+	x.seeds = make([]graph.EdgeList, len(deltas))
+	x.seeds[0] = appendUseful(nil, x.base, deltas[0].Edges())
+	useful = int64(len(x.seeds[0]))
+	var adds graph.EdgeList
+	for k := 1; k < len(deltas); k++ {
+		adds = appendUseful(adds[:0], x.base, w.additions(k-1))
+		x.seeds[k] = graph.Patch(x.seeds[k-1], w.deletions(k-1), adds)
+		useful += int64(len(x.seeds[k]))
+	}
+	sp.SetAttr(obs.Int64("streamed", x.rep.TotalDeltaEdges()), obs.Int64("useful", useful))
+	sp.End()
+	x.res.Cost.IncrementalAdd += time.Since(t0)
+	return useful
+}
+
+// SeedShare solves the query on the window's common graph and derives
+// Direct-Hop's seed sets without running a hop: streamed is Σ|Δ_ck|, the
+// additions the star schedule streams, and useful is Σ|S_k|, the ones a
+// hop hands the engine.
+func SeedShare(rep *Rep, cfg Config) (streamed, useful int64, err error) {
+	defer recoverToError(&err)
+	x, err := start(rep, cfg, "direct-hop", len(rep.Deltas), false)
+	if err != nil {
+		return 0, 0, err
+	}
+	return rep.TotalDeltaEdges(), x.seedChain(), nil
+}
+
 // hop reaches snapshot k from the common graph's solution (§3.1): the
-// snapshot's leaf overlay, a clone of the base state and one addition
-// batch, accounted into acc. It is a schedule-edge boundary, so
-// cancellation and injected faults are observed before the work starts.
-// With fork the hop's span renders on its own trace track, showing the
-// real overlap of concurrent hops.
+// snapshot's leaf overlay, a copy of the base state and the batch's useful
+// seeds (the whole batch where no chain derived them), accounted into acc.
+// It is a schedule-edge boundary, so cancellation and injected faults are
+// observed before the work starts. With fork the hop's span renders on its
+// own trace track, showing the real overlap of concurrent hops. The copy
+// is dead once its summary is taken and goes back to the free list.
 func (x *execution) hop(k int, parent *obs.Span, name string, fork bool, acc *Result) error {
 	if err := checkpoint(x.cfg.Ctx, faults.CoreOverlayBuild); err != nil {
 		return err
 	}
 	batch := x.rep.Deltas[k]
+	seeds := batch.Edges()
+	if x.seeds != nil {
+		seeds = x.seeds[k]
+	}
+	attrs := []obs.Attr{obs.Int("snapshot", k), obs.Int("batch", batch.Len()), obs.Int("seeds", len(seeds))}
 	var sp *obs.Span
 	if fork {
-		sp = parent.Fork(name, obs.Int("snapshot", k), obs.Int("batch", batch.Len()))
+		sp = parent.Fork(name, attrs...)
 	} else {
-		sp = parent.StartChild(name, obs.Int("snapshot", k), obs.Int("batch", batch.Len()))
+		sp = parent.StartChild(name, attrs...)
 	}
 	t1 := time.Now()
 	og := x.rep.SnapshotGraph(k)
 	t2 := time.Now()
-	st := x.base.Clone()
+	st := x.base.CloneRecycled()
 	t3 := time.Now()
-	s := engine.IncrementalAdd(og, st, batch.Edges(), x.cfg.Engine.WithSpan(sp))
+	s := engine.IncrementalAdd(og, st, seeds, x.cfg.Engine.WithSpan(sp))
 	t4 := time.Now()
 	sp.End()
 	acc.Cost.OverlayBuild += t2.Sub(t1)
@@ -248,6 +319,7 @@ func (x *execution) hop(k int, parent *obs.Span, name string, fork bool, acc *Re
 	acc.Work.Add(s)
 	acc.AdditionsProcessed += int64(batch.Len())
 	x.res.Snapshots[k] = snapshotResult(k, st, x.cfg.KeepValues)
+	st.Recycle()
 	return nil
 }
 
@@ -274,6 +346,7 @@ func directHop(rep *Rep, cfg Config, label string, parallel bool) (res *Result, 
 	if err != nil {
 		return nil, err
 	}
+	x.seedChain()
 	err = x.each(len(rep.Deltas), func(k int, acc *Result) error {
 		return x.hop(k, cfg.Trace, "hop", x.width > 1, acc)
 	})
@@ -349,13 +422,13 @@ func workSharing(rep *Rep, tg *TG, sched *Schedule, cfg Config, label string, pa
 
 // childState is the state one of a node's outgoing edges starts from:
 // the last sibling takes its parent's state, the others — whose later
-// siblings still need it — a clone.
+// siblings still need it — a copy in recycled storage.
 func childState(st *engine.State, last bool, acc *Result) *engine.State {
 	if last {
 		return st
 	}
 	t := time.Now()
-	st = st.Clone()
+	st = st.CloneRecycled()
 	acc.Cost.StateClone += time.Since(t)
 	return st
 }
@@ -385,6 +458,11 @@ func (x *execution) walkSubtree(from *ScheduleNode, e *ScheduleEdge, st *engine.
 
 	if e.To.IsLeaf() {
 		x.res.Snapshots[e.To.I] = snapshotResult(e.To.I, st, x.cfg.KeepValues)
+		// The walk's state dies here. The last root subtree of a sequential
+		// walk runs on the base state itself, which is never recycled.
+		if st != x.base {
+			st.Recycle()
+		}
 		return nil
 	}
 	for idx, child := range e.To.Edges {

@@ -92,7 +92,7 @@ func runAsync(g delta.Graph, st *State, seed *frontier, layers []flatLayer) Stat
 			g.OutEdges(u, func(v graph.VertexID, w graph.Weight) {
 				stats.EdgesPushed++
 				cand := alg.Propagate(uval, w)
-				if st.Improves(v, cand, min) && st.TryImprove(v, cand, u) {
+				if st.improveSeq(v, cand, u, min) {
 					stats.Improved++
 					if inQ.trySet(v) {
 						queue = append(queue, v)
@@ -108,7 +108,7 @@ func runAsync(g delta.Graph, st *State, seed *frontier, layers []flatLayer) Stat
 			ws := L.wts[lo:hi]
 			for i, v := range ts {
 				cand := alg.Propagate(uval, ws[i])
-				if st.Improves(v, cand, min) && st.TryImprove(v, cand, u) {
+				if st.improveSeq(v, cand, u, min) {
 					stats.Improved++
 					if inQ.trySet(v) {
 						queue = append(queue, v)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"commongraph/internal/algo"
@@ -117,5 +118,79 @@ func BenchmarkEngineIncrementalAdd(b *testing.B) {
 		st := base.Clone()
 		b.StartTimer()
 		IncrementalAdd(og, st, add, Options{})
+	}
+}
+
+// BenchmarkEngineIterationCrossover prices one sync iteration of about E
+// frontier edges on the calling goroutine (workers=1) against the same
+// iteration handed to two workers, on both frontier representations — the
+// measurement seqEdgeCutoff is set from (DESIGN.md records the crossover).
+// The frontier's values sit one below their fixpoint, so the iteration
+// improves the share of its edges a hop's pass does, not none.
+func BenchmarkEngineIterationCrossover(b *testing.B) {
+	g, n := benchSkewed(b)
+	base, _ := Run(g, algo.SSSP{}, 0, Options{})
+	layers := flatten(g)
+	for _, dense := range []bool{false, true} {
+		for _, target := range []int{4 << 10, 16 << 10, 64 << 10, 256 << 10} {
+			// Sparse frontiers take the vertices in id order (hubs first in
+			// R-MAT); dense ones need more than n/sparseKeepDenom vertices,
+			// so they take every reached vertex from the low-degree end.
+			cur := newFrontier(n)
+			edges := 0
+			for i := 0; i < n && (edges < target || dense && cur.isSparse()); i++ {
+				v := graph.VertexID(i)
+				if dense {
+					v = graph.VertexID(n - 1 - i)
+				}
+				if base.Value(v) == algo.Infinity || base.Value(v) == 0 {
+					continue
+				}
+				cur.setSeq(v)
+				edges += degree(layers, v)
+			}
+			if cur.isSparse() == dense {
+				continue // this graph has no frontier of that shape at this size
+			}
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("dense=%v/E=%d/workers=%d", dense, edges, workers), func(b *testing.B) {
+					var pushed, improved int64
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						st := base.CloneRecycled()
+						cur.forEachInWordRange(0, cur.words(), func(v graph.VertexID) {
+							val, p := st.Load(v)
+							st.Reset(v, val-1, p)
+						})
+						r := &syncRunner{g: g, st: st, alg: st.a, id: st.a.Identity(), min: st.minimize(),
+							layers: layers, workers: workers, next: newFrontier(n)}
+						prefix := make([]int, len(cur.list())+1)
+						total := 0
+						for i, u := range cur.list() {
+							prefix[i] = total
+							total += degree(layers, u)
+						}
+						prefix[len(cur.list())] = total
+						b.StartTimer()
+						var p, imp int64
+						switch {
+						case workers == 1 && dense:
+							p, imp = r.denseSeq(cur)
+						case workers == 1:
+							p, imp = r.sparseSeq(cur.list())
+						case dense:
+							p, imp = r.densePar(cur)
+						default:
+							p, imp = r.sparsePar(cur.list(), prefix, total)
+						}
+						b.StopTimer()
+						pushed, improved = pushed+p, improved+imp
+						st.Recycle()
+						b.StartTimer()
+					}
+					b.ReportMetric(float64(improved)/float64(pushed), "improved/edge")
+				})
+			}
+		}
 	}
 }

@@ -185,3 +185,57 @@ func TestChecksumEqualAcrossVariants(t *testing.T) {
 		}
 	}
 }
+
+// TestIterationShapesAgree solves from scratch four times, forcing one
+// iteration shape at every level — sparse or dense frontier, on the
+// calling goroutine (plain stores) or on workers (CAS) — whichever one
+// seqEdgeCutoff would have picked. Levels may differ between shapes (a
+// sequential level sees its own improvements); every shape must push each
+// level's whole frontier and reach the reference fixpoint.
+func TestIterationShapesAgree(t *testing.T) {
+	n, edges := gen.RMAT(gen.DefaultRMAT(11, 30_000, 13))
+	g := graph.NewPair(n, edges)
+	layers := flatten(g)
+	shapes := map[string]func(r *syncRunner, list []graph.VertexID, prefix []int, dense *frontier) (int64, int64){
+		"sparseSeq": func(r *syncRunner, list []graph.VertexID, _ []int, _ *frontier) (int64, int64) {
+			return r.sparseSeq(list)
+		},
+		"sparsePar": func(r *syncRunner, list []graph.VertexID, prefix []int, _ *frontier) (int64, int64) {
+			return r.sparsePar(list, prefix, prefix[len(list)])
+		},
+		"denseSeq": func(r *syncRunner, _ []graph.VertexID, _ []int, dense *frontier) (int64, int64) {
+			return r.denseSeq(dense)
+		},
+		"densePar": func(r *syncRunner, _ []graph.VertexID, _ []int, dense *frontier) (int64, int64) {
+			return r.densePar(dense)
+		},
+	}
+	for _, a := range []algo.Algorithm{algo.BFS{}, algo.SSSP{}, algo.SSWP{}} {
+		ref := Reference(g, a, 0)
+		for name, shape := range shapes {
+			st := NewState(n, a, 0)
+			cur := newFrontier(n)
+			cur.setSeq(0)
+			for level := 0; !cur.empty(); level++ {
+				var list []graph.VertexID
+				cur.forEachInWordRange(0, cur.words(), func(v graph.VertexID) { list = append(list, v) })
+				prefix := make([]int, len(list)+1)
+				dense := newFrontier(n)
+				for i, u := range list {
+					prefix[i+1] = prefix[i] + degree(layers, u)
+					dense.setSeq(u)
+				}
+				dense.drop()
+				r := &syncRunner{g: g, st: st, alg: a, id: a.Identity(), min: st.minimize(),
+					layers: layers, workers: 3, next: newFrontier(n)}
+				if pushed, _ := shape(r, list, prefix, dense); pushed != int64(prefix[len(list)]) {
+					t.Fatalf("%s %s level %d: pushed %d of %d frontier edges", a.Name(), name, level, pushed, prefix[len(list)])
+				}
+				cur = r.next
+			}
+			if !ValuesEqual(st, ref) {
+				t.Fatalf("%s: a solve of %s iterations differs from the reference", a.Name(), name)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -197,9 +198,11 @@ func propagate(g delta.Graph, st *State, seed *frontier, opt Options) Stats {
 
 // Scheduling constants of the sync hot path.
 const (
-	// seqEdgeCutoff: an iteration examining fewer edges than this runs on
-	// the calling goroutine — spawning workers costs more than the work.
-	seqEdgeCutoff = 4096
+	// seqEdgeCutoff: an iteration examining no more edges than this runs
+	// on the calling goroutine, with plain stores — handing it to workers
+	// costs more than the work. Set from BenchmarkEngineIterationCrossover
+	// (DESIGN.md "Engine" records the measurement).
+	seqEdgeCutoff = 65536
 	// chunkTargetPerWorker: the stealing cursor hands out roughly this
 	// many chunks per worker, so a slow chunk (a hub's row) delays one
 	// chunk, not a shard.
@@ -284,11 +287,36 @@ func (r *syncRunner) iterate(cur *frontier) (int64, int64) {
 		}
 		return r.callbackParList(list)
 	}
-	// Dense: ordered word scan.
-	if r.workers == 1 || cur.words() <= 2*denseWordChunk {
+	// Dense: ordered word scan, priced like the sparse one.
+	if r.workers == 1 || !r.denseWorthWorkers(cur) {
 		return r.denseSeq(cur)
 	}
 	return r.densePar(cur)
+}
+
+// denseWorthWorkers prices a dense iteration by the edges it will examine,
+// the degree sum the sparse path prices by, and stops counting once past
+// seqEdgeCutoff: a frontier just over the sparse list's keep bound can
+// hold a few thousand edges, which workers cost more to hand out than to
+// relax. Without flat layers there are no degrees, and the scan's extent
+// in words stands in.
+func (r *syncRunner) denseWorthWorkers(cur *frontier) bool {
+	if r.layers == nil {
+		return cur.words() > 2*denseWordChunk
+	}
+	total := 0
+	for wi, w := range cur.bits {
+		for ; w != 0; w &= w - 1 {
+			v := wi*64 + bits.TrailingZeros64(w)
+			if v >= cur.n {
+				break
+			}
+			if total += degree(r.layers, graph.VertexID(v)); total > seqEdgeCutoff {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // sparseSeq drains a sparse flat frontier on the calling goroutine; the
@@ -308,7 +336,7 @@ func (r *syncRunner) sparseSeq(list []graph.VertexID) (int64, int64) {
 			ws := L.wts[lo:hi]
 			for i, v := range ts {
 				cand := r.alg.Propagate(uval, ws[i])
-				if st.Improves(v, cand, min) && st.TryImprove(v, cand, u) {
+				if st.improveSeq(v, cand, u, min) {
 					imp++
 					next.setSeq(v)
 				}
@@ -332,7 +360,7 @@ func (r *syncRunner) denseSeq(cur *frontier) (int64, int64) {
 			r.g.OutEdges(u, func(v graph.VertexID, w graph.Weight) {
 				p++
 				cand := r.alg.Propagate(uval, w)
-				if st.Improves(v, cand, min) && st.TryImprove(v, cand, u) {
+				if st.improveSeq(v, cand, u, min) {
 					imp++
 					next.setSeq(v)
 				}
@@ -352,7 +380,7 @@ func (r *syncRunner) denseSeq(cur *frontier) (int64, int64) {
 			ws := L.wts[lo:hi]
 			for i, v := range ts {
 				cand := r.alg.Propagate(uval, ws[i])
-				if st.Improves(v, cand, min) && st.TryImprove(v, cand, u) {
+				if st.improveSeq(v, cand, u, min) {
 					imp++
 					next.setSeq(v)
 				}
@@ -613,7 +641,7 @@ func (r *syncRunner) callbackSeqList(list []graph.VertexID) (int64, int64) {
 		r.g.OutEdges(u, func(v graph.VertexID, w graph.Weight) {
 			p++
 			cand := r.alg.Propagate(uval, w)
-			if st.Improves(v, cand, min) && st.TryImprove(v, cand, u) {
+			if st.improveSeq(v, cand, u, min) {
 				imp++
 				next.setSeq(v)
 			}

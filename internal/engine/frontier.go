@@ -34,6 +34,17 @@ func newFrontier(n int) *frontier {
 	return &frontier{bits: make([]uint64, (n+63)/64), n: n}
 }
 
+// reserve sizes the sparse list for up to n setSeq calls, so seeding a
+// batch never regrows it; past the keep bound the list is dropped anyway.
+func (f *frontier) reserve(n int) {
+	if keep := f.n/sparseKeepDenom + 1; n > keep {
+		n = keep
+	}
+	if cap(f.sparse) < n {
+		f.sparse = make([]graph.VertexID, 0, n)
+	}
+}
+
 // sparseKeepDenom bounds the kept list: past n/sparseKeepDenom active
 // vertices the list is dropped and iteration reverts to the ordered word
 // scan, whose sequential access pattern wins on large frontiers.

@@ -30,8 +30,11 @@ func IncrementalAddParts(g delta.Graph, st *State, parts [][]graph.Edge, opt Opt
 		batchLen += len(batch)
 	}
 	sp := opt.Span.StartChild("engine.incremental", obs.Int("batch", batchLen))
-	id := st.a.Identity()
-	var seeds []graph.VertexID
+	id, min := st.a.Identity(), st.minimize()
+	// Seeding is a single-writer phase: plain stores, and the improved
+	// destinations go straight into the pass's frontier, whose list is
+	// sized once from the batch.
+	var seed *frontier
 	for _, batch := range parts {
 		for _, e := range batch {
 			uval := st.Value(e.Src)
@@ -40,15 +43,18 @@ func IncrementalAddParts(g delta.Graph, st *State, parts [][]graph.Edge, opt Opt
 			}
 			stats.EdgesPushed++
 			cand := st.a.Propagate(uval, e.W)
-			if st.TryImprove(e.Dst, cand, e.Src) {
+			if st.improveSeq(e.Dst, cand, e.Src, min) {
 				stats.Improved++
-				seeds = append(seeds, e.Dst)
+				if seed == nil {
+					seed = newFrontier(g.NumVertices())
+					seed.reserve(batchLen)
+				}
+				seed.setSeq(e.Dst)
 			}
 		}
 	}
-	if len(seeds) > 0 {
-		s := Propagate(g, st, seeds, opt)
-		stats.add(s)
+	if seed != nil {
+		stats.add(propagate(g, st, seed, opt))
 	}
 	sp.SetAttr(statAttrs(stats)...)
 	sp.End()

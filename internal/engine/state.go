@@ -9,6 +9,7 @@ package engine
 
 import (
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"commongraph/internal/algo"
@@ -24,7 +25,7 @@ type State struct {
 	// min caches a.Direction() == Minimize so the per-edge improvement
 	// test is a plain comparison, not an interface call.
 	min bool
-	//cgvet:ignore atomicguard -- phase contract: Load/TryImprove/Improves CAS words while workers run; Clone/Equal/Reached and construction touch them plainly only at quiescent points (no pass in flight)
+	//cgvet:ignore atomicguard -- phase contract: Load/TryImprove/Improves CAS words while workers run; improveSeq loads and stores them plainly in single-writer phases (addition seeding, sparseSeq, denseSeq, callbackSeqList, sequential runAsync: one goroutine, no worker in flight); Clone/CloneRecycled/Recycle/Equal/Summary and construction touch them plainly only at quiescent points (no pass in flight)
 	words []uint64 // hi 32 bits: value (int32 bit pattern); lo 32: parent
 }
 
@@ -108,6 +109,25 @@ func (s *State) Improves(v graph.VertexID, cand algo.Value, minimize bool) bool 
 	return cand > cur
 }
 
+// improveSeq is TryImprove for the single-writer phases — addition
+// seeding, sparseSeq, denseSeq, callbackSeqList and the sequential async
+// drain, where one goroutine owns the state and no worker is in flight: a
+// plain load, compare and store in place of the pre-filter load plus LOCK
+// CMPXCHG. The passes that do run workers (pushRange, pushFull,
+// runAsyncParallel) keep Improves + TryImprove.
+func (s *State) improveSeq(v graph.VertexID, cand algo.Value, parent graph.VertexID, minimize bool) bool {
+	cur := algo.Value(int32(uint32(s.words[v] >> 32)))
+	if minimize {
+		if cand >= cur {
+			return false
+		}
+	} else if cand <= cur {
+		return false
+	}
+	s.words[v] = pack(cand, parent)
+	return true
+}
+
 // minimize exposes the cached direction for hot-loop hoisting.
 func (s *State) minimize() bool { return s.min }
 
@@ -122,6 +142,69 @@ func (s *State) Reset(v graph.VertexID, val algo.Value, parent graph.VertexID) {
 func (s *State) Clone() *State {
 	// slices.Clone skips the zero-fill that make followed by copy pays.
 	return &State{a: s.a, src: s.src, min: s.min, words: slices.Clone(s.words)}
+}
+
+// maxFreeStates bounds the free list: a handful covers the states a
+// sequential walk and a few concurrent hops have in flight, and caps what
+// the process retains at maxFreeStates states of the largest graph served.
+const maxFreeStates = 8
+
+// freeStates is the process-wide free list behind CloneRecycled and
+// Recycle. It outlives an evaluation on purpose: a parallel strategy has
+// every unit's state in flight at once, so only the states the previous
+// evaluation returned spare the next one its allocations.
+var freeStates struct {
+	sync.Mutex
+	list []*State
+}
+
+// ScribbleOnRecycle is a test hook: while set, Recycle overwrites every
+// word of the state it is handed, so a reader that kept the state past its
+// release sees garbage instead of a plausible result.
+var ScribbleOnRecycle atomic.Bool
+
+// CloneRecycled is Clone into storage a finished evaluation handed back
+// through Recycle — a copy, with no allocation and no zero-fill, when the
+// free list holds a state at least as large. The receiver must be
+// quiescent. The caller owns the copy and should Recycle it once the
+// state is dead.
+func (s *State) CloneRecycled() *State {
+	freeStates.Lock()
+	var c *State
+	if last := len(freeStates.list) - 1; last >= 0 {
+		c, freeStates.list[last] = freeStates.list[last], nil
+		freeStates.list = freeStates.list[:last]
+	}
+	freeStates.Unlock()
+	n := len(s.words)
+	if c == nil || cap(c.words) < n {
+		// Nothing to reuse, or storage sized for a smaller graph: graphs of
+		// different sizes share the process, and dropping the misfit lets
+		// the list follow the sizes actually in use.
+		return s.Clone()
+	}
+	c.a, c.src, c.min, c.words = s.a, s.src, s.min, c.words[:n]
+	copy(c.words, s.words)
+	return c
+}
+
+// Recycle hands a dead state's storage to the free list; the list drops it
+// when full. The caller must own s exclusively and never touch it again:
+// the next CloneRecycled, on any goroutine, overwrites it. A state someone
+// else may still read — an evaluation's common fixpoint, a caller-supplied
+// Config.Common — is never recycled.
+func (s *State) Recycle() {
+	if ScribbleOnRecycle.Load() {
+		for i := range s.words {
+			s.words[i] = 0x5bd1e9955bd1e995 // no algorithm's identity, source value or parent
+		}
+	}
+	s.a = nil // a late Summary panics instead of folding a stranger's values
+	freeStates.Lock()
+	if len(freeStates.list) < maxFreeStates {
+		freeStates.list = append(freeStates.list, s)
+	}
+	freeStates.Unlock()
 }
 
 // Summary is a snapshot's result in one scan of a quiescent state: how
