@@ -41,7 +41,7 @@ sarif:
 	$(GO) run ./cmd/cgvet -sarif ./... > cgvet.sarif
 
 # Short deterministic fuzz of the graph ingest paths (text + binary) and
-# the engine differential oracle (every scheduler variant vs reference.go
+# the engine differential oracle (every engine path vs reference.go
 # on fuzzer-shaped random graphs and batches).
 fuzz-smoke:
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzParseEdgeList$$' -fuzztime $(FUZZTIME)

@@ -80,10 +80,6 @@ func BenchmarkFig11(b *testing.B) { benchExperiment(b, "fig11") }
 // and runtimes (DESIGN.md ablation A1).
 func BenchmarkAblationSteiner(b *testing.B) { benchExperiment(b, "ablation-steiner") }
 
-// BenchmarkAblationScheduler compares the engine scheduler policies on
-// the Direct-Hop workload (DESIGN.md ablation A2).
-func BenchmarkAblationScheduler(b *testing.B) { benchExperiment(b, "ablation-scheduler") }
-
 // BenchmarkAblationRepresentation isolates in-place mutation versus
 // overlay construction (DESIGN.md ablation A3).
 func BenchmarkAblationRepresentation(b *testing.B) { benchExperiment(b, "ablation-representation") }

@@ -272,19 +272,3 @@ func TestEvaluatePropertyRandomWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestEvaluateSchedulerModesAgree(t *testing.T) {
-	g, _ := buildEvolving(t, 83, 4, 30, 30)
-	q := Query{Algorithm: SSNP, Source: 0}
-	var sums []uint64
-	for _, mode := range []SchedulerMode{Auto, Sync, Async} {
-		res, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 4}, Strategy: WorkSharing, Options: Options{Scheduler: mode}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sums = append(sums, res.Snapshots[4].Checksum)
-	}
-	if sums[0] != sums[1] || sums[1] != sums[2] {
-		t.Fatalf("scheduler modes disagree: %v", sums)
-	}
-}

@@ -120,27 +120,11 @@ func strategyNames() string {
 	return strings.Join(names, ", ")
 }
 
-// SchedulerMode mirrors the engine's §4.3 scheduler policy.
-type SchedulerMode = engine.Mode
-
-// Scheduler modes: Auto switches between Sync and Async on batch size.
-const (
-	Auto  = engine.Auto
-	Sync  = engine.Sync
-	Async = engine.Async
-)
-
 // Options tunes an evaluation.
 type Options struct {
-	// Workers bounds engine parallelism (0 = GOMAXPROCS).
+	// Workers bounds engine parallelism (0 = GOMAXPROCS). The engine's
+	// scheduler is not an option: each pass's input picks it (§4.3).
 	Workers int
-	// Scheduler selects the engine scheduling policy (default Auto).
-	Scheduler SchedulerMode
-	// AsyncWorkers bounds the parallel width of the engine's asynchronous
-	// worklist (the small-batch path). 0 or 1 keeps the sequential drain;
-	// larger values let incremental passes use cores. Values are exact
-	// either way — monotonic fixpoints are schedule-independent.
-	AsyncWorkers int
 	// KeepValues retains full per-snapshot value arrays in the result.
 	KeepValues bool
 	// Parallelism bounds how many hops of DirectHopParallel, or root
@@ -180,7 +164,7 @@ func (o Options) tracer() *obs.Tracer {
 }
 
 func (o Options) engine() engine.Options {
-	return engine.Options{Workers: o.Workers, Mode: o.Scheduler, AsyncWorkers: o.AsyncWorkers}
+	return engine.Options{Workers: o.Workers}
 }
 
 // config builds the core configuration for one query under root span sp.

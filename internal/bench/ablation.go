@@ -7,7 +7,6 @@ import (
 
 	"commongraph/internal/algo"
 	"commongraph/internal/core"
-	"commongraph/internal/engine"
 )
 
 // AblationSteiner compares the schedule costs (additions streamed), solver
@@ -63,46 +62,6 @@ func AblationSteiner(p Params) (*Table, error) {
 			fmt.Sprintf("%d", greedy.Cost), millis(greedyTime),
 			fmt.Sprintf("%d", dp.Cost), millis(dpTime),
 			fmt.Sprintf("%d/%d", greedySched.Depth(), dpSched.Depth()))
-	}
-	return t, nil
-}
-
-// AblationScheduler compares the engine's scheduler policies (§4.3) on the
-// Direct-Hop workload: forced synchronous iterations, forced asynchronous
-// worklist, and the Auto policy that switches on batch size.
-func AblationScheduler(p Params) (*Table, error) {
-	t := &Table{
-		ID:     "Ablation A2",
-		Title:  "Scheduler policy: Direct-Hop time under Sync / Async / Auto (LJ-sim)",
-		Header: []string{"Algo", "Sync", "Async", "Auto"},
-	}
-	half := p.Batch(75_000) / 2
-	w, err := BuildWorkload("LJ-sim", p, p.Snapshots-1, half, half)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := core.BuildRep(core.Window{Store: w.Store, From: 0, To: p.Snapshots - 1})
-	if err != nil {
-		return nil, err
-	}
-	// The cells share one rep, whose overlays are built by whichever
-	// evaluation comes first: build them before the first measured one so
-	// the three policies are timed on the same (warm) footing.
-	if _, err := core.DirectHop(rep, core.Config{Algo: algo.BFS{}, Source: p.src()}); err != nil {
-		return nil, err
-	}
-	for _, a := range []algo.Algorithm{algo.BFS{}, algo.SSSP{}} {
-		row := []string{a.Name()}
-		for _, mode := range []engine.Mode{engine.Sync, engine.Async, engine.Auto} {
-			res, err := core.DirectHop(rep, core.Config{
-				Algo: a, Source: p.src(), Engine: engine.Options{Mode: mode},
-			})
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, secs(res.Cost.Total()))
-		}
-		t.AddRow(row...)
 	}
 	return t, nil
 }

@@ -118,11 +118,11 @@ func measureObsOverhead(w *Workload, p Params, transitions int) (off, on time.Du
 	runOnce := func() (time.Duration, error) {
 		// Build outside the timed region: initial compute is identical on
 		// both sides and dwarfs the per-span cost under measurement.
-		// Workers 1 / sequential drain: the scheduler's parallel width is
-		// its own noise source, and this gate measures span cost, not
-		// scaling — a deterministic engine keeps run-to-run variance at
-		// the level a 5%% budget needs.
-		sys := kickstarter.New(w.N, w.Base, algo.BFS{}, p.src(), engine.Options{Workers: 1, AsyncWorkers: 1})
+		// Workers 1: the sync passes' parallel width is its own noise
+		// source, and this gate measures span cost, not scaling — a
+		// deterministic engine keeps run-to-run variance at the level a
+		// 5% budget needs.
+		sys := kickstarter.New(w.N, w.Base, algo.BFS{}, p.src(), engine.Options{Workers: 1})
 		// Settle GC debt from the build before the timer: a collection
 		// triggered mid-run lands on whichever side happened to cross the
 		// heap goal, which reads as phantom overhead.

@@ -44,7 +44,6 @@ func builtins() []Experiment {
 		{Name: "fig10", Paper: "Figure 10", Run: Fig10},
 		{Name: "fig11", Paper: "Figure 11", Run: Fig11},
 		{Name: "ablation-steiner", Paper: "Ablation A1", Run: AblationSteiner},
-		{Name: "ablation-scheduler", Paper: "Ablation A2", Run: AblationScheduler},
 		{Name: "ablation-representation", Paper: "Ablation A3", Run: AblationRepresentation},
 		{Name: "ablation-scale", Paper: "Ablation A4", Run: AblationScale},
 		{Name: "ablation-baselines", Paper: "Ablation A5", Run: AblationBaselines},

@@ -36,10 +36,7 @@ func runKS(w *Workload, from, to int, a algo.Algorithm, src graph.VertexID) (kic
 	if err != nil {
 		return kickstarter.CostBreakdown{}, err
 	}
-	// The baseline runs level-synchronous throughout: KickStarter is built
-	// on Ligra's bulk-synchronous edgeMap. The adaptive sync/async
-	// scheduler is part of the CommonGraph system (§4.3), not the baseline.
-	sys := kickstarter.New(w.N, first, a, src, engine.Options{Mode: engine.Sync})
+	sys := kickstarter.New(w.N, first, a, src, engine.Options{})
 	for t := from; t < to; t++ {
 		if err := sys.ApplyTransition(w.Store.Additions(t).Edges(), w.Store.Deletions(t).Edges()); err != nil {
 			return kickstarter.CostBreakdown{}, err

@@ -66,25 +66,19 @@ func (o *Overlay) reverse() *graph.CSR {
 	return o.in
 }
 
-// Graph is the adjacency view the execution engine traverses: out-edges
-// for pushing updates, in-edges for the trimming recomputation.
+// Graph is the adjacency view the execution engine traverses. OutRows is
+// the one traversal the engine's passes use: u's out-edges are the union
+// of its rows across the returned layers, walked as flat slices (one
+// bounds-checked slice walk per row, no call per edge). The layers alias
+// live storage and are read-only; they must not change while a pass
+// holds them. InEdges serves the trimming recomputation, and OutEdges the
+// Reference oracle and tests.
 type Graph interface {
 	NumVertices() int
 	NumEdges() int
+	OutRows() []graph.Rows
 	OutEdges(u graph.VertexID, fn func(v graph.VertexID, w graph.Weight))
 	InEdges(v graph.VertexID, fn func(u graph.VertexID, w graph.Weight))
-}
-
-// FlatSource is the fused flat-traversal contract: a Graph whose
-// out-adjacency is a stack of immutable CSR layers (the base plus one per
-// overlay) exposes them here, and the engine's hot loops index the
-// layers' offset/neighbor slices directly — one bounds-checked slice walk
-// per row instead of a closure call per edge. The callback Graph
-// interface remains the fallback (and the only path for the mutable
-// KickStarter baseline); trimming and tests keep using it. The returned
-// layers alias live CSRs and are read-only (§4.1 immutability).
-type FlatSource interface {
-	OutCSRs() []*graph.CSR
 }
 
 // OverlayGraph presents base + overlays as one logical graph. The base is
@@ -129,15 +123,15 @@ func (g *OverlayGraph) NumEdges() int {
 	return m
 }
 
-// OutCSRs returns the view's out-adjacency layers, base first, then each
-// overlay in push order — the FlatSource contract. The slice is freshly
-// allocated (the overlay stack may be pushed/popped between traversals)
-// but the layers alias the live CSRs.
-func (g *OverlayGraph) OutCSRs() []*graph.CSR {
-	layers := make([]*graph.CSR, 0, 1+len(g.overlays))
-	layers = append(layers, g.base.Out)
+// OutRows returns the view's out-adjacency layers, base first, then each
+// overlay in push order. The slice is freshly allocated (the overlay
+// stack may be pushed/popped between traversals) but the layers alias the
+// live CSRs.
+func (g *OverlayGraph) OutRows() []graph.Rows {
+	layers := make([]graph.Rows, 0, 1+len(g.overlays))
+	layers = append(layers, g.base.Out.Rows())
 	for _, o := range g.overlays {
-		layers = append(layers, o.out)
+		layers = append(layers, o.out.Rows())
 	}
 	return layers
 }
@@ -169,5 +163,3 @@ func (g *OverlayGraph) Edges() graph.EdgeList {
 
 var _ Graph = (*OverlayGraph)(nil)
 var _ Graph = (*graph.Pair)(nil)
-var _ FlatSource = (*OverlayGraph)(nil)
-var _ FlatSource = (*graph.Pair)(nil)

@@ -52,7 +52,7 @@ func BenchmarkEngineSyncPass(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				Run(g, a, 0, Options{Mode: Sync})
+				Run(g, a, 0, Options{})
 			}
 		})
 	}
@@ -66,40 +66,84 @@ func BenchmarkEngineSyncHub(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Run(g, algo.SSSP{}, 0, Options{Mode: Sync})
+		Run(g, algo.SSSP{}, 0, Options{})
 	}
 }
 
-// BenchmarkEngineSyncSmallFrontier forces Sync mode onto a tiny seed: the
-// cost here is dominated by frontier bookkeeping (scan + clear), not edge
-// work — the case the sparse representation exists for.
+// BenchmarkEngineSyncSmallFrontier forces a sync pass onto a tiny seed:
+// the cost here is dominated by frontier bookkeeping (scan + clear), not
+// edge work — the case the sparse representation exists for.
 func BenchmarkEngineSyncSmallFrontier(b *testing.B) {
-	g, _ := benchSkewed(b)
-	base, _ := Run(g, algo.SSSP{}, 0, Options{Mode: Sync})
-	seeds := []graph.VertexID{1, 17, 33}
+	g, n := benchSkewed(b)
+	base, _ := Run(g, algo.SSSP{}, 0, Options{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		st := base.Clone()
 		b.StartTimer()
-		Propagate(g, st, seeds, Options{Mode: Sync})
+		runSync(st, frontierOf(n, 1, 17, 33), g.OutRows(), Options{}.workers())
 	}
 }
 
 // BenchmarkEngineAsyncWorklist measures the asynchronous worklist from
 // scratch on the skewed workload.
 func BenchmarkEngineAsyncWorklist(b *testing.B) {
-	g, _ := benchSkewed(b)
+	g, n := benchSkewed(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Run(g, algo.BFS{}, 0, Options{Mode: Async})
+		runAsync(NewState(n, algo.BFS{}, 0), frontierOf(n, 0), g.OutRows())
+	}
+}
+
+// BenchmarkAsyncCutover prices one incremental pass through the async
+// drain and through the sync pass, each called directly on the same
+// seeded frontier — the measurement asyncCutoff is set from (DESIGN.md
+// "Engine" records the table). The frontier is what an addition batch
+// seeds over the common fixpoint, the shape a hop's pass starts from;
+// batch sizes are picked to seed about 256 to 16 384 vertices.
+func BenchmarkAsyncCutover(b *testing.B) {
+	g, n := benchSkewed(b)
+	for _, a := range []algo.Algorithm{algo.BFS{}, algo.SSSP{}} {
+		base, _ := Run(g, a, 0, Options{})
+		for _, size := range []int{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10} {
+			trs, err := gen.Stream(n, g.Out.Edges(), gen.StreamConfig{Transitions: 1, Additions: size, Seed: 7})
+			if err != nil {
+				b.Fatal(err)
+			}
+			add := trs[0].Additions
+			layers := delta.NewOverlayGraph(g, delta.NewOverlay(n, delta.NewBatch(add))).OutRows()
+			probe := base.Clone()
+			seed, _ := seedParts(probe, [][]graph.Edge{add}, len(add))
+			for _, mode := range []string{"async", "sync"} {
+				b.Run(fmt.Sprintf("%s/seeds=%d/%s", a.Name(), seed.count(), mode), func(b *testing.B) {
+					var pushed int64
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						st := base.CloneRecycled()
+						seed, _ := seedParts(st, [][]graph.Edge{add}, len(add))
+						b.StartTimer()
+						var s Stats
+						if mode == "async" {
+							s = runAsync(st, seed, layers)
+						} else {
+							s = runSync(st, seed, layers, Options{}.workers())
+						}
+						b.StopTimer()
+						pushed += s.EdgesPushed
+						st.Recycle()
+						b.StartTimer()
+					}
+					b.ReportMetric(float64(pushed)/float64(b.N), "edges/op")
+				})
+			}
+		}
 	}
 }
 
 // BenchmarkEngineIncrementalAdd measures the incremental-addition
-// primitive under the Auto scheduler — the per-hop cost of the
+// primitive under the input-chosen scheduler — the per-hop cost of the
 // CommonGraph strategies.
 func BenchmarkEngineIncrementalAdd(b *testing.B) {
 	g, n := benchSkewed(b)
@@ -130,7 +174,7 @@ func BenchmarkEngineIncrementalAdd(b *testing.B) {
 func BenchmarkEngineIterationCrossover(b *testing.B) {
 	g, n := benchSkewed(b)
 	base, _ := Run(g, algo.SSSP{}, 0, Options{})
-	layers := flatten(g)
+	layers := g.OutRows()
 	for _, dense := range []bool{false, true} {
 		for _, target := range []int{4 << 10, 16 << 10, 64 << 10, 256 << 10} {
 			// Sparse frontiers take the vertices in id order (hubs first in
@@ -162,7 +206,7 @@ func BenchmarkEngineIterationCrossover(b *testing.B) {
 							val, p := st.Load(v)
 							st.Reset(v, val-1, p)
 						})
-						r := &syncRunner{g: g, st: st, alg: st.a, id: st.a.Identity(), min: st.minimize(),
+						r := &syncRunner{st: st, alg: st.a, id: st.a.Identity(), min: st.minimize(),
 							layers: layers, workers: workers, next: newFrontier(n)}
 						prefix := make([]int, len(cur.list())+1)
 						total := 0

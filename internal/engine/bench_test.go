@@ -30,21 +30,20 @@ func BenchmarkFromScratch(b *testing.B) {
 	}
 }
 
-// BenchmarkFromScratchModes contrasts the scheduler policies on a full
-// evaluation.
+// BenchmarkFromScratchModes contrasts the two schedulers on a full
+// evaluation — the reason Run always picks the sync pass.
 func BenchmarkFromScratchModes(b *testing.B) {
-	g, _ := benchSetup(b)
-	for _, m := range []struct {
-		name string
-		mode Mode
-	}{{"Sync", Sync}, {"Async", Async}} {
-		m := m
-		b.Run(m.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				Run(g, algo.BFS{}, 0, Options{Mode: m.mode})
-			}
-		})
-	}
+	g, n := benchSetup(b)
+	b.Run("Sync", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Run(g, algo.BFS{}, 0, Options{})
+		}
+	})
+	b.Run("Async", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			runAsync(NewState(n, algo.BFS{}, 0), frontierOf(n, 0), g.OutRows())
+		}
+	})
 }
 
 // BenchmarkIncrementalAdd measures addition batches of growing size —

@@ -11,19 +11,51 @@ import (
 	"commongraph/internal/graph"
 )
 
-// engineVariants is the scheduler/parallelism matrix every differential
-// check runs against: sequential and parallel sync (hybrid frontier +
-// work stealing), sequential and bounded-parallel async worklist, and the
-// Auto policy. Small graphs exercise the sequential fast paths; the large
-// trials push iterations over the parallel cutoffs.
-func engineVariants() []Options {
-	return []Options{
-		{Mode: Sync, Workers: 1},
-		{Mode: Sync, Workers: 4},
-		{Mode: Async},
-		{Mode: Async, AsyncWorkers: 4},
-		{Mode: Auto, Workers: 4, AsyncWorkers: 2},
+// engineVariant is one way the engine drives a seeded frontier to
+// fixpoint, called directly so a test can pick it whatever the input.
+type engineVariant struct {
+	name string
+	run  func(g delta.Graph, st *State, seed *frontier) Stats
+}
+
+// engineVariants is the matrix every differential check runs against:
+// sequential and parallel sync passes (hybrid frontier + work stealing),
+// the async drain, and the input policy that chooses between them. Small
+// graphs exercise the sequential fast paths; the large trials push
+// iterations over the parallel cutoffs.
+func engineVariants() []engineVariant {
+	return []engineVariant{
+		{"sync×1", func(g delta.Graph, st *State, seed *frontier) Stats { return runSync(st, seed, g.OutRows(), 1) }},
+		{"sync×4", func(g delta.Graph, st *State, seed *frontier) Stats { return runSync(st, seed, g.OutRows(), 4) }},
+		{"async", func(g delta.Graph, st *State, seed *frontier) Stats { return runAsync(st, seed, g.OutRows()) }},
+		{"policy", func(g delta.Graph, st *State, seed *frontier) Stats {
+			return propagate(g, st, seed, Options{Workers: 4})
+		}},
 	}
+}
+
+// frontierOf seeds a frontier over n vertices with vs.
+func frontierOf(n int, vs ...graph.VertexID) *frontier {
+	f := newFrontier(n)
+	for _, v := range vs {
+		f.setSeq(v)
+	}
+	return f
+}
+
+// solve is Run through the variant.
+func (x engineVariant) solve(g delta.Graph, a algo.Algorithm, src graph.VertexID) (*State, Stats) {
+	st := NewState(g.NumVertices(), a, src)
+	return st, x.run(g, st, frontierOf(g.NumVertices(), src))
+}
+
+// add is IncrementalAdd through the variant.
+func (x engineVariant) add(g delta.Graph, st *State, batch graph.EdgeList) Stats {
+	seed, stats := seedParts(st, [][]graph.Edge{batch}, len(batch))
+	if seed != nil {
+		stats.Add(x.run(g, st, seed))
+	}
+	return stats
 }
 
 // randomGraphAndBatch builds a random base graph and a random addition
@@ -61,7 +93,7 @@ func checkAllVariants(t *testing.T, g *graph.Pair, add graph.EdgeList, a algo.Al
 	refBase := Reference(g, a, src)
 	og := delta.NewOverlayGraph(g, delta.NewOverlay(n, delta.NewBatch(add)))
 	refInc := Reference(og, a, src)
-	base, _ := Run(g, a, src, Options{Mode: Sync, Workers: 1})
+	base, _ := Run(g, a, src, Options{Workers: 1})
 	if !ValuesEqual(base, refBase) {
 		t.Fatalf("%s: baseline sync run diverges from oracle", a.Name())
 	}
@@ -69,24 +101,24 @@ func checkAllVariants(t *testing.T, g *graph.Pair, add graph.EdgeList, a algo.Al
 	for i := range allSeeds {
 		allSeeds[i] = graph.VertexID(i)
 	}
-	for vi, opt := range engineVariants() {
+	for _, x := range engineVariants() {
 		// From scratch (sparse single-vertex seed growing to dense).
-		st, _ := Run(g, a, src, opt)
+		st, _ := x.solve(g, a, src)
 		if !ValuesEqual(st, refBase) {
-			t.Fatalf("%s variant %d: from-scratch values diverge", a.Name(), vi)
+			t.Fatalf("%s %s: from-scratch values diverge", a.Name(), x.name)
 		}
 		// Incremental addition (sparse seeds = batch endpoints).
 		st = base.Clone()
-		IncrementalAdd(og, st, add, opt)
+		x.add(og, st, add)
 		if !ValuesEqual(st, refInc) {
-			t.Fatalf("%s variant %d: incremental-add values diverge", a.Name(), vi)
+			t.Fatalf("%s %s: incremental-add values diverge", a.Name(), x.name)
 		}
 		// Dense reseed: every vertex seeded at once over the overlay view
 		// (the shape of a trim re-propagation that invalidated widely).
 		st = base.Clone()
-		Propagate(og, st, allSeeds, opt)
+		x.run(og, st, frontierOf(n, allSeeds...))
 		if !ValuesEqual(st, refInc) {
-			t.Fatalf("%s variant %d: dense-reseed values diverge", a.Name(), vi)
+			t.Fatalf("%s %s: dense-reseed values diverge", a.Name(), x.name)
 		}
 	}
 }
@@ -94,7 +126,7 @@ func checkAllVariants(t *testing.T, g *graph.Pair, add graph.EdgeList, a algo.Al
 // TestDifferentialRandom cross-checks the hybrid engine against the
 // Reference oracle on random graphs and batches, every algorithm times
 // the full scheduler matrix. Runs under -race in CI (make race), which is
-// what pins the parallel sync chunking and the shared async worklist.
+// what pins the parallel sync chunking.
 func TestDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xC0))
 	for trial := 0; trial < 5; trial++ {
@@ -157,8 +189,8 @@ func FuzzEngineDifferential(f *testing.F) {
 func TestParallelMatchesSequentialStats(t *testing.T) {
 	n, edges := gen.RMAT(gen.DefaultRMAT(12, 60_000, 9))
 	g := graph.NewPair(n, edges)
-	_, seq := Run(g, algo.BFS{}, 0, Options{Mode: Sync, Workers: 1})
-	_, par := Run(g, algo.BFS{}, 0, Options{Mode: Sync, Workers: 4})
+	_, seq := Run(g, algo.BFS{}, 0, Options{Workers: 1})
+	_, par := Run(g, algo.BFS{}, 0, Options{Workers: 4})
 	if seq.Iterations != par.Iterations {
 		t.Fatalf("iterations differ: seq %d par %d", seq.Iterations, par.Iterations)
 	}
@@ -174,13 +206,13 @@ func TestChecksumEqualAcrossVariants(t *testing.T) {
 	g := graph.NewPair(n, edges)
 	for _, a := range algo.All() {
 		var want string
-		for vi, opt := range engineVariants() {
-			st, _ := Run(g, a, 0, opt)
+		for vi, x := range engineVariants() {
+			st, _ := x.solve(g, a, 0)
 			sum := fmt.Sprintf("%v", st.Values()[:64])
 			if vi == 0 {
 				want = sum
 			} else if sum != want {
-				t.Fatalf("%s variant %d: values differ from variant 0", a.Name(), vi)
+				t.Fatalf("%s %s: values differ from %s", a.Name(), x.name, engineVariants()[0].name)
 			}
 		}
 	}
@@ -195,7 +227,7 @@ func TestChecksumEqualAcrossVariants(t *testing.T) {
 func TestIterationShapesAgree(t *testing.T) {
 	n, edges := gen.RMAT(gen.DefaultRMAT(11, 30_000, 13))
 	g := graph.NewPair(n, edges)
-	layers := flatten(g)
+	layers := g.OutRows()
 	shapes := map[string]func(r *syncRunner, list []graph.VertexID, prefix []int, dense *frontier) (int64, int64){
 		"sparseSeq": func(r *syncRunner, list []graph.VertexID, _ []int, _ *frontier) (int64, int64) {
 			return r.sparseSeq(list)
@@ -226,7 +258,7 @@ func TestIterationShapesAgree(t *testing.T) {
 					dense.setSeq(u)
 				}
 				dense.drop()
-				r := &syncRunner{g: g, st: st, alg: a, id: a.Identity(), min: st.minimize(),
+				r := &syncRunner{st: st, alg: a, id: a.Identity(), min: st.minimize(),
 					layers: layers, workers: 3, next: newFrontier(n)}
 				if pushed, _ := shape(r, list, prefix, dense); pushed != int64(prefix[len(list)]) {
 					t.Fatalf("%s %s level %d: pushed %d of %d frontier edges", a.Name(), name, level, pushed, prefix[len(list)])

@@ -13,38 +13,12 @@ import (
 	"commongraph/internal/obs"
 )
 
-// Mode selects the scheduler policy of §4.3: synchronous level-barriered
-// iterations for large frontiers, or an asynchronous worklist where an
-// update becomes visible within the current pass, which is faster for the
-// small frontiers typical of incremental batches.
-type Mode int
-
-const (
-	// Auto picks Async when the seed frontier is below AsyncThreshold,
-	// Sync otherwise (the paper's scheduler policy).
-	Auto Mode = iota
-	// Sync runs barrier-separated parallel iterations.
-	Sync
-	// Async runs a worklist to fixpoint with immediate visibility.
-	Async
-)
-
-// Options tunes an engine run.
+// Options tunes an engine pass. The scheduler is not among them: the
+// input picks it (see propagate).
 type Options struct {
-	// Workers is the parallel width for Sync iterations; 0 means
+	// Workers is the parallel width of sync iterations; 0 means
 	// GOMAXPROCS.
 	Workers int
-	// Mode selects the scheduler (default Auto).
-	Mode Mode
-	// AsyncThreshold is the seed-frontier size below which Auto chooses
-	// Async; 0 means DefaultAsyncThreshold.
-	AsyncThreshold int
-	// AsyncWorkers bounds the parallel width of the Async worklist; 0 or
-	// 1 keeps the sequential FIFO drain (lowest overhead, deterministic
-	// pop order). Larger values let Auto mode's small-frontier path use
-	// cores too: workers share one bounded worklist and an improvement
-	// becomes visible within the pass, as in the sequential drain.
-	AsyncWorkers int
 	// Span, when non-nil, is the caller's trace span: each Run /
 	// IncrementalAddParts emits one child span carrying its Stats. Spans
 	// are per engine pass, never per vertex — the hot loop stays
@@ -60,9 +34,6 @@ func (o Options) WithSpan(s *obs.Span) Options {
 	return o
 }
 
-// DefaultAsyncThreshold is the Auto-mode cutover point.
-const DefaultAsyncThreshold = 2048
-
 func (o Options) workers() int {
 	if o.Workers > 0 {
 		return o.Workers
@@ -70,19 +41,11 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (o Options) threshold() int {
-	if o.AsyncThreshold > 0 {
-		return o.AsyncThreshold
-	}
-	return DefaultAsyncThreshold
-}
-
-func (o Options) asyncWorkers() int {
-	if o.AsyncWorkers > 1 {
-		return o.AsyncWorkers
-	}
-	return 1
-}
+// asyncCutoff is the scheduler policy of §4.3: a seeded frontier of at
+// most this many vertices drains the sequential async worklist, a larger
+// one runs level-synchronous iterations. Set from BenchmarkAsyncCutover
+// (DESIGN.md "Engine" records the measurement).
+const asyncCutoff = 2048
 
 // Stats reports the work an engine pass performed.
 type Stats struct {
@@ -100,41 +63,40 @@ func (s *Stats) Add(o Stats) {
 	s.Trimmed += o.Trimmed
 }
 
-func (s *Stats) add(o Stats) { s.Add(o) }
-
 // Run evaluates the query from scratch: it allocates fresh state with only
 // the source set and propagates to fixpoint over g. A from-scratch solve
-// touches the whole graph regardless of its one-vertex seed, so Auto mode
-// resolves to Sync (level-synchronous parallel iterations) here; pass
-// Async explicitly to force the worklist.
+// touches the whole graph regardless of its one-vertex seed, so it always
+// runs level-synchronous (parallel) iterations.
 func Run(g delta.Graph, a algo.Algorithm, src graph.VertexID, opt Options) (*State, Stats) {
 	sp := opt.Span.StartChild("engine.run", obs.String("algo", a.Name()))
 	st := NewState(g.NumVertices(), a, src)
 	seed := newFrontier(g.NumVertices())
 	seed.setSeq(src)
-	if opt.Mode == Auto {
-		opt.Mode = Sync
-	}
-	stats := propagate(g, st, seed, opt)
+	stats := runSync(st, seed, g.OutRows(), opt.workers())
 	sp.SetAttr(statAttrs(stats)...)
 	sp.End()
 	return st, stats
 }
 
-// statAttrs renders a pass's Stats as span attributes.
+// statAttrs renders a pass's Stats as span attributes. The mode is the
+// scheduler the pass ran: only the async drain reports no iterations.
 func statAttrs(s Stats) []obs.Attr {
+	mode := "sync"
+	if s.Iterations == 0 {
+		mode = "async"
+	}
 	return []obs.Attr{
+		obs.String("mode", mode),
 		obs.Int("iterations", s.Iterations),
 		obs.Int64("edges_pushed", s.EdgesPushed),
 		obs.Int64("improved", s.Improved),
 	}
 }
 
-// Propagate drives an already-seeded frontier to fixpoint over g,
-// following the Options scheduler policy. Exposed for the incremental
-// paths (addition seeding, trim re-propagation). Duplicate seeds are
-// deduplicated; the frontier starts in its sparse representation, so a
-// small seed set never pays a bitset-scan.
+// Propagate drives an already-seeded frontier to fixpoint over g. Exposed
+// for the incremental paths (addition seeding, trim re-propagation).
+// Duplicate seeds are deduplicated; the frontier starts in its sparse
+// representation, so a small seed set never pays a bitset-scan.
 func Propagate(g delta.Graph, st *State, seeds []graph.VertexID, opt Options) Stats {
 	f := newFrontier(g.NumVertices())
 	for _, v := range seeds {
@@ -143,57 +105,24 @@ func Propagate(g delta.Graph, st *State, seeds []graph.VertexID, opt Options) St
 	return propagate(g, st, f, opt)
 }
 
-// flatLayer is one CSR layer's backing slices, captured once per pass so
-// the inner loops index the arrays directly (no closure per edge).
-type flatLayer struct {
-	offs []int32
-	tgts []graph.VertexID
-	wts  []graph.Weight
-}
-
-// flatten probes g for the fused flat-traversal contract
-// (delta.FlatSource). A nil return routes the pass through the callback
-// Graph interface — the path the mutable KickStarter adjacency uses.
-func flatten(g delta.Graph) []flatLayer {
-	fs, ok := g.(delta.FlatSource)
-	if !ok {
-		return nil
+// propagate is the input-chosen scheduler (§4.3). A small frontier — the
+// common shape of an incremental batch — drains the async worklist, where
+// an improvement is visible within the pass and no level barrier is paid;
+// a large one runs synchronous iterations, which can use every worker.
+func propagate(g delta.Graph, st *State, seed *frontier, opt Options) Stats {
+	if seed.count() <= asyncCutoff {
+		return runAsync(st, seed, g.OutRows())
 	}
-	csrs := fs.OutCSRs()
-	layers := make([]flatLayer, len(csrs))
-	for i, c := range csrs {
-		layers[i] = flatLayer{offs: c.Offsets(), tgts: c.Targets(), wts: c.Weights()}
-	}
-	return layers
+	return runSync(st, seed, g.OutRows(), opt.workers())
 }
 
 // degree sums u's row lengths across the layers.
-func degree(layers []flatLayer, u graph.VertexID) int {
+func degree(layers []graph.Rows, u graph.VertexID) int {
 	d := 0
 	for i := range layers {
-		offs := layers[i].offs
-		d += int(offs[u+1] - offs[u])
+		d += int(layers[i].Ends[u] - layers[i].Starts[u])
 	}
 	return d
-}
-
-func propagate(g delta.Graph, st *State, seed *frontier, opt Options) Stats {
-	mode := opt.Mode
-	if mode == Auto {
-		if seed.count() <= opt.threshold() {
-			mode = Async
-		} else {
-			mode = Sync
-		}
-	}
-	layers := flatten(g)
-	if mode == Async {
-		if w := opt.asyncWorkers(); w > 1 {
-			return runAsyncParallel(g, st, seed, layers, w)
-		}
-		return runAsync(g, st, seed, layers)
-	}
-	return runSync(g, st, seed, opt.workers(), layers)
 }
 
 // Scheduling constants of the sync hot path.
@@ -211,20 +140,16 @@ const (
 	minChunkEdges = 1024
 	// denseWordChunk is the stealing granularity of dense word scans.
 	denseWordChunk = 128
-	// sparseVertexChunk is the stealing granularity of sparse scans when
-	// no flat layers are available (no degree information).
-	sparseVertexChunk = 256
 )
 
 // syncRunner holds one sync pass's reusable scratch: the next frontier,
 // per-worker buffers, and the degree-prefix array of the sparse path.
 // Everything is allocated once per pass and recycled across iterations.
 type syncRunner struct {
-	g       delta.Graph
 	st      *State
 	alg     algo.Algorithm
 	id      algo.Value
-	layers  []flatLayer
+	layers  []graph.Rows
 	workers int
 	min     bool
 	next    *frontier
@@ -236,12 +161,11 @@ type syncRunner struct {
 // frontier representation (sparse list vs dense bitset scan) and the
 // execution shape (sequential below seqEdgeCutoff; otherwise degree-aware
 // chunks handed to workers through an atomic work-stealing cursor).
-func runSync(g delta.Graph, st *State, cur *frontier, workers int, layers []flatLayer) Stats {
+func runSync(st *State, cur *frontier, layers []graph.Rows, workers int) Stats {
 	var stats Stats
-	n := g.NumVertices()
 	r := &syncRunner{
-		g: g, st: st, alg: st.a, id: st.a.Identity(), min: st.minimize(),
-		layers: layers, workers: workers, next: newFrontier(n),
+		st: st, alg: st.a, id: st.a.Identity(), min: st.minimize(),
+		layers: layers, workers: workers, next: newFrontier(cur.n),
 	}
 	for !cur.empty() {
 		stats.Iterations++
@@ -257,7 +181,7 @@ func runSync(g delta.Graph, st *State, cur *frontier, workers int, layers []flat
 // iterate processes one frontier into r.next and returns (pushed,
 // improved) counts.
 func (r *syncRunner) iterate(cur *frontier) (int64, int64) {
-	if cur.isSparse() && r.layers != nil {
+	if cur.isSparse() {
 		list := cur.list()
 		// Degree prefix over the active list: prefix[i] is the number of
 		// frontier edges before list[i]. It prices the iteration exactly
@@ -278,15 +202,6 @@ func (r *syncRunner) iterate(cur *frontier) (int64, int64) {
 		}
 		return r.sparsePar(list, prefix, total)
 	}
-	if cur.isSparse() {
-		// Sparse without flat layers (mutable baseline adjacency): no
-		// degree information, so chunk by vertex count.
-		list := cur.list()
-		if r.workers == 1 || len(list) <= sparseVertexChunk {
-			return r.callbackSeqList(list)
-		}
-		return r.callbackParList(list)
-	}
 	// Dense: ordered word scan, priced like the sparse one.
 	if r.workers == 1 || !r.denseWorthWorkers(cur) {
 		return r.denseSeq(cur)
@@ -298,12 +213,8 @@ func (r *syncRunner) iterate(cur *frontier) (int64, int64) {
 // the degree sum the sparse path prices by, and stops counting once past
 // seqEdgeCutoff: a frontier just over the sparse list's keep bound can
 // hold a few thousand edges, which workers cost more to hand out than to
-// relax. Without flat layers there are no degrees, and the scan's extent
-// in words stands in.
+// relax.
 func (r *syncRunner) denseWorthWorkers(cur *frontier) bool {
-	if r.layers == nil {
-		return cur.words() > 2*denseWordChunk
-	}
 	total := 0
 	for wi, w := range cur.bits {
 		for ; w != 0; w &= w - 1 {
@@ -319,8 +230,8 @@ func (r *syncRunner) denseWorthWorkers(cur *frontier) bool {
 	return false
 }
 
-// sparseSeq drains a sparse flat frontier on the calling goroutine; the
-// next frontier is maintained with non-atomic writes.
+// sparseSeq drains a sparse frontier on the calling goroutine; the next
+// frontier is maintained with non-atomic writes.
 func (r *syncRunner) sparseSeq(list []graph.VertexID) (int64, int64) {
 	var p, imp int64
 	st, next, id, min := r.st, r.next, r.id, r.min
@@ -331,9 +242,9 @@ func (r *syncRunner) sparseSeq(list []graph.VertexID) (int64, int64) {
 		}
 		for li := range r.layers {
 			L := &r.layers[li]
-			lo, hi := L.offs[u], L.offs[u+1]
-			ts := L.tgts[lo:hi]
-			ws := L.wts[lo:hi]
+			lo, hi := L.Starts[u], L.Ends[u]
+			ts := L.Targets[lo:hi]
+			ws := L.Weights[lo:hi]
 			for i, v := range ts {
 				cand := r.alg.Propagate(uval, ws[i])
 				if st.improveSeq(v, cand, u, min) {
@@ -351,23 +262,6 @@ func (r *syncRunner) sparseSeq(list []graph.VertexID) (int64, int64) {
 func (r *syncRunner) denseSeq(cur *frontier) (int64, int64) {
 	var p, imp int64
 	st, next, id, min := r.st, r.next, r.id, r.min
-	if r.layers == nil {
-		cur.forEachInWordRange(0, cur.words(), func(u graph.VertexID) {
-			uval := st.Value(u)
-			if uval == id {
-				return
-			}
-			r.g.OutEdges(u, func(v graph.VertexID, w graph.Weight) {
-				p++
-				cand := r.alg.Propagate(uval, w)
-				if st.improveSeq(v, cand, u, min) {
-					imp++
-					next.setSeq(v)
-				}
-			})
-		})
-		return p, imp
-	}
 	cur.forEachInWordRange(0, cur.words(), func(u graph.VertexID) {
 		uval := st.Value(u)
 		if uval == id {
@@ -375,9 +269,9 @@ func (r *syncRunner) denseSeq(cur *frontier) (int64, int64) {
 		}
 		for li := range r.layers {
 			L := &r.layers[li]
-			lo, hi := L.offs[u], L.offs[u+1]
-			ts := L.tgts[lo:hi]
-			ws := L.wts[lo:hi]
+			lo, hi := L.Starts[u], L.Ends[u]
+			ts := L.Targets[lo:hi]
+			ws := L.Weights[lo:hi]
 			for i, v := range ts {
 				cand := r.alg.Propagate(uval, ws[i])
 				if st.improveSeq(v, cand, u, min) {
@@ -426,9 +320,9 @@ func chunkEdges(totalEdges, workers int) int {
 	return sz
 }
 
-// sparsePar processes a sparse flat frontier with degree-aware chunks in
-// edge space: chunk k owns frontier-edge positions [k*sz, (k+1)*sz), and
-// an atomic cursor lets idle workers steal the next chunk. A hub vertex's
+// sparsePar processes a sparse frontier with degree-aware chunks in edge
+// space: chunk k owns frontier-edge positions [k*sz, (k+1)*sz), and an
+// atomic cursor lets idle workers steal the next chunk. A hub vertex's
 // row spans several chunks, so it parallelizes instead of pinning the
 // worker that drew it.
 func (r *syncRunner) sparsePar(list []graph.VertexID, prefix []int, total int) (int64, int64) {
@@ -498,7 +392,7 @@ func (r *syncRunner) pushRange(u graph.VertexID, a, b int, buf *[]graph.VertexID
 	off := 0
 	for li := range r.layers {
 		L := &r.layers[li]
-		lo, hi := L.offs[u], L.offs[u+1]
+		lo, hi := L.Starts[u], L.Ends[u]
 		d := int(hi - lo)
 		if off+d <= a {
 			off += d
@@ -514,8 +408,8 @@ func (r *syncRunner) pushRange(u graph.VertexID, a, b int, buf *[]graph.VertexID
 		if b-off < d {
 			e = b - off
 		}
-		ts := L.tgts[lo+int32(s) : lo+int32(e)]
-		ws := L.wts[lo+int32(s) : lo+int32(e)]
+		ts := L.Targets[lo+int32(s) : lo+int32(e)]
+		ws := L.Weights[lo+int32(s) : lo+int32(e)]
 		for i, v := range ts {
 			cand := r.alg.Propagate(uval, ws[i])
 			if st.Improves(v, cand, min) && st.TryImprove(v, cand, u) {
@@ -532,23 +426,19 @@ func (r *syncRunner) pushRange(u graph.VertexID, a, b int, buf *[]graph.VertexID
 }
 
 // pushFull pushes u's whole row (all layers), collecting newly activated
-// vertices — the dense-scan worker body. The callback form is a method of
-// its own: its closure over p and imp would heap-allocate both here.
+// vertices — the dense-scan worker body.
 func (r *syncRunner) pushFull(u graph.VertexID, buf *[]graph.VertexID) (int64, int64) {
 	uval := r.st.Value(u)
 	if uval == r.id {
 		return 0, 0
 	}
-	if r.layers == nil {
-		return r.pushCallback(u, uval, buf)
-	}
 	var p, imp int64
 	st, next, min := r.st, r.next, r.min
 	for li := range r.layers {
 		L := &r.layers[li]
-		lo, hi := L.offs[u], L.offs[u+1]
-		ts := L.tgts[lo:hi]
-		ws := L.wts[lo:hi]
+		lo, hi := L.Starts[u], L.Ends[u]
+		ts := L.Targets[lo:hi]
+		ws := L.Weights[lo:hi]
 		for i, v := range ts {
 			cand := r.alg.Propagate(uval, ws[i])
 			if st.Improves(v, cand, min) && st.TryImprove(v, cand, u) {
@@ -560,24 +450,6 @@ func (r *syncRunner) pushFull(u graph.VertexID, buf *[]graph.VertexID) (int64, i
 		}
 		p += int64(len(ts))
 	}
-	return p, imp
-}
-
-// pushCallback is pushFull through the adjacency callback, for a graph
-// without flat layers (the mutable baseline).
-func (r *syncRunner) pushCallback(u graph.VertexID, uval algo.Value, buf *[]graph.VertexID) (int64, int64) {
-	var p, imp int64
-	st, next, min := r.st, r.next, r.min
-	r.g.OutEdges(u, func(v graph.VertexID, w graph.Weight) {
-		p++
-		cand := r.alg.Propagate(uval, w)
-		if st.Improves(v, cand, min) && st.TryImprove(v, cand, u) {
-			imp++
-			if next.trySet(v) {
-				*buf = append(*buf, v)
-			}
-		}
-	})
 	return p, imp
 }
 
@@ -616,75 +488,6 @@ func (r *syncRunner) densePar(cur *frontier) (int64, int64) {
 					p += p2
 					imp += i2
 				})
-			}
-			bufs[w] = buf //cgvet:ignore lockdiscipline -- index-disjoint, one w per goroutine
-			pushed.Add(p)
-			improved.Add(imp)
-		}(w)
-	}
-	wg.Wait()
-	box.rethrow()
-	r.publish(bufs)
-	return pushed.Load(), improved.Load()
-}
-
-// callbackSeqList drains a sparse frontier through the callback interface
-// on the calling goroutine (no flat layers: the mutable baseline).
-func (r *syncRunner) callbackSeqList(list []graph.VertexID) (int64, int64) {
-	var p, imp int64
-	st, next, id, min := r.st, r.next, r.id, r.min
-	for _, u := range list {
-		uval := st.Value(u)
-		if uval == id {
-			continue
-		}
-		r.g.OutEdges(u, func(v graph.VertexID, w graph.Weight) {
-			p++
-			cand := r.alg.Propagate(uval, w)
-			if st.improveSeq(v, cand, u, min) {
-				imp++
-				next.setSeq(v)
-			}
-		})
-	}
-	return p, imp
-}
-
-// callbackParList chunks a sparse frontier by vertex count (no degree
-// information without layers) behind the stealing cursor.
-func (r *syncRunner) callbackParList(list []graph.VertexID) (int64, int64) {
-	chunks := (len(list) + sparseVertexChunk - 1) / sparseVertexChunk
-	workers := r.workers
-	if workers > chunks {
-		workers = chunks
-	}
-	bufs := r.buffers(workers)
-	var cursor atomic.Int64
-	var pushed, improved atomic.Int64
-	var wg sync.WaitGroup
-	var box panicBox
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer box.capture()
-			var p, imp int64
-			buf := bufs[w]
-			for {
-				c := int(cursor.Add(1)) - 1
-				if c >= chunks {
-					break
-				}
-				lo := c * sparseVertexChunk
-				hi := lo + sparseVertexChunk
-				if hi > len(list) {
-					hi = len(list)
-				}
-				for _, u := range list[lo:hi] {
-					p2, i2 := r.pushFull(u, &buf)
-					p += p2
-					imp += i2
-				}
 			}
 			bufs[w] = buf //cgvet:ignore lockdiscipline -- index-disjoint, one w per goroutine
 			pushed.Add(p)

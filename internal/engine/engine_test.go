@@ -2,12 +2,14 @@ package engine
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"commongraph/internal/algo"
 	"commongraph/internal/delta"
 	"commongraph/internal/gen"
 	"commongraph/internal/graph"
+	"commongraph/internal/obs"
 )
 
 func testGraph(seed uint64, scale, m int) (*graph.Pair, int) {
@@ -19,11 +21,11 @@ func TestRunMatchesReferenceAllAlgorithms(t *testing.T) {
 	g, _ := testGraph(1, 9, 3000)
 	src := graph.VertexID(0)
 	for _, a := range algo.All() {
-		for _, mode := range []Mode{Sync, Async} {
-			st, stats := Run(g, a, src, Options{Mode: mode})
+		for _, x := range engineVariants() {
+			st, stats := x.solve(g, a, src)
 			ref := Reference(g, a, src)
 			if !ValuesEqual(st, ref) {
-				t.Fatalf("%s mode=%d: values differ from reference", a.Name(), mode)
+				t.Fatalf("%s %s: values differ from reference", a.Name(), x.name)
 			}
 			if stats.EdgesPushed == 0 {
 				t.Fatalf("%s: no work recorded", a.Name())
@@ -37,39 +39,46 @@ func TestSyncParallelWidths(t *testing.T) {
 	a := algo.SSSP{}
 	ref := Reference(g, a, 0)
 	for _, workers := range []int{1, 2, 4, 8} {
-		st, _ := Run(g, a, 0, Options{Mode: Sync, Workers: workers})
+		st, _ := Run(g, a, 0, Options{Workers: workers})
 		if !ValuesEqual(st, ref) {
 			t.Fatalf("workers=%d: wrong values", workers)
 		}
 	}
 }
 
+// TestAutoModePolicies pins the input policy: a from-scratch solve runs
+// sync, and an incremental pass drains the async worklist (no iterations)
+// when its batch seeds at most asyncCutoff vertices and runs sync above
+// that. Each pass's span names the mode it ran.
 func TestAutoModePolicies(t *testing.T) {
-	g, _ := testGraph(3, 8, 1000)
-	// From-scratch runs resolve Auto to Sync: they touch the whole graph.
-	_, stats := Run(g, algo.BFS{}, 0, Options{Mode: Auto})
-	if stats.Iterations == 0 {
-		t.Fatal("auto from-scratch run should iterate synchronously")
+	const n = 4096
+	base := graph.NewPair(n, nil)
+	tr := obs.New(obs.WithFlightRecorder(nil))
+	root := tr.StartSpan("test")
+	if _, stats := Run(base, algo.BFS{}, 0, Options{Span: root}); stats.Iterations == 0 {
+		t.Fatal("from-scratch run should iterate synchronously")
 	}
-	// Explicit Async still forces the worklist.
-	_, stats = Run(g, algo.BFS{}, 0, Options{Mode: Async})
-	if stats.Iterations != 0 {
-		t.Fatalf("async run reported %d sync iterations", stats.Iterations)
+	for _, k := range []int{1, asyncCutoff, asyncCutoff + 1} {
+		// Every edge of the batch improves its own destination.
+		batch := make(graph.EdgeList, k)
+		for i := range batch {
+			batch[i] = graph.Edge{Src: 0, Dst: graph.VertexID(i + 1), W: 1}
+		}
+		og := delta.NewOverlayGraph(base, delta.NewOverlay(n, delta.NewBatch(batch)))
+		st, _ := Run(base, algo.BFS{}, 0, Options{})
+		if stats := IncrementalAdd(og, st, batch, Options{Span: root}); (stats.Iterations == 0) != (k <= asyncCutoff) {
+			t.Fatalf("%d seeds ran %d sync iterations", k, stats.Iterations)
+		}
 	}
-	// Incremental propagation with a tiny seed picks Async under Auto.
-	st, _ := Run(g, algo.BFS{}, 0, Options{})
-	stats = Propagate(g, st, []graph.VertexID{0}, Options{Mode: Auto})
-	if stats.Iterations != 0 {
-		t.Fatalf("auto with tiny seed should run async, got %d iterations", stats.Iterations)
+	root.End()
+	var modes []string
+	for _, e := range tr.Events() {
+		if strings.HasPrefix(e.Name, "engine.") {
+			modes = append(modes, e.Attr("mode"))
+		}
 	}
-	// ... and Sync when the seed exceeds the threshold.
-	seeds := make([]graph.VertexID, 64)
-	for i := range seeds {
-		seeds[i] = graph.VertexID(i)
-	}
-	stats = Propagate(g, st, seeds, Options{Mode: Auto, AsyncThreshold: 8})
-	if stats.Iterations == 0 {
-		t.Fatal("auto with large seed should run sync")
+	if want := []string{"sync", "async", "async", "sync"}; !reflect.DeepEqual(modes, want) {
+		t.Fatalf("span modes %v, want %v", modes, want)
 	}
 }
 
@@ -95,7 +104,7 @@ func TestParentInvariant(t *testing.T) {
 	// exactly v's value — the dependence-tree invariant trimming relies on.
 	g, n := testGraph(4, 9, 4000)
 	for _, a := range algo.All() {
-		st, _ := Run(g, a, 0, Options{Mode: Sync, Workers: 4})
+		st, _ := Run(g, a, 0, Options{Workers: 4})
 		for v := 0; v < n; v++ {
 			val := st.Value(graph.VertexID(v))
 			p := st.Parent(graph.VertexID(v))
@@ -147,11 +156,11 @@ func TestIncrementalAddBothModes(t *testing.T) {
 	basePair := graph.NewPair(n, base)
 	og := delta.NewOverlayGraph(basePair, delta.NewOverlay(n, delta.NewBatch(add)))
 	ref := Reference(og, algo.SSWP{}, 0)
-	for _, mode := range []Mode{Sync, Async} {
+	for _, x := range engineVariants() {
 		st, _ := Run(basePair, algo.SSWP{}, 0, Options{})
-		IncrementalAdd(og, st, add, Options{Mode: mode})
+		x.add(og, st, add)
 		if !ValuesEqual(st, ref) {
-			t.Fatalf("mode=%d diverged", mode)
+			t.Fatalf("%s diverged", x.name)
 		}
 	}
 }
@@ -310,7 +319,7 @@ func TestFrontierSwitchover(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	a := Stats{Iterations: 1, EdgesPushed: 10, Improved: 2}
-	a.add(Stats{Iterations: 2, EdgesPushed: 5, Improved: 1})
+	a.Add(Stats{Iterations: 2, EdgesPushed: 5, Improved: 1})
 	if a.Iterations != 3 || a.EdgesPushed != 15 || a.Improved != 3 {
 		t.Fatalf("%+v", a)
 	}
@@ -325,9 +334,9 @@ func TestDenseParallelPassAllocationsDoNotScaleWithV(t *testing.T) {
 	allocs := func(scale int) (float64, int) {
 		n, edges := gen.RMAT(gen.DefaultRMAT(scale, 8<<scale, 3))
 		g := graph.NewPair(n, edges)
-		_, stats := Run(g, algo.BFS{}, 0, Options{Workers: 2, Mode: Sync})
+		_, stats := Run(g, algo.BFS{}, 0, Options{Workers: 2})
 		return testing.AllocsPerRun(3, func() {
-			Run(g, algo.BFS{}, 0, Options{Workers: 2, Mode: Sync})
+			Run(g, algo.BFS{}, 0, Options{Workers: 2})
 		}), int(stats.Improved)
 	}
 	small, _ := allocs(15)

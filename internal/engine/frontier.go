@@ -21,7 +21,7 @@ import (
 // (list abandoned, set is dense). Every other method is single-writer and
 // assumes the list/bitset invariant holds.
 type frontier struct {
-	//cgvet:ignore atomicguard -- phase contract (documented above): trySet CASes bits during the concurrent relax phase; every plain access runs single-writer between iteration barriers
+	//cgvet:ignore atomicguard -- phase contract (documented above): trySet CASes bits only inside sparsePar/densePar worker pools; every plain access (setSeq, clear, the async drain's in-queue set) runs single-writer with no worker in flight
 	bits []uint64
 	n    int
 	// sparse is the exact active list (no duplicates, unspecified order)
@@ -108,6 +108,22 @@ func (f *frontier) isSparse() bool { return !f.dense }
 
 // list returns the exact active list (only valid while isSparse).
 func (f *frontier) list() []graph.VertexID { return f.sparse }
+
+// members returns the active vertices: the exact list while sparse (the
+// frontier's own backing array), else the bitset's members in ascending
+// order, collected into that array.
+func (f *frontier) members() []graph.VertexID {
+	if !f.dense {
+		return f.sparse
+	}
+	out := f.sparse[:0]
+	for wi, w := range f.bits {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, graph.VertexID(wi*64+bits.TrailingZeros64(w)))
+		}
+	}
+	return out
+}
 
 // has reports whether v is active.
 func (f *frontier) has(v graph.VertexID) bool {

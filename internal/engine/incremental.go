@@ -24,17 +24,28 @@ func IncrementalAdd(g delta.Graph, st *State, batch graph.EdgeList, opt Options)
 // schedule edge spans): all parts seed together and a single propagation
 // pass runs to fixpoint.
 func IncrementalAddParts(g delta.Graph, st *State, parts [][]graph.Edge, opt Options) Stats {
-	var stats Stats
 	batchLen := 0
 	for _, batch := range parts {
 		batchLen += len(batch)
 	}
 	sp := opt.Span.StartChild("engine.incremental", obs.Int("batch", batchLen))
-	id, min := st.a.Identity(), st.minimize()
-	// Seeding is a single-writer phase: plain stores, and the improved
-	// destinations go straight into the pass's frontier, whose list is
-	// sized once from the batch.
+	seed, stats := seedParts(st, parts, batchLen)
+	if seed != nil {
+		stats.Add(propagate(g, st, seed, opt))
+	}
+	sp.SetAttr(statAttrs(stats)...)
+	sp.End()
+	return stats
+}
+
+// seedParts applies every added edge once. Seeding is a single-writer
+// phase: plain stores, and the improved destinations go straight into the
+// pass's frontier, whose list is sized once from the batch. The frontier
+// is nil when no edge improved its destination.
+func seedParts(st *State, parts [][]graph.Edge, batchLen int) (*frontier, Stats) {
+	var stats Stats
 	var seed *frontier
+	id, min := st.a.Identity(), st.minimize()
 	for _, batch := range parts {
 		for _, e := range batch {
 			uval := st.Value(e.Src)
@@ -46,17 +57,12 @@ func IncrementalAddParts(g delta.Graph, st *State, parts [][]graph.Edge, opt Opt
 			if st.improveSeq(e.Dst, cand, e.Src, min) {
 				stats.Improved++
 				if seed == nil {
-					seed = newFrontier(g.NumVertices())
+					seed = newFrontier(st.NumVertices())
 					seed.reserve(batchLen)
 				}
 				seed.setSeq(e.Dst)
 			}
 		}
 	}
-	if seed != nil {
-		stats.add(propagate(g, st, seed, opt))
-	}
-	sp.SetAttr(statAttrs(stats)...)
-	sp.End()
-	return stats
+	return seed, stats
 }

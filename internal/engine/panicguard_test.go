@@ -29,34 +29,26 @@ func starGraph(leaves int) *graph.Pair {
 // TestWorkerPanicContained proves a panic on a pool worker resurfaces on
 // the coordinating goroutine (where internal/core's recoverToError can
 // contain it) instead of crashing the process, and that the pool still
-// drains — wg.Wait returns, no worker is left in cond.Wait.
+// drains — wg.Wait returns.
 func TestWorkerPanicContained(t *testing.T) {
 	g := starGraph(3 * seqEdgeCutoff)
-	for _, opt := range []Options{
-		{Mode: Sync, Workers: 4},
-		{Mode: Async, AsyncWorkers: 4},
-	} {
-		opt := opt
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("opts %+v: worker panic did not reach the coordinator", opt)
-				}
-				wp, ok := r.(workerPanic)
-				if !ok {
-					t.Fatalf("opts %+v: recovered %T, want workerPanic", opt, r)
-				}
-				if !strings.Contains(wp.String(), "vertex program bug") {
-					t.Fatalf("opts %+v: panic value lost: %s", opt, wp)
-				}
-				if len(wp.stack) == 0 {
-					t.Fatalf("opts %+v: worker stack not captured", opt)
-				}
-			}()
-			Run(g, panicAlgo{}, 0, opt)
-		}()
-	}
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("worker panic did not reach the coordinator")
+		}
+		wp, ok := r.(workerPanic)
+		if !ok {
+			t.Fatalf("recovered %T, want workerPanic", r)
+		}
+		if !strings.Contains(wp.String(), "vertex program bug") {
+			t.Fatalf("panic value lost: %s", wp)
+		}
+		if len(wp.stack) == 0 {
+			t.Fatal("worker stack not captured")
+		}
+	}()
+	Run(g, panicAlgo{}, 0, Options{Workers: 4})
 }
 
 // TestWorkerPanicFirstWins: concurrent sibling panics collapse to one

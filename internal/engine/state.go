@@ -1,8 +1,8 @@
 // Package engine is the push-based iterative execution engine shared by
 // the KickStarter baseline and the CommonGraph system. It evaluates a
-// monotonic vertex program (internal/algo) over any adjacency view
-// (internal/delta.Graph) from scratch or incrementally, sequentially or in
-// parallel, and maintains the dependence tree (each vertex's parent — the
+// monotonic vertex program (internal/algo) over the flat rows of any
+// adjacency view (internal/delta.Graph) from scratch or incrementally,
+// sequentially or in parallel, and maintains the dependence tree (each vertex's parent — the
 // in-neighbour that justified its value) that KickStarter-style trimming
 // requires.
 package engine
@@ -25,7 +25,7 @@ type State struct {
 	// min caches a.Direction() == Minimize so the per-edge improvement
 	// test is a plain comparison, not an interface call.
 	min bool
-	//cgvet:ignore atomicguard -- phase contract: Load/TryImprove/Improves CAS words while workers run; improveSeq loads and stores them plainly in single-writer phases (addition seeding, sparseSeq, denseSeq, callbackSeqList, sequential runAsync: one goroutine, no worker in flight); Clone/CloneRecycled/Recycle/Equal/Summary and construction touch them plainly only at quiescent points (no pass in flight)
+	//cgvet:ignore atomicguard -- phase contract: Load/TryImprove/Improves CAS words while workers run; improveSeq loads and stores them plainly in single-writer phases (addition seeding, sparseSeq, denseSeq, runAsync: one goroutine, no worker in flight); Clone/CloneRecycled/Recycle/Equal/Summary and construction touch them plainly only at quiescent points (no pass in flight)
 	words []uint64 // hi 32 bits: value (int32 bit pattern); lo 32: parent
 }
 
@@ -110,11 +110,10 @@ func (s *State) Improves(v graph.VertexID, cand algo.Value, minimize bool) bool 
 }
 
 // improveSeq is TryImprove for the single-writer phases — addition
-// seeding, sparseSeq, denseSeq, callbackSeqList and the sequential async
-// drain, where one goroutine owns the state and no worker is in flight: a
-// plain load, compare and store in place of the pre-filter load plus LOCK
-// CMPXCHG. The passes that do run workers (pushRange, pushFull,
-// runAsyncParallel) keep Improves + TryImprove.
+// seeding, sparseSeq, denseSeq and the async drain, where one goroutine
+// owns the state and no worker is in flight: a plain load, compare and
+// store in place of the pre-filter load plus LOCK CMPXCHG. The worker
+// bodies (pushRange, pushFull) keep Improves + TryImprove.
 func (s *State) improveSeq(v graph.VertexID, cand algo.Value, parent graph.VertexID, minimize bool) bool {
 	cur := algo.Value(int32(uint32(s.words[v] >> 32)))
 	if minimize {

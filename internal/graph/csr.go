@@ -144,20 +144,23 @@ func (c *CSR) Row(u VertexID) ([]VertexID, []Weight) {
 	return c.targets[lo:hi], c.weights[lo:hi]
 }
 
-// Offsets, Targets and Weights expose the CSR's backing arrays for flat
-// traversal: vertex u's half-edges occupy positions
-// [Offsets()[u], Offsets()[u+1]) of Targets() and Weights(). The slices
-// alias the CSR — they are read-only by the §4.1 immutability contract
-// (enforced for the fields themselves by cgvet's csrimmutable analyzer);
-// callers must never write through them. The engine's hot loops index
-// these directly instead of paying a closure call per edge (Neighbors).
-func (c *CSR) Offsets() []int32 { return c.offsets }
+// Rows is one out-adjacency layer in the flat form the engine walks:
+// vertex u's half-edges occupy positions [Starts[u], Ends[u]) of Targets
+// and Weights. A CSR's rows are back to back (Ends[u] == Starts[u+1]); a
+// slack layout leaves room between them. The slices alias the layer and
+// are read-only: a layer's rows never change while a pass holds them.
+type Rows struct {
+	Starts, Ends []int32
+	Targets      []VertexID
+	Weights      []Weight
+}
 
-// Targets returns the neighbor array (see Offsets).
-func (c *CSR) Targets() []VertexID { return c.targets }
-
-// Weights returns the weight array (see Offsets).
-func (c *CSR) Weights() []Weight { return c.weights }
+// Rows returns the CSR as one flat layer, aliasing its arrays at no copy
+// cost. They are read-only by the §4.1 immutability contract (enforced
+// for the fields themselves by cgvet's csrimmutable analyzer).
+func (c *CSR) Rows() Rows {
+	return Rows{Starts: c.offsets[:c.n], Ends: c.offsets[1:], Targets: c.targets, Weights: c.weights}
+}
 
 // Edges reconstructs the edge list (forward orientation). For a reverse
 // CSR the rows are destinations, so the caller should not use this.
@@ -257,10 +260,8 @@ func (p *Pair) NumVertices() int { return p.Out.NumVertices() }
 // NumEdges returns the number of edges.
 func (p *Pair) NumEdges() int { return p.Out.NumEdges() }
 
-// OutCSRs returns the out-adjacency as immutable CSR layers (a single
-// layer for a plain pair) — the flat-traversal hook the engine probes for
-// via delta.FlatSource.
-func (p *Pair) OutCSRs() []*CSR { return []*CSR{p.Out} }
+// OutRows returns the out-adjacency as flat layers: the one forward CSR.
+func (p *Pair) OutRows() []Rows { return []Rows{p.Out.Rows()} }
 
 // OutEdges calls fn for each out-neighbour of u.
 func (p *Pair) OutEdges(u VertexID, fn func(v VertexID, w Weight)) {

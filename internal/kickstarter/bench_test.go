@@ -24,7 +24,7 @@ func BenchmarkTransition(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				sys := New(n, base, algo.SSSP{}, 0, engine.Options{Mode: engine.Sync})
+				sys := New(n, base, algo.SSSP{}, 0, engine.Options{})
 				b.StartTimer()
 				if err := sys.ApplyTransition(trs[0].Additions, trs[0].Deletions); err != nil {
 					b.Fatal(err)
@@ -50,7 +50,7 @@ func BenchmarkDeletionVsAddition(b *testing.B) {
 	b.Run("Addition", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			sys := New(n, base, algo.SSSP{}, 0, engine.Options{Mode: engine.Sync})
+			sys := New(n, base, algo.SSSP{}, 0, engine.Options{})
 			b.StartTimer()
 			if err := sys.ApplyTransition(addTr[0].Additions, nil); err != nil {
 				b.Fatal(err)
@@ -60,7 +60,7 @@ func BenchmarkDeletionVsAddition(b *testing.B) {
 	b.Run("Deletion", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			sys := New(n, base, algo.SSSP{}, 0, engine.Options{Mode: engine.Sync})
+			sys := New(n, base, algo.SSSP{}, 0, engine.Options{})
 			b.StartTimer()
 			if err := sys.ApplyTransition(nil, delTr[0].Deletions); err != nil {
 				b.Fatal(err)
