@@ -1,11 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
-# bench-json: which experiments to snapshot and where. CI commits one
-# BENCH_PR<n>.json per PR so the performance trajectory is diffable.
-BENCH_JSON_OUT ?= BENCH_PR10.json
-BENCH_JSON_FLAGS ?= -exp all
 
-.PHONY: all build test race vet check sarif fuzz-smoke chaos bench-json bench bench-smoke metrics-smoke obs-bench obs-overhead store-crash repl-crash serve-soak ci
+.PHONY: all build test race vet check sarif fuzz-smoke chaos bench bench-smoke metrics-smoke obs-overhead store-crash repl-crash serve-soak ci
 
 all: build vet test
 
@@ -15,9 +11,10 @@ build:
 test:
 	$(GO) test ./...
 
-# The §5 parallel executor is validated under the race detector; the
-# race-stress tests in internal/core pit Parallelism 1/2/unbounded
-# against sequential Work-Sharing over a shared representation.
+# The §5 parallel executors are validated under the race detector; the
+# race-stress tests in internal/core pit DirectHopParallel and
+# WorkSharingParallel at worker budgets 1/2/GOMAXPROCS against sequential
+# Work-Sharing over a shared representation.
 race:
 	$(GO) test -race -timeout 45m ./...
 
@@ -50,19 +47,15 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzEngineDifferential$$' -fuzztime $(FUZZTIME)
 
 # Probabilistic fault injection under the race detector: seeded random
-# errors and panics (internal/faults) against the degraded parallel
-# executor, plus the deterministic fault/cancellation matrix and the
-# race-stress suite. Every outcome must be a clean result, an exact
-# degraded result, or a wrapped injected error — never a crash.
+# errors and panics (internal/faults) at the schedule-edge fault point
+# against both concurrent executors, degrading or not, plus the
+# deterministic fault/cancellation matrix and the race-stress suite.
+# Every outcome must be a clean result, an exact degraded result, or a
+# wrapped injected error — never a crash.
 chaos:
 	COMMONGRAPH_CHAOS=1 COMMONGRAPH_TRACE=log $(GO) test -race ./internal/core -count=1 \
 		-run 'Chaos|Fault|Panic|Degrade|Cancellation|RaceStress'
 	$(GO) test -race . -count=1 -run 'Fault|Degrade|Cancelled|WatcherConcurrent|WatcherRetries'
-
-# Machine-readable benchmark snapshot: every experiment's table plus its
-# wall time as one JSON report (internal/bench.Report — a stable shape).
-bench-json:
-	$(GO) run ./cmd/cgbench $(BENCH_JSON_FLAGS) -json $(BENCH_JSON_OUT)
 
 # Metrics-endpoint smoke: scrape a live Watcher.ServeMetrics endpoint
 # over HTTP and validate the Prometheus exposition plus counter deltas
@@ -70,14 +63,6 @@ bench-json:
 metrics-smoke:
 	$(GO) test . -count=1 -run 'MetricsEndpoint|MetricsServer'
 	$(GO) test ./internal/obs -count=1
-
-# Disabled-path regression guard: the nil-tracer span chain must stay
-# allocation-free and within ~2% of baseline (benchstat old new), and
-# the end-to-end untraced evaluation must not regress against the
-# pre-instrumentation pipeline. See internal/obs/bench_test.go.
-obs-bench:
-	$(GO) test ./internal/obs -run '^$$' -bench 'Disabled|Counter|Histogram' -benchmem -count=5
-	$(GO) test ./internal/core -run '^$$' -bench 'TracingOverhead' -benchmem -count=3
 
 # Always-on observability gate: time the kickstarter maintain loop with
 # flight recording off (nil ambient tracer — the pre-instrumentation

@@ -219,7 +219,7 @@ func TestMaxHopTimeReported(t *testing.T) {
 	if seq.MaxHopTime <= 0 {
 		t.Fatal("direct hop should report the longest hop")
 	}
-	par, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 3}, Strategy: DirectHopParallel, Options: Options{Parallelism: 2}})
+	par, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 3}, Strategy: DirectHopParallel, Options: Options{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

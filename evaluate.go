@@ -30,16 +30,16 @@ const (
 	// independently with one addition batch (§3.1). No deletions, no
 	// mutation.
 	DirectHop
-	// DirectHopParallel is DirectHop with all hops run concurrently
-	// (the paper's Table 5 configuration).
+	// DirectHopParallel is DirectHop with its hops run concurrently
+	// (the paper's Table 5 configuration), within Options.Workers.
 	DirectHopParallel
 	// WorkSharing evaluates along the Steiner-tree schedule over the
 	// Triangular Grid, sharing addition batches among snapshot
 	// subsequences (§3.2, Algorithm 1).
 	WorkSharing
 	// WorkSharingParallel executes the schedule's root subtrees
-	// concurrently — the parallelization of work sharing the paper notes
-	// as future work in §5.
+	// concurrently, within Options.Workers — the parallelization of work
+	// sharing the paper notes as future work in §5.
 	WorkSharingParallel
 )
 
@@ -122,23 +122,25 @@ func strategyNames() string {
 
 // Options tunes an evaluation.
 type Options struct {
-	// Workers bounds engine parallelism (0 = GOMAXPROCS). The engine's
-	// scheduler is not an option: each pass's input picks it (§4.3).
+	// Workers is the evaluation's worker budget (0 = GOMAXPROCS). The
+	// sequential strategies and every common-graph solve run their engine
+	// passes with all of it; DirectHopParallel and WorkSharingParallel
+	// run min(units, Workers) hops or root subtrees at a time and split
+	// it among them. The engine's scheduler is not an option: each pass's
+	// input picks it (§4.3).
 	Workers int
 	// KeepValues retains full per-snapshot value arrays in the result.
 	KeepValues bool
-	// Parallelism bounds how many hops of DirectHopParallel, or root
-	// subtrees of WorkSharingParallel, run at once (0 = all of them).
-	Parallelism int
-	// Degrade makes WorkSharingParallel survive a failed schedule
-	// subtree (an error or a contained panic): the subtree's snapshots
-	// are recomputed via Direct-Hop from the base state and the Result
-	// is marked Degraded, instead of the whole query failing. See
-	// DESIGN.md "Failure semantics" for the exact contract.
+	// Degrade makes DirectHopParallel and WorkSharingParallel survive a
+	// failed unit — a hop or a schedule subtree, failing with an error or
+	// a contained panic: the unit's snapshots are recomputed along the
+	// Direct-Hop star from the base state and the Result is marked
+	// Degraded, instead of the whole query failing. See DESIGN.md
+	// "Failure semantics" for the exact contract.
 	Degrade bool
 	// Trace, when non-nil, records the evaluation's span tree on this
 	// tracer: one root "evaluate" span per query with schedule-level
-	// children (common.solve, hop, schedule.edge, subtree, transitions)
+	// children (common.solve, schedule.edge, subtree, transitions)
 	// down to engine passes — never per-vertex work. Nil falls back to
 	// the process tracer armed by COMMONGRAPH_TRACE (EnvTracer), else to
 	// the always-on ring-only flight recorder, whose completed root spans
@@ -171,14 +173,13 @@ func (o Options) engine() engine.Options {
 // Centralizing this keeps every entry point passing the full option set.
 func (o Options) config(ctx context.Context, q Query, sp *obs.Span) core.Config {
 	return core.Config{
-		Algo:        q.Algorithm,
-		Source:      q.Source,
-		Engine:      o.engine(),
-		KeepValues:  o.KeepValues,
-		Parallelism: o.Parallelism,
-		Ctx:         ctx,
-		Degrade:     o.Degrade,
-		Trace:       sp,
+		Algo:       q.Algorithm,
+		Source:     q.Source,
+		Engine:     o.engine(),
+		KeepValues: o.KeepValues,
+		Ctx:        ctx,
+		Degrade:    o.Degrade,
+		Trace:      sp,
 	}
 }
 
@@ -248,9 +249,9 @@ type Result struct {
 	// paper's Table 5 estimate. Zero for KickStarter, whose transitions
 	// form a single sequential chain.
 	MaxHopTime time.Duration
-	// Degraded reports that one or more schedule subtrees of a
+	// Degraded reports that one or more units of a DirectHopParallel or
 	// WorkSharingParallel evaluation failed and their snapshots were
-	// recomputed via the Direct-Hop fallback (Options.Degrade). Degraded
+	// recomputed along the Direct-Hop star (Options.Degrade). Degraded
 	// values are still exact; only the work sharing was lost.
 	Degraded bool
 	// SnapshotErrors maps absolute snapshot index to the failure that

@@ -60,11 +60,12 @@ func TestUnsupportedStrategyNamesItself(t *testing.T) {
 	}
 }
 
-// TestEvaluateDegradeAcrossAPI drives the public Options.Degrade path, on
-// the graph and on a Watcher whose window does not start at snapshot 0: a
-// panic injected into one schedule subtree must yield a successful,
-// exact, Degraded-marked result with absolute snapshot indices in its
-// failure causes, under a root span that says so.
+// TestEvaluateDegradeAcrossAPI drives the public Options.Degrade path for
+// both concurrent strategies, on the graph and on a Watcher whose window
+// does not start at snapshot 0: a panic injected into one unit (a
+// schedule subtree, a hop) must yield a successful, exact,
+// Degraded-marked result with absolute snapshot indices in its failure
+// causes, under a root span that says so.
 func TestEvaluateDegradeAcrossAPI(t *testing.T) {
 	g, _ := buildEvolving(t, 341, 8, 35, 35)
 	q := Query{Algorithm: SSSP, Source: 0}
@@ -74,13 +75,16 @@ func TestEvaluateDegradeAcrossAPI(t *testing.T) {
 	}
 	defer w.Close()
 	for _, tc := range []struct {
-		name   string
-		from   int
-		origin string
-		run    func(context.Context, Request) (*Result, error)
+		name     string
+		from     int
+		origin   string
+		strategy Strategy
+		run      func(context.Context, Request) (*Result, error)
 	}{
-		{"EvolvingGraph", 0, "", g.Run},
-		{"Watcher", 2, "watcher", w.Run},
+		{"EvolvingGraph", 0, "", WorkSharingParallel, g.Run},
+		{"Watcher", 2, "watcher", WorkSharingParallel, w.Run},
+		{"EvolvingGraph-DirectHopParallel", 0, "", DirectHopParallel, g.Run},
+		{"Watcher-DirectHopParallel", 2, "watcher", DirectHopParallel, w.Run},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			win := Window{From: tc.from, To: 8}
@@ -93,10 +97,10 @@ func TestEvaluateDegradeAcrossAPI(t *testing.T) {
 				{Point: faults.CoreSubtreeWalk, Mode: faults.Panic, After: 1, Times: 1},
 			}})()
 			tr := NewTracer()
-			res, err := tc.run(context.Background(), Request{Query: q, Window: win, Strategy: WorkSharingParallel,
+			res, err := tc.run(context.Background(), Request{Query: q, Window: win, Strategy: tc.strategy,
 				Options: Options{Degrade: true, KeepValues: true, Trace: tr}})
 			if err != nil {
-				t.Fatalf("degrade did not absorb the failed subtree: %v", err)
+				t.Fatalf("degrade did not absorb the failed unit: %v", err)
 			}
 			if !res.Degraded {
 				t.Fatal("result not marked Degraded")

@@ -39,7 +39,7 @@ func AblationSteiner(p Params) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		direct := core.DirectHopSchedule(tg)
+		direct := tg.StarCost()
 
 		t0 := time.Now()
 		greedy := core.SteinerGreedy(tg)
@@ -58,7 +58,7 @@ func AblationSteiner(p Params) (*Table, error) {
 			return nil, err
 		}
 		t.AddRow(fmt.Sprintf("%d", snaps),
-			fmt.Sprintf("%d", direct.Cost),
+			fmt.Sprintf("%d", direct),
 			fmt.Sprintf("%d", greedy.Cost), millis(greedyTime),
 			fmt.Sprintf("%d", dp.Cost), millis(dpTime),
 			fmt.Sprintf("%d/%d", greedySched.Depth(), dpSched.Depth()))

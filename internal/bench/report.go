@@ -20,10 +20,8 @@ type Table struct {
 
 // Report is the machine-readable result of a whole cgbench run
 // (cgbench -json): the parameter set and one entry per experiment, in
-// execution order. CI commits one snapshot per PR (BENCH_PR<n>.json via
-// `make bench-json`) so the performance trajectory of the repo is
-// diffable; the shape — params, then {name, elapsed_seconds, table} — is
-// a stable contract for the comparison tooling.
+// execution order. The shape — params, then {name, elapsed_seconds,
+// table} — is a stable contract for the tooling that reads it.
 type Report struct {
 	Params      Params        `json:"params"`
 	Experiments []ReportEntry `json:"experiments"`

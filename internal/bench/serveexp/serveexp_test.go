@@ -9,8 +9,9 @@ import (
 
 // TestServeExperimentTiny runs the whole experiment at the miniature
 // scale: it must produce the 6 concurrency x sharing rows, the speedup
-// note, and a fully-hit replayed cache batch. No timing thresholds here —
-// wall-clock assertions belong in BENCH_PR9.json, not CI.
+// note, and a fully-hit replayed cache batch. No timing thresholds here:
+// the experiment's own speedup note reports the wall clock, CI does not
+// gate on it.
 func TestServeExperimentTiny(t *testing.T) {
 	tab, err := Serve(bench.Tiny())
 	if err != nil {

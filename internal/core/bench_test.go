@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"commongraph/internal/algo"
+	"commongraph/internal/engine"
 	"commongraph/internal/gen"
+	"commongraph/internal/graph"
 	"commongraph/internal/obs"
 	"commongraph/internal/snapshot"
 )
@@ -156,6 +158,61 @@ func BenchmarkStrategies(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkUnitWidth measures the worker-budget rule on DirectHopParallel
+// over a window shaped like the repository benchmark's dh-wide (LJ-sim at
+// twice the default size, 36 snapshots, 750 + 750 updates per transition)
+// at budget B = 2: one hop in flight with two engine workers, two hops with
+// one each (the rule, min(units, B)), and all 36 at once with one each.
+// The common fixpoint is handed in, as a PlanCache does, so the hops and
+// the seed chain are what is timed. DESIGN.md "Engine" records the table.
+func BenchmarkUnitWidth(b *testing.B) {
+	lj, ok := gen.ByName("LJ-sim")
+	if !ok {
+		b.Fatal("LJ-sim stand-in missing")
+	}
+	n, base := lj.Build(2)
+	trs, err := gen.Stream(n, base, gen.StreamConfig{Transitions: 35, Additions: 750, Deletions: 750, Seed: 37})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := snapshot.NewStore(n, base)
+	for _, tr := range trs {
+		if _, err := s.NewVersion(tr.Additions, tr.Deletions); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rep, err := BuildRep(Window{Store: s, From: 0, To: 35})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The source of highest out-degree, as the repository benchmark draws
+	// its sources from the best-connected vertices.
+	deg := make([]int, n)
+	var src graph.VertexID
+	for _, e := range base {
+		if deg[e.Src]++; deg[e.Src] > deg[src] {
+			src = e.Src
+		}
+	}
+	common, _ := engine.Run(rep.Base, algo.SSSP{}, src, engine.Options{})
+	cfg := Config{Algo: algo.SSSP{}, Source: src, Engine: engine.Options{Workers: 2}, Common: common}
+	star := rep.star()
+	for _, width := range []int{1, 2, len(star.Root.Edges)} {
+		b.Run(fmt.Sprintf("inflight=%d", width), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				x, err := start(rep, cfg, "direct-hop-parallel")
+				if err == nil {
+					err = x.run(star, true, width)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkTracingOverhead contrasts the same end-to-end Work-Sharing

@@ -214,8 +214,8 @@ func checkExactTree(t *testing.T, tg *TG, tree *SteinerTree) {
 	if g := SteinerGreedy(tg); tree.Cost > g.Cost {
 		t.Fatalf("w=%d: exact cost %d exceeds greedy %d", tg.W, tree.Cost, g.Cost)
 	}
-	if d := DirectHopSchedule(tg); tree.Cost > d.Cost {
-		t.Fatalf("w=%d: exact cost %d exceeds direct-hop %d", tg.W, tree.Cost, d.Cost)
+	if d := tg.StarCost(); tree.Cost > d {
+		t.Fatalf("w=%d: exact cost %d exceeds direct-hop %d", tg.W, tree.Cost, d)
 	}
 	sched, err := NewSchedule(tg, tree)
 	if err != nil {
@@ -326,24 +326,33 @@ func TestScheduleLeavesAndCost(t *testing.T) {
 			t.Fatalf("leaf %d = [%d,%d]", k, l.I, l.J)
 		}
 	}
-	// The direct-hop schedule's per-leaf batches must equal Rep.Deltas.
+	// Any root-to-leaf path streams Δ_ck: the labels along a zigzag to leaf
+	// k union to Rep.Deltas[k] (the rule that lets an edge from the root
+	// into a leaf stream the seed chain's S_k whatever the schedule), and
+	// the star costs what the rep's deltas hold.
 	rep, err := BuildRep(Window{Store: s, From: 0, To: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dh := DirectHopSchedule(tg)
-	labels := tg.Labels(dh.GridEdges())
-	for k, e := range dh.Root.Edges {
+	for k := 0; k < tg.W; k++ {
+		var path []GridEdge
+		for i := 0; i < k; i++ {
+			path = append(path, GridEdge{I: i, J: tg.W - 1})
+		}
+		for j := tg.W - 1; j > k; j-- {
+			path = append(path, GridEdge{I: k, J: j, Left: true})
+		}
+		labels := tg.Labels(path)
 		var batch graph.EdgeList
-		for _, span := range e.Spans {
+		for _, span := range path {
 			batch = graph.Union(batch, labels[span])
 		}
 		if !graph.Equal(batch, rep.Deltas[k].Edges()) {
-			t.Fatalf("direct-hop batch %d differs from Δc%d", k, k)
+			t.Fatalf("root-to-leaf batch %d differs from Δc%d", k, k)
 		}
 	}
-	if dh.Cost != rep.TotalDeltaEdges() {
-		t.Fatalf("direct-hop schedule cost %d != ΣΔ %d", dh.Cost, rep.TotalDeltaEdges())
+	if c := tg.StarCost(); c != rep.TotalDeltaEdges() || rep.star().Cost != c {
+		t.Fatalf("star cost %d (TG) / %d (rep) != ΣΔ %d", c, rep.star().Cost, rep.TotalDeltaEdges())
 	}
 }
 
@@ -413,7 +422,7 @@ func TestDirectHopParallelBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Algo: algo.BFS{}, Source: 0, Parallelism: 2}
+	cfg := Config{Algo: algo.BFS{}, Source: 0, Engine: engine.Options{Workers: 2}}
 	res, err := DirectHopParallel(rep, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -499,19 +508,27 @@ func TestScheduleStringRendering(t *testing.T) {
 
 func TestDirectHopScheduleLeaves(t *testing.T) {
 	s, _ := randomStore(67, 5, 20, 20)
-	tg, _ := BuildTG(Window{Store: s, From: 0, To: 5})
-	dh := DirectHopSchedule(tg)
+	rep, _ := BuildRep(Window{Store: s, From: 0, To: 5})
+	dh := rep.star()
+	if dh != rep.star() {
+		t.Fatal("the star is built again on every call")
+	}
 	leaves := dh.Leaves()
 	if len(leaves) != 6 {
 		t.Fatalf("leaves=%d", len(leaves))
 	}
-	if len(dh.Root.Edges) != 6 {
-		t.Fatalf("root fan-out=%d", len(dh.Root.Edges))
+	if len(dh.Root.Edges) != 6 || dh.Depth() != 1 {
+		t.Fatalf("root fan-out=%d depth=%d", len(dh.Root.Edges), dh.Depth())
 	}
-	for _, e := range dh.Root.Edges {
-		if len(e.Spans) != 5 {
-			t.Fatalf("direct-hop edge spans %d grid edges, want 5", len(e.Spans))
+	for k, e := range dh.Root.Edges {
+		if e.To.I != k || e.AddCount != int64(rep.Deltas[k].Len()) || len(e.parts) != 1 ||
+			!graph.Equal(e.parts[0], rep.Deltas[k].Edges()) {
+			t.Fatalf("star edge %d does not stream Δc%d whole", k, k)
 		}
+	}
+	one, _ := BuildRep(Window{Store: s, From: 2, To: 2})
+	if !one.star().Root.IsLeaf() {
+		t.Fatal("a single-snapshot star should be a lone leaf")
 	}
 }
 

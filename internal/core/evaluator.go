@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"commongraph/internal/algo"
@@ -17,29 +18,31 @@ import (
 type Config struct {
 	Algo   algo.Algorithm
 	Source graph.VertexID
+	// Engine tunes the engine passes. Its Workers is the evaluation's one
+	// worker budget B (0 = GOMAXPROCS). The common solve and the sequential
+	// strategies run every pass with B workers. A concurrent strategy runs
+	// min(units, B) units at a time, each pass with max(1, B/in-flight)
+	// workers (DESIGN.md "Engine").
 	Engine engine.Options
 	// KeepValues retains the full per-snapshot value arrays in the result
 	// (tests and small runs); otherwise only counts and checksums are kept.
 	KeepValues bool
-	// Parallelism bounds how many hops of DirectHopParallel, or root
-	// subtrees of WorkSharingParallel, run at once; 0 means all of them.
-	Parallelism int
 	// Ctx cancels the evaluation cooperatively: it is observed at every
-	// schedule-edge boundary (each Direct-Hop, each Work-Sharing DFS
-	// edge), so a deadline or client disconnect stops the work within one
-	// edge. Nil means the evaluation is never cancelled.
+	// schedule-edge boundary, so a deadline or client disconnect stops the
+	// work within one edge. Nil means the evaluation is never cancelled.
 	Ctx context.Context
-	// Degrade lets WorkSharingParallel survive a failed (erroring or
-	// panicking) schedule subtree: the subtree's snapshots are recomputed
-	// via Direct-Hop from the base state and the Result is marked
-	// Degraded, instead of the whole query failing.
+	// Degrade lets the concurrent strategies (DirectHopParallel,
+	// WorkSharingParallel) survive a failed (erroring or panicking) unit:
+	// the unit's snapshots are recomputed along the star from the base
+	// state and the Result is marked Degraded, instead of the whole query
+	// failing.
 	Degrade bool
 	// Trace, when non-nil, is the query's root span: executors hang
-	// schedule-level spans off it (common.solve, hop, schedule.edge,
-	// subtree — the taxonomy DESIGN.md "Observability" documents) and the
-	// engine nests its per-pass spans below those. Nil — the default —
-	// disables tracing at one pointer test per span site; the hot
-	// per-vertex loop is never instrumented either way.
+	// schedule-level spans off it (common.solve, schedule.edge, subtree —
+	// the taxonomy DESIGN.md "Observability" documents) and the engine
+	// nests its per-pass spans below those. Nil — the default — disables
+	// tracing at one pointer test per span site; the hot per-vertex loop is
+	// never instrumented either way.
 	Trace *obs.Span
 	// Common, when non-nil, is a pre-solved fixpoint state for the
 	// window's common graph: solveCommon clones it instead of running the
@@ -48,6 +51,14 @@ type Config struct {
 	// cross-query PlanCache uses this to share one common-graph solve
 	// among overlapping concurrent queries.
 	Common *engine.State
+}
+
+// budget is the evaluation's worker budget B.
+func (cfg Config) budget() int {
+	if cfg.Engine.Workers > 0 {
+		return cfg.Engine.Workers
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // nodeRef renders a schedule node as "i,j" for span attributes. In a
@@ -122,15 +133,14 @@ type Result struct {
 	// one core per unit. Zero only for KickStarter-style fully sequential
 	// plans and single-snapshot windows.
 	MaxHopTime time.Duration
-	// Degraded marks that at least one schedule subtree failed and its
-	// snapshots were recomputed via the Direct-Hop fallback
-	// (Config.Degrade). Degraded snapshot values are still exact — the
-	// fallback recomputes from the base state — only the work sharing was
-	// lost.
+	// Degraded marks that at least one concurrent unit failed and its
+	// snapshots were recomputed along the star (Config.Degrade). Degraded
+	// snapshot values are still exact — the fallback recomputes from the
+	// base state — only the work sharing was lost.
 	Degraded bool
 	// SnapshotErrors records, per window-relative snapshot index, the
-	// original subtree failure that forced that snapshot onto the
-	// fallback path. Nil unless Degraded.
+	// original unit failure that forced that snapshot onto the fallback
+	// path. Nil unless Degraded.
 	SnapshotErrors map[int]error
 }
 
@@ -148,37 +158,30 @@ func snapshotResult(k int, st *engine.State, keep bool) SnapshotResult {
 
 // execution is one CommonGraph evaluation in progress: the set-up every
 // strategy shares (the entry checkpoint and the common graph's solution)
-// and the result its units — Direct-Hop's hops, Work-Sharing's root
-// subtrees — account into.
+// and the result its units — the schedule's root edges and the subtrees
+// below them — account into.
 type execution struct {
 	rep   *Rep
 	cfg   Config
 	label string // strategy slug: the HopSeconds series and the pprof label
 	// width is how many units may be in flight at once; at 1 they run in
-	// order on the calling goroutine.
-	width int
-	base  *engine.State // the common graph's fixpoint
-	// seeds[k] is the part of Deltas[k] hop k hands the engine (seedChain);
-	// nil when nothing derived it, and a hop then streams its whole batch.
-	seeds []graph.EdgeList
+	// order on the calling goroutine. engine tunes the units' passes.
+	width  int
+	engine engine.Options
+	base   *engine.State // the common graph's fixpoint
+	// seeds[k] is the part of Deltas[k] an edge from the root into leaf k
+	// hands the engine (seedChain); nil when nothing derived it.
+	seeds [][]graph.Edge
 	res   *Result
 }
 
-// start passes the entry checkpoint and solves the common graph. A
-// parallel strategy runs cfg.Parallelism of its units at a time (all of
-// them when that is zero), any other strategy one.
-func start(rep *Rep, cfg Config, label string, units int, parallel bool) (*execution, error) {
+// start passes the entry checkpoint and solves the common graph.
+func start(rep *Rep, cfg Config, label string) (*execution, error) {
 	if err := checkpoint(cfg.Ctx, faults.CoreEngineRun); err != nil {
 		return nil, err
 	}
-	x := &execution{rep: rep, cfg: cfg, label: label, width: 1,
+	x := &execution{rep: rep, cfg: cfg, label: label, engine: cfg.Engine,
 		res: &Result{Snapshots: make([]SnapshotResult, len(rep.Deltas))}}
-	if parallel {
-		x.width = cfg.Parallelism
-		if x.width <= 0 || x.width > units {
-			x.width = units
-		}
-	}
 	t0 := time.Now()
 	var stats engine.Stats
 	x.base, stats = solveCommon(rep.Base, cfg)
@@ -239,7 +242,7 @@ func appendUseful(dst graph.EdgeList, base *engine.State, batch graph.EdgeList) 
 	return dst
 }
 
-// seedChain derives every hop's useful seed set S_k = useful(Deltas[k])
+// seedChain derives every leaf's useful seed set S_k = useful(Deltas[k])
 // from the common fixpoint without filtering each batch: S_0 filters
 // Deltas[0], and S_k follows by the recurrence BuildRep derives the deltas
 // with, S_{k+1} = (S_k \ Δ−_k) ∪ useful(Δ+_k), on the window's own
@@ -254,7 +257,7 @@ func (x *execution) seedChain() (useful int64) {
 	t0 := time.Now()
 	sp := x.cfg.Trace.StartChild("hop.seeds")
 	w, deltas := x.rep.Window, x.rep.Deltas
-	x.seeds = make([]graph.EdgeList, len(deltas))
+	x.seeds = make([][]graph.Edge, len(deltas))
 	x.seeds[0] = appendUseful(nil, x.base, deltas[0].Edges())
 	useful = int64(len(x.seeds[0]))
 	var adds graph.EdgeList
@@ -275,85 +278,30 @@ func (x *execution) seedChain() (useful int64) {
 // hop hands the engine.
 func SeedShare(rep *Rep, cfg Config) (streamed, useful int64, err error) {
 	defer recoverToError(&err)
-	x, err := start(rep, cfg, "direct-hop", len(rep.Deltas), false)
+	x, err := start(rep, cfg, "direct-hop")
 	if err != nil {
 		return 0, 0, err
 	}
 	return rep.TotalDeltaEdges(), x.seedChain(), nil
 }
 
-// hop reaches snapshot k from the common graph's solution (§3.1): the
-// snapshot's leaf overlay, a copy of the base state and the batch's useful
-// seeds (the whole batch where no chain derived them), accounted into acc.
-// It is a schedule-edge boundary, so cancellation and injected faults are
-// observed before the work starts. With fork the hop's span renders on its
-// own trace track, showing the real overlap of concurrent hops. The copy
-// is dead once its summary is taken and goes back to the free list.
-func (x *execution) hop(k int, parent *obs.Span, name string, fork bool, acc *Result) error {
-	if err := checkpoint(x.cfg.Ctx, faults.CoreOverlayBuild); err != nil {
-		return err
-	}
-	batch := x.rep.Deltas[k]
-	seeds := batch.Edges()
-	if x.seeds != nil {
-		seeds = x.seeds[k]
-	}
-	attrs := []obs.Attr{obs.Int("snapshot", k), obs.Int("batch", batch.Len()), obs.Int("seeds", len(seeds))}
-	var sp *obs.Span
-	if fork {
-		sp = parent.Fork(name, attrs...)
-	} else {
-		sp = parent.StartChild(name, attrs...)
-	}
-	t1 := time.Now()
-	og := x.rep.SnapshotGraph(k)
-	t2 := time.Now()
-	st := x.base.CloneRecycled()
-	t3 := time.Now()
-	s := engine.IncrementalAdd(og, st, seeds, x.cfg.Engine.WithSpan(sp))
-	t4 := time.Now()
-	sp.End()
-	acc.Cost.OverlayBuild += t2.Sub(t1)
-	acc.Cost.StateClone += t3.Sub(t2)
-	acc.Cost.IncrementalAdd += t4.Sub(t3)
-	acc.Work.Add(s)
-	acc.AdditionsProcessed += int64(batch.Len())
-	x.res.Snapshots[k] = snapshotResult(k, st, x.cfg.KeepValues)
-	st.Recycle()
-	return nil
-}
-
 // DirectHop evaluates the query on every snapshot of the window via §3.1:
-// solve the common graph once, then for each snapshot independently stream
-// its Δ_ck addition batch and update incrementally. Sequential; see
-// DirectHopParallel for the parallel variant.
+// solve the common graph once, then reach each snapshot independently
+// along the star, streaming its Δ_ck addition batch — the useful part of
+// it, by the seed chain. Sequential; see DirectHopParallel for the
+// concurrent variant.
 func DirectHop(rep *Rep, cfg Config) (*Result, error) {
-	return directHop(rep, cfg, "direct-hop", false)
+	return walk(rep, rep.star(), cfg, "direct-hop", false)
 }
 
 // DirectHopParallel runs the hops of DirectHop concurrently (the paper's
-// Table 5), Config.Parallelism at a time: hops are independent because
-// each starts from the common graph's solution, the dependency streaming
-// imposes having been broken. MaxHopTime in the result is the longest
-// single hop.
+// Table 5), within the worker budget: hops are independent because each
+// starts from the common graph's solution, the dependency streaming
+// imposes having been broken. Each hop runs panic-contained, and with
+// Config.Degrade a failed one is walked again from the base state.
+// MaxHopTime in the result is the longest single hop.
 func DirectHopParallel(rep *Rep, cfg Config) (*Result, error) {
-	return directHop(rep, cfg, "direct-hop-parallel", true)
-}
-
-func directHop(rep *Rep, cfg Config, label string, parallel bool) (res *Result, err error) {
-	defer recoverToError(&err)
-	x, err := start(rep, cfg, label, len(rep.Deltas), parallel)
-	if err != nil {
-		return nil, err
-	}
-	x.seedChain()
-	err = x.each(len(rep.Deltas), func(k int, acc *Result) error {
-		return x.hop(k, cfg.Trace, "hop", x.width > 1, acc)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return x.res, nil
+	return walk(rep, rep.star(), cfg, "direct-hop-parallel", true)
 }
 
 // WorkSharing evaluates the window along a schedule tree: the common graph
@@ -362,62 +310,97 @@ func directHop(rep *Rep, cfg Config, label string, parallel bool) (res *Result, 
 // common graph states among every snapshot below it (§3.2). The root's
 // subtrees are walked in order on the calling goroutine.
 func WorkSharing(rep *Rep, tg *TG, sched *Schedule, cfg Config) (*Result, error) {
-	return workSharing(rep, tg, sched, cfg, "work-sharing", false)
+	if err := checkWidth(rep, tg); err != nil {
+		return nil, err
+	}
+	return walk(rep, sched, cfg, "work-sharing", false)
 }
 
 // WorkSharingParallel executes a schedule with the root's child subtrees
-// running concurrently, Config.Parallelism at a time — the parallelization
+// running concurrently, within the worker budget — the parallelization
 // §5 notes is possible for the work-sharing algorithm ("resulting in a
 // more work efficient algorithm" than parallel direct hop). Subtrees are
 // independent: each starts from its own clone of the common graph's
 // solution, so no synchronization is needed beyond joining.
 //
-// Fault tolerance: every subtree runs panic-contained — a panic becomes a
-// *PanicError instead of crashing the process — and cancellation is
-// observed at each schedule-edge boundary. When Config.Degrade is set, a
-// failed subtree falls back to Direct-Hop recomputation of its snapshots
-// from the base state and the Result is marked Degraded with the
-// per-snapshot failure cause; otherwise a failure aborts the whole
-// evaluation.
+// Fault tolerance, as for DirectHopParallel: every subtree runs
+// panic-contained — a panic becomes a *PanicError instead of crashing the
+// process — and cancellation is observed at each schedule-edge boundary.
+// When Config.Degrade is set, a failed subtree's snapshots are recomputed
+// along the star from the base state and the Result is marked Degraded
+// with the per-snapshot failure cause; otherwise a failure aborts the
+// whole evaluation.
 //
 // Result.MaxHopTime reports the longest subtree (the wall-time estimate
 // with one core per subtree); the Cost fields aggregate CPU time across
 // subtrees.
 func WorkSharingParallel(rep *Rep, tg *TG, sched *Schedule, cfg Config) (*Result, error) {
-	return workSharing(rep, tg, sched, cfg, "work-sharing-parallel", true)
+	if err := checkWidth(rep, tg); err != nil {
+		return nil, err
+	}
+	return walk(rep, sched, cfg, "work-sharing-parallel", true)
 }
 
-func workSharing(rep *Rep, tg *TG, sched *Schedule, cfg Config, label string, parallel bool) (res *Result, err error) {
-	defer recoverToError(&err)
+func checkWidth(rep *Rep, tg *TG) error {
 	if tg.W != rep.Window.Width() {
-		return nil, fmt.Errorf("core: TG width %d does not match window width %d", tg.W, rep.Window.Width())
+		return fmt.Errorf("core: TG width %d does not match window width %d", tg.W, rep.Window.Width())
 	}
-	roots := sched.Root.Edges
-	x, err := start(rep, cfg, label, len(roots), parallel)
+	return nil
+}
+
+// walk is every CommonGraph strategy: solve the common graph once, then
+// walk the schedule's root edges as independent units, each with the
+// subtree below it. Sequential units run in order on the calling
+// goroutine, and the last one takes the base state itself. Isolated units
+// run concurrently, min(units, B) at a time, each from its own copy of
+// the base state and panic-contained, so that Config.Degrade can
+// recompute a failed one along the star.
+func walk(rep *Rep, sched *Schedule, cfg Config, label string, isolated bool) (res *Result, err error) {
+	defer recoverToError(&err)
+	x, err := start(rep, cfg, label)
 	if err != nil {
 		return nil, err
 	}
-	if sched.Root.IsLeaf() {
+	width := 1
+	if isolated {
+		width = min(len(sched.Root.Edges), cfg.budget())
+	}
+	if err := x.run(sched, isolated, width); err != nil {
+		return nil, err
+	}
+	return x.res, nil
+}
+
+// run walks sched from the common graph's solution, width units at a
+// time, sharing the worker budget B among them: each unit's passes get
+// max(1, B/width) workers. The star's walk derives the seed chain first.
+func (x *execution) run(sched *Schedule, isolated bool, width int) error {
+	root := sched.Root
+	if root.IsLeaf() {
 		// Single-snapshot window: the common graph is the snapshot.
-		x.res.Snapshots[0] = snapshotResult(0, x.base, cfg.KeepValues)
-		return x.res, nil
+		x.res.Snapshots[0] = snapshotResult(0, x.base, x.cfg.KeepValues)
+		return nil
+	}
+	if sched.star {
+		x.seedChain()
 	}
 	// Labels and overlay stacks come from the schedule's memo; only its
 	// first evaluation pays for them.
 	tL := time.Now()
 	sched.executable()
-	x.res.Cost.OverlayBuild = time.Since(tL)
+	x.res.Cost.OverlayBuild += time.Since(tL)
 
-	err = x.each(len(roots), func(i int, acc *Result) error {
-		if parallel {
-			return x.isolatedSubtree(sched.Root, roots[i], acc)
-		}
-		return x.walkSubtree(sched.Root, roots[i], childState(x.base, i == len(roots)-1, acc), cfg.Trace, acc)
-	})
-	if err != nil {
-		return nil, err
+	x.width = width
+	if width > 1 {
+		x.engine.Workers = max(1, x.cfg.budget()/width)
 	}
-	return x.res, nil
+	units := root.Edges
+	return x.each(len(units), func(i int, acc *Result) error {
+		if isolated {
+			return x.isolatedSubtree(root, units[i], acc)
+		}
+		return x.walkSubtree(root, units[i], childState(x.base, i == len(units)-1, acc), x.cfg.Trace, acc)
+	})
 }
 
 // childState is the state one of a node's outgoing edges starts from:
@@ -441,17 +424,21 @@ func (x *execution) walkSubtree(from *ScheduleNode, e *ScheduleEdge, st *engine.
 	if err := checkpoint(x.cfg.Ctx, faults.CoreSubtreeWalk); err != nil {
 		return err
 	}
+	parts := x.batch(from, e)
+	seeds := 0
+	for _, p := range parts {
+		seeds += len(p)
+	}
 	sp := parent.StartChild("schedule.edge",
 		obs.String("from", nodeRef(from)), obs.String("to", nodeRef(e.To)),
-		obs.Int("spans", len(e.Spans)))
+		obs.Int("spans", len(e.Spans)), obs.Int64("batch", e.AddCount), obs.Int("seeds", seeds))
 	t1 := time.Now()
 	og := edgeGraph(x.rep, e)
 	t2 := time.Now()
 	acc.Cost.OverlayBuild += t2.Sub(t1)
 
-	s := engine.IncrementalAddParts(og, st, e.parts, x.cfg.Engine.WithSpan(sp))
+	s := engine.IncrementalAddParts(og, st, parts, x.engine.WithSpan(sp))
 	acc.Cost.IncrementalAdd += time.Since(t2)
-	sp.SetAttr(obs.Int64("batch", e.AddCount))
 	sp.End()
 	acc.Work.Add(s)
 	acc.AdditionsProcessed += e.AddCount
@@ -471,6 +458,17 @@ func (x *execution) walkSubtree(from *ScheduleNode, e *ScheduleEdge, st *engine.
 		}
 	}
 	return nil
+}
+
+// batch is what schedule edge e out of node from hands the engine. An
+// edge from the root into leaf k streams Δ_ck whatever the schedule, so
+// where the seed chain was derived its useful part S_k stands in for it;
+// every other edge streams its label parts.
+func (x *execution) batch(from *ScheduleNode, e *ScheduleEdge) [][]graph.Edge {
+	if x.seeds != nil && e.To.IsLeaf() && from.I == 0 && from.J == len(x.seeds)-1 {
+		return x.seeds[e.To.I : e.To.I+1]
+	}
+	return e.parts
 }
 
 // edgeGraph is the graph at a schedule edge's destination: the common

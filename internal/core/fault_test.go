@@ -47,6 +47,19 @@ func newFaultFixture(t *testing.T, seed uint64, transitions int) *faultFixture {
 	return &faultFixture{rep: rep, tg: tg, sched: sched, cfg: cfg, clean: clean, n: n}
 }
 
+// strategies runs each CommonGraph strategy over the fixture's window.
+func (f *faultFixture) strategies() map[string]func(Config) (*Result, error) {
+	return map[string]func(Config) (*Result, error){
+		"DirectHop":           func(c Config) (*Result, error) { return DirectHop(f.rep, c) },
+		"DirectHopParallel":   func(c Config) (*Result, error) { return DirectHopParallel(f.rep, c) },
+		"WorkSharing":         func(c Config) (*Result, error) { return WorkSharing(f.rep, f.tg, f.sched, c) },
+		"WorkSharingParallel": func(c Config) (*Result, error) { return WorkSharingParallel(f.rep, f.tg, f.sched, c) },
+	}
+}
+
+// concurrent names the strategies Config.Degrade applies to.
+var concurrent = []string{"WorkSharingParallel", "DirectHopParallel"}
+
 func (f *faultFixture) assertMatchesClean(t *testing.T, got *Result) {
 	t.Helper()
 	if len(got.Snapshots) != len(f.clean.Snapshots) {
@@ -89,30 +102,9 @@ func TestFaultMatrix(t *testing.T) {
 
 	t.Run(string(faults.CoreEngineRun), func(t *testing.T) {
 		defer faults.Arm(&faults.Plan{Specs: []faults.Spec{{Point: faults.CoreEngineRun}}})()
-		for name, run := range map[string]func() (*Result, error){
-			"DirectHop":         func() (*Result, error) { return DirectHop(f.rep, f.cfg) },
-			"DirectHopParallel": func() (*Result, error) { return DirectHopParallel(f.rep, f.cfg) },
-			"WorkSharing":       func() (*Result, error) { return WorkSharing(f.rep, f.tg, f.sched, f.cfg) },
-			"WorkSharingParallel": func() (*Result, error) {
-				return WorkSharingParallel(f.rep, f.tg, f.sched, f.cfg)
-			},
-		} {
-			res, err := run()
+		for name, run := range f.strategies() {
+			res, err := run(f.cfg)
 			assertInjected(t, err, faults.CoreEngineRun)
-			if res != nil {
-				t.Fatalf("%s returned a partial result alongside the error", name)
-			}
-		}
-	})
-
-	t.Run(string(faults.CoreOverlayBuild), func(t *testing.T) {
-		defer faults.Arm(&faults.Plan{Specs: []faults.Spec{{Point: faults.CoreOverlayBuild}}})()
-		for name, run := range map[string]func() (*Result, error){
-			"DirectHop":         func() (*Result, error) { return DirectHop(f.rep, f.cfg) },
-			"DirectHopParallel": func() (*Result, error) { return DirectHopParallel(f.rep, f.cfg) },
-		} {
-			res, err := run()
-			assertInjected(t, err, faults.CoreOverlayBuild)
 			if res != nil {
 				t.Fatalf("%s returned a partial result alongside the error", name)
 			}
@@ -121,15 +113,12 @@ func TestFaultMatrix(t *testing.T) {
 
 	t.Run(string(faults.CoreSubtreeWalk), func(t *testing.T) {
 		defer faults.Arm(&faults.Plan{Specs: []faults.Spec{{Point: faults.CoreSubtreeWalk}}})()
-		res, err := WorkSharing(f.rep, f.tg, f.sched, f.cfg)
-		assertInjected(t, err, faults.CoreSubtreeWalk)
-		if res != nil {
-			t.Fatal("WorkSharing returned a partial result alongside the error")
-		}
-		res, err = WorkSharingParallel(f.rep, f.tg, f.sched, f.cfg)
-		assertInjected(t, err, faults.CoreSubtreeWalk)
-		if res != nil {
-			t.Fatal("WorkSharingParallel returned a partial result alongside the error")
+		for name, run := range f.strategies() {
+			res, err := run(f.cfg)
+			assertInjected(t, err, faults.CoreSubtreeWalk)
+			if res != nil {
+				t.Fatalf("%s returned a partial result alongside the error", name)
+			}
 		}
 	})
 
@@ -215,19 +204,10 @@ func TestSlideRollsBackOnMidMaintenanceError(t *testing.T) {
 // instead of crashing the process.
 func TestWorkSharingParallelPanicContained(t *testing.T) {
 	f := newFaultFixture(t, 411, 9)
-	for _, tc := range []struct {
-		name  string
-		point faults.Point
-		run   func() (*Result, error)
-	}{
-		{"WorkSharingParallel", faults.CoreSubtreeWalk, func() (*Result, error) { return WorkSharingParallel(f.rep, f.tg, f.sched, f.cfg) }},
-		{"WorkSharing", faults.CoreSubtreeWalk, func() (*Result, error) { return WorkSharing(f.rep, f.tg, f.sched, f.cfg) }},
-		{"DirectHopParallel", faults.CoreOverlayBuild, func() (*Result, error) { return DirectHopParallel(f.rep, f.cfg) }},
-		{"DirectHop", faults.CoreOverlayBuild, func() (*Result, error) { return DirectHop(f.rep, f.cfg) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			defer faults.Arm(&faults.Plan{Specs: []faults.Spec{{Point: tc.point, Mode: faults.Panic}}})()
-			res, err := tc.run()
+	for name, run := range f.strategies() {
+		t.Run(name, func(t *testing.T) {
+			defer faults.Arm(&faults.Plan{Specs: []faults.Spec{{Point: faults.CoreSubtreeWalk, Mode: faults.Panic}}})()
+			res, err := run(f.cfg)
 			if err == nil {
 				t.Fatal("armed panic produced no error")
 			}
@@ -249,40 +229,45 @@ func TestWorkSharingParallelPanicContained(t *testing.T) {
 }
 
 // TestWorkSharingParallelDegrade is the acceptance test for graceful
-// degradation: with Config.Degrade set, a panicking subtree is recomputed
-// via Direct-Hop and the evaluation succeeds with exact values, a Degraded
-// mark, and per-snapshot failure causes.
+// degradation: with Config.Degrade set, a panicking unit of either
+// concurrent strategy is recomputed along the star and the evaluation
+// succeeds with exact values, a Degraded mark, and per-snapshot failure
+// causes.
 func TestWorkSharingParallelDegrade(t *testing.T) {
 	f := newFaultFixture(t, 413, 10)
 	cfg := f.cfg
 	cfg.Degrade = true
-	// Fire exactly once, past the first walk, so exactly one subtree
-	// fails while the rest share work normally.
-	defer faults.Arm(&faults.Plan{Specs: []faults.Spec{
-		{Point: faults.CoreSubtreeWalk, Mode: faults.Panic, After: 1, Times: 1},
-	}})()
-	res, err := WorkSharingParallel(f.rep, f.tg, f.sched, cfg)
-	if err != nil {
-		t.Fatalf("degrade did not absorb the failed subtree: %v", err)
+	for _, name := range concurrent {
+		t.Run(name, func(t *testing.T) {
+			// Fire exactly once, past the first walk, so exactly one unit
+			// fails while the rest run normally.
+			defer faults.Arm(&faults.Plan{Specs: []faults.Spec{
+				{Point: faults.CoreSubtreeWalk, Mode: faults.Panic, After: 1, Times: 1},
+			}})()
+			res, err := f.strategies()[name](cfg)
+			if err != nil {
+				t.Fatalf("degrade did not absorb the failed unit: %v", err)
+			}
+			if !res.Degraded {
+				t.Fatal("result not marked Degraded")
+			}
+			if len(res.SnapshotErrors) == 0 {
+				t.Fatal("degraded result carries no per-snapshot failure causes")
+			}
+			for k, cause := range res.SnapshotErrors {
+				if cause == nil {
+					t.Fatalf("snapshot %d has a nil failure cause", k)
+				}
+				var pe *PanicError
+				if !errors.As(cause, &pe) {
+					t.Fatalf("snapshot %d cause is not the contained panic: %v", k, cause)
+				}
+			}
+			// Degraded values are exact: the whole window matches the clean
+			// sequential evaluation.
+			f.assertMatchesClean(t, res)
+		})
 	}
-	if !res.Degraded {
-		t.Fatal("result not marked Degraded")
-	}
-	if len(res.SnapshotErrors) == 0 {
-		t.Fatal("degraded result carries no per-snapshot failure causes")
-	}
-	for k, cause := range res.SnapshotErrors {
-		if cause == nil {
-			t.Fatalf("snapshot %d has a nil failure cause", k)
-		}
-		var pe *PanicError
-		if !errors.As(cause, &pe) {
-			t.Fatalf("snapshot %d cause is not the contained panic: %v", k, cause)
-		}
-	}
-	// Degraded values are exact: the whole window matches the clean
-	// sequential evaluation.
-	f.assertMatchesClean(t, res)
 }
 
 // TestWorkSharingParallelErrorDegrade covers the error-mode flavour: an
@@ -380,46 +365,49 @@ func TestCancellationParallelPaths(t *testing.T) {
 	}
 	// Degrade must never mask cancellation as a degraded success.
 	cfg.Degrade = true
-	if _, err := WorkSharingParallel(f.rep, f.tg, f.sched, cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("WorkSharingParallel degrade: %v", err)
+	for _, name := range concurrent {
+		if _, err := f.strategies()[name](cfg); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s degrade: %v", name, err)
+		}
 	}
 }
 
 // TestChaosWorkSharingParallel is the probabilistic suite behind `make
 // chaos`: seeded random faults (errors and panics, sometimes mid-walk)
-// against the degraded parallel executor. Every outcome must be one of
-// (a) a clean result matching the sequential baseline, (b) a degraded
-// result matching the baseline with causes attached, or (c) an error that
-// wraps the injected sentinel — never a crash, never silently wrong
-// values. Deterministic per seed; a failure names the seed to replay.
+// against both concurrent executors, degrading or not. Every outcome must
+// be one of (a) a clean result matching the sequential baseline, (b) a
+// degraded result matching the baseline with causes attached, or (c) an
+// error that wraps the injected sentinel — never a crash, never silently
+// wrong values. Deterministic per seed; a failure names the seed to replay.
 func TestChaosWorkSharingParallel(t *testing.T) {
 	if os.Getenv("COMMONGRAPH_CHAOS") == "" {
 		t.Skip("probabilistic fault suite; run via `make chaos` (COMMONGRAPH_CHAOS=1)")
 	}
 	f := newFaultFixture(t, 421, 10)
-	for seed := uint64(1); seed <= 16; seed++ {
-		cfg := f.cfg
-		cfg.Degrade = seed%2 == 0
-		disarm := faults.Arm(&faults.Plan{Seed: seed, Specs: []faults.Spec{
-			{Point: faults.CoreSubtreeWalk, Prob: 0.10},
-			{Point: faults.CoreSubtreeWalk, Prob: 0.05, Mode: faults.Panic},
-			{Point: faults.CoreOverlayBuild, Prob: 0.05},
-		}})
-		res, err := WorkSharingParallel(f.rep, f.tg, f.sched, cfg)
-		disarm()
-		switch {
-		case err != nil:
-			var pe *PanicError
-			if !errors.Is(err, faults.ErrInjected) && !errors.As(err, &pe) {
-				t.Fatalf("seed %d: error is neither injected nor a contained panic: %v", seed, err)
+	for _, name := range concurrent {
+		for seed := uint64(1); seed <= 16; seed++ {
+			cfg := f.cfg
+			cfg.Degrade = seed%2 == 0
+			disarm := faults.Arm(&faults.Plan{Seed: seed, Specs: []faults.Spec{
+				{Point: faults.CoreSubtreeWalk, Prob: 0.10},
+				{Point: faults.CoreSubtreeWalk, Prob: 0.05, Mode: faults.Panic},
+			}})
+			res, err := f.strategies()[name](cfg)
+			disarm()
+			switch {
+			case err != nil:
+				var pe *PanicError
+				if !errors.Is(err, faults.ErrInjected) && !errors.As(err, &pe) {
+					t.Fatalf("%s seed %d: error is neither injected nor a contained panic: %v", name, seed, err)
+				}
+			case res.Degraded:
+				if len(res.SnapshotErrors) == 0 {
+					t.Fatalf("%s seed %d: degraded result without causes", name, seed)
+				}
+				f.assertMatchesClean(t, res)
+			default:
+				f.assertMatchesClean(t, res)
 			}
-		case res.Degraded:
-			if len(res.SnapshotErrors) == 0 {
-				t.Fatalf("seed %d: degraded result without causes", seed)
-			}
-			f.assertMatchesClean(t, res)
-		default:
-			f.assertMatchesClean(t, res)
 		}
 	}
 }

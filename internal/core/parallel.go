@@ -80,13 +80,14 @@ func (x *execution) each(n int, unit func(i int, acc *Result) error) error {
 	return errors.Join(errs...)
 }
 
-// isolatedSubtree is one root subtree of WorkSharingParallel: walked from
-// its own clone of the base state under its own "subtree" span (a fresh
-// trace track, showing real overlap with sibling subtrees) and
-// panic-contained, so that with Config.Degrade a failed walk — an error,
-// or a panic in the engine, the overlay algebra or an armed fault — is
-// recomputed hop by hop from the untouched base state instead of failing
-// the evaluation. If the fallback fails too, both causes are returned.
+// isolatedSubtree is one unit of a concurrent strategy — a hop, or a root
+// subtree: walked from its own clone of the base state under its own
+// "subtree" span (a fresh trace track, showing real overlap with sibling
+// units) and panic-contained, so that with Config.Degrade a failed walk —
+// an error, or a panic in the engine, the overlay algebra or an armed
+// fault — is recomputed along the star from the untouched base state
+// instead of failing the evaluation. If the fallback fails too, both
+// causes are returned.
 func (x *execution) isolatedSubtree(root *ScheduleNode, e *ScheduleEdge, acc *Result) error {
 	err := func() (err error) {
 		defer recoverToError(&err)
@@ -109,18 +110,19 @@ func (x *execution) isolatedSubtree(root *ScheduleNode, e *ScheduleEdge, acc *Re
 	return nil
 }
 
-// degradeSubtree recomputes the snapshots below a failed schedule edge
-// via Direct-Hop from the base state (§3.1): the per-leaf batches are
-// already materialized canonically in the representation, so the fallback
-// shares nothing with the failed walk. It is itself panic-contained and
-// cancellable, and its snapshot values are exact — degradation loses only
-// the work sharing, never correctness.
+// degradeSubtree recomputes the snapshots below a failed schedule edge by
+// walking their star edges from the base state (§3.1): the per-leaf
+// batches are already materialized canonically in the representation, so
+// the fallback shares nothing with the failed walk. It is itself
+// panic-contained and cancellable, and its snapshot values are exact —
+// degradation loses only the work sharing, never correctness.
 func (x *execution) degradeSubtree(e *ScheduleEdge, leaves []int, acc *Result) (err error) {
 	defer recoverToError(&err)
 	sp := x.cfg.Trace.Fork("subtree.degrade", obs.String("root", nodeRef(e.To)))
 	defer sp.End()
+	star := x.rep.star().Root
 	for _, k := range leaves {
-		if err := x.hop(k, sp, "hop.fallback", false, acc); err != nil {
+		if err := x.walkSubtree(star, star.Edges[k], childState(x.base, false, acc), sp, acc); err != nil {
 			return err
 		}
 	}
@@ -143,17 +145,6 @@ func subtreeLeaves(e *ScheduleEdge) []int {
 	}
 	walk(e.To)
 	return out
-}
-
-// EvaluateWorkSharingParallel is the one-call parallel pipeline: the
-// rep's TG and schedule, concurrent execution.
-func EvaluateWorkSharingParallel(rep *Rep, cfg Config) (*Result, *Schedule, error) {
-	tg, sched, _, err := rep.Schedule(cfg.Ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := WorkSharingParallel(rep, tg, sched, cfg)
-	return res, sched, err
 }
 
 // EvaluateMany evaluates several queries (different algorithms and/or

@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"commongraph/internal/algo"
 	"commongraph/internal/engine"
+	"commongraph/internal/faults"
 	"commongraph/internal/graph"
+	"commongraph/internal/obs"
 )
 
 func TestWorkSharingParallelMatchesSequential(t *testing.T) {
@@ -23,7 +26,7 @@ func TestWorkSharingParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, sched, err := EvaluateWorkSharingParallel(rep, cfg)
+		par, sched, err := evaluateWSP(rep, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,6 +50,19 @@ func TestWorkSharingParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// evaluateWSP runs WorkSharingParallel along the rep's own schedule.
+func evaluateWSP(rep *Rep, cfg Config) (*Result, *Schedule, error) {
+	tg, sched, _, err := rep.Schedule(cfg.Ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := WorkSharingParallel(rep, tg, sched, cfg)
+	return res, sched, err
+}
+
+// TestWorkSharingParallelBoundedParallelism: under every worker budget,
+// from one unit at a time with one worker to more workers than units, the
+// concurrent strategies reach the sequential values.
 func TestWorkSharingParallelBoundedParallelism(t *testing.T) {
 	s, _ := randomStore(223, 6, 40, 40)
 	rep, err := BuildRep(Window{Store: s, From: 0, To: 6})
@@ -57,13 +73,56 @@ func TestWorkSharingParallelBoundedParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := EvaluateWorkSharingParallel(rep, Config{Algo: algo.BFS{}, Source: 0, Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
+	for _, b := range []int{1, 2, 3, 16} {
+		cfg := Config{Algo: algo.BFS{}, Source: 0, Engine: engine.Options{Workers: b}}
+		ws, _, err := evaluateWSP(rep, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dh, err := DirectHopParallel(rep, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range seq.Snapshots {
+			if seq.Snapshots[k].Checksum != ws.Snapshots[k].Checksum || seq.Snapshots[k].Checksum != dh.Snapshots[k].Checksum {
+				t.Fatalf("budget %d: snapshot %d differs", b, k)
+			}
+		}
 	}
-	for k := range seq.Snapshots {
-		if seq.Snapshots[k].Checksum != par.Snapshots[k].Checksum {
-			t.Fatalf("snapshot %d differs under bounded parallelism", k)
+}
+
+// TestWorkerBudgetBoundsUnitsInFlight: a concurrent strategy never has
+// more units running than its worker budget, as the
+// commongraph_workers_busy gauge reads at every schedule edge, and its
+// values stay exact.
+func TestWorkerBudgetBoundsUnitsInFlight(t *testing.T) {
+	f := newFaultFixture(t, 431, 10)
+	busy := obs.WorkersBusy()
+	for _, name := range concurrent {
+		for _, b := range []int{1, 2, 3} {
+			var peak atomic.Int64
+			disarm := faults.Arm(&faults.Plan{Observer: func(p faults.Point, _ int) {
+				if p != faults.CoreSubtreeWalk {
+					return
+				}
+				for {
+					cur, now := peak.Load(), busy.Value()
+					if now <= cur || peak.CompareAndSwap(cur, now) {
+						return
+					}
+				}
+			}})
+			cfg := f.cfg
+			cfg.Engine.Workers = b
+			res, err := f.strategies()[name](cfg)
+			disarm()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := peak.Load(); got > int64(b) || (b > 1 && got == 0) {
+				t.Fatalf("%s budget %d: %d units were busy at once", name, b, got)
+			}
+			f.assertMatchesClean(t, res)
 		}
 	}
 }
@@ -74,7 +133,7 @@ func TestWorkSharingParallelSingleSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := EvaluateWorkSharingParallel(rep, Config{Algo: algo.SSWP{}, Source: 0})
+	res, _, err := evaluateWSP(rep, Config{Algo: algo.SSWP{}, Source: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

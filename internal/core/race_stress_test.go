@@ -9,12 +9,13 @@ import (
 )
 
 // TestWorkSharingParallelRaceStress is the CI race gate for the §5
-// parallel executor: a wide window (W = 11 ≥ 8) evaluated with
-// Parallelism 1, 2, and unbounded — all three variants running
-// concurrently against the same shared representation — must reproduce
-// the sequential WorkSharing result exactly. Run under -race this
-// exercises the subtree fan-out, the shared-Result mutex, and the
-// read-only sharing of the base CSR, labels, and schedule.
+// parallel executor: a wide window (W = 11 ≥ 8) evaluated by both
+// concurrent strategies under worker budgets 1, 2 and GOMAXPROCS — all
+// six variants running concurrently against the same shared
+// representation — must reproduce the sequential WorkSharing result
+// exactly. Run under -race this exercises the unit fan-out, the
+// shared-Result mutex, and the read-only sharing of the base CSR, the
+// star, labels, and schedule.
 func TestWorkSharingParallelRaceStress(t *testing.T) {
 	s, n := randomStore(311, 10, 60, 60)
 	rep, err := BuildRep(Window{Store: s, From: 0, To: 10})
@@ -35,25 +36,36 @@ func TestWorkSharingParallelRaceStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// All parallelism levels at once: the variants share rep, tg,
-		// labels, and sched, so any illegal mutation of shared state
-		// trips the race detector here.
-		results := make([]*Result, 3)
-		errs := make([]error, 3)
+		// All budgets and both strategies at once: the variants share rep,
+		// tg, labels, sched and the star, so any illegal mutation of shared
+		// state trips the race detector here.
+		type variant struct {
+			name   string
+			budget int
+			run    func(Config) (*Result, error)
+		}
+		var variants []variant
+		for _, b := range []int{1, 2, 0} {
+			variants = append(variants,
+				variant{"WorkSharingParallel", b, func(c Config) (*Result, error) { return WorkSharingParallel(rep, tg, sched, c) }},
+				variant{"DirectHopParallel", b, func(c Config) (*Result, error) { return DirectHopParallel(rep, c) }})
+		}
+		results := make([]*Result, len(variants))
+		errs := make([]error, len(variants))
 		var wg sync.WaitGroup
-		for i, par := range []int{1, 2, 0} {
+		for i, v := range variants {
 			wg.Add(1)
-			go func(i, par int) {
+			go func(i int, v variant) {
 				defer wg.Done()
 				c := cfg
-				c.Parallelism = par
-				results[i], errs[i] = WorkSharingParallel(rep, tg, sched, c)
-			}(i, par)
+				c.Engine.Workers = v.budget
+				results[i], errs[i] = v.run(c)
+			}(i, v)
 		}
 		wg.Wait()
-		for i, par := range []int{1, 2, 0} {
+		for i, v := range variants {
 			if errs[i] != nil {
-				t.Fatalf("%s parallelism=%d: %v", a.Name(), par, errs[i])
+				t.Fatalf("%s %s budget=%d: %v", a.Name(), v.name, v.budget, errs[i])
 			}
 			got := results[i]
 			if len(got.Snapshots) != len(seq.Snapshots) {
@@ -61,12 +73,12 @@ func TestWorkSharingParallelRaceStress(t *testing.T) {
 			}
 			for k := range seq.Snapshots {
 				if seq.Snapshots[k].Checksum != got.Snapshots[k].Checksum {
-					t.Fatalf("%s parallelism=%d: snapshot %d checksum differs", a.Name(), par, k)
+					t.Fatalf("%s %s budget=%d: snapshot %d checksum differs", a.Name(), v.name, v.budget, k)
 				}
-				for v := 0; v < n; v++ {
-					if seq.Snapshots[k].Values[v] != got.Snapshots[k].Values[v] {
-						t.Fatalf("%s parallelism=%d: snapshot %d vertex %d differs",
-							a.Name(), par, k, v)
+				for u := 0; u < n; u++ {
+					if seq.Snapshots[k].Values[u] != got.Snapshots[k].Values[u] {
+						t.Fatalf("%s %s budget=%d: snapshot %d vertex %d differs",
+							a.Name(), v.name, v.budget, k, u)
 					}
 				}
 			}

@@ -24,10 +24,12 @@ type Schedule struct {
 
 	// tg is the grid the schedule was cut from; executable reads the
 	// edges' label sets from it, once. ready is set under mu when every
-	// edge's parts and stack are in place.
+	// edge's parts and stack are in place. star marks the Direct-Hop
+	// schedule, which has no grid and whose walk derives the seed chain.
 	tg    *TG
 	mu    sync.Mutex
 	ready bool
+	star  bool
 }
 
 // ScheduleNode is a TG node used by the plan. Leaves (I == J) are the
@@ -44,7 +46,7 @@ func (n *ScheduleNode) IsLeaf() bool { return n.I == n.J }
 type ScheduleEdge struct {
 	To *ScheduleNode
 	// Spans lists the grid edges whose labels this step streams (more
-	// than one after bypassing).
+	// than one after bypassing; none on the star, which needs no grid).
 	Spans []GridEdge
 	// AddCount is the total label size across Spans.
 	AddCount int64
@@ -186,37 +188,20 @@ func edgeParts(lists []graph.EdgeList) [][]graph.Edge {
 	return out
 }
 
-// DirectHopSchedule builds the §3.1 plan: the root fans out straight to
-// every leaf; the k-th edge spans the full zigzag path to leaf k, so its
-// batch is exactly Δ_ck = E_k \ E_c.
-func DirectHopSchedule(tg *TG) *Schedule {
-	w := tg.W
-	root := &ScheduleNode{I: 0, J: w - 1}
-	s := &Schedule{Root: root, tg: tg}
+// starSchedule builds the §3.1 plan over a window's deltas: the root
+// fans out straight to every leaf, and edge k streams Δ_ck = deltas[k]
+// whole. It needs no grid, so it is executable as built.
+func starSchedule(deltas []*delta.Batch) *Schedule {
+	w := len(deltas)
+	s := &Schedule{Root: &ScheduleNode{I: 0, J: w - 1}, star: true, ready: true}
 	if w == 1 {
-		root.I, root.J = 0, 0
 		return s
 	}
-	for k := 0; k < w; k++ {
-		// A canonical root→leaf path: first all right moves to [k, w-1],
-		// then left moves down to [k,k]. Any path yields the same batch
-		// union; the choice only affects span bookkeeping.
-		var spans []GridEdge
-		i, j := 0, w-1
-		for i < k {
-			spans = append(spans, GridEdge{I: i, J: j, Left: false})
-			i++
-		}
-		for j > k {
-			spans = append(spans, GridEdge{I: i, J: j, Left: true})
-			j--
-		}
-		edge := &ScheduleEdge{To: &ScheduleNode{I: k, J: k}, Spans: spans}
-		for _, sp := range spans {
-			edge.AddCount += tg.LabelSize(sp)
-		}
-		s.Cost += edge.AddCount
-		root.Edges = append(root.Edges, edge)
+	s.Root.Edges = make([]*ScheduleEdge, w)
+	for k, d := range deltas {
+		e := &ScheduleEdge{To: &ScheduleNode{I: k, J: k}, AddCount: int64(d.Len()), parts: [][]graph.Edge{d.Edges()}}
+		s.Cost += e.AddCount
+		s.Root.Edges[k] = e
 	}
 	return s
 }

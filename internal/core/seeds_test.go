@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"commongraph/internal/algo"
@@ -81,7 +82,7 @@ func TestHopSeedsMatchDirectFilter(t *testing.T) {
 		}
 		for _, a := range algo.All() {
 			cfg := Config{Algo: a, Source: 0, KeepValues: true}
-			x, err := start(rep, cfg, "direct-hop", len(rep.Deltas), false)
+			x, err := start(rep, cfg, "direct-hop")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,6 +116,38 @@ func TestHopSeedsMatchDirectFilter(t *testing.T) {
 	}
 }
 
+// TestSeedRuleHoldsOnTheTree: the walker's seed rule is stated for any
+// schedule — an edge from the root into leaf k streams Δ_ck, so S_k may
+// stand in for it, and no other edge may take S_k. Walking the
+// Work-Sharing tree with the chain derived still reaches the reference.
+func TestSeedRuleHoldsOnTheTree(t *testing.T) {
+	s, _ := randomStore(907, 9, 60, 60)
+	rep, err := BuildRep(Window{Store: s, From: 0, To: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sched, _, err := rep.Schedule(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range algo.All() {
+		x, err := start(rep, Config{Algo: a, Source: 0, KeepValues: true}, "work-sharing")
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.seedChain()
+		if err := x.run(sched, false, 1); err != nil {
+			t.Fatal(err)
+		}
+		for k, snap := range x.res.Snapshots {
+			edges, _ := s.GetVersion(k)
+			if ref := engine.Reference(graph.NewPair(rep.N, edges), a, 0); !slices.Equal(snap.Values, ref) {
+				t.Fatalf("%s: snapshot %d differs from the reference", a.Name(), k)
+			}
+		}
+	}
+}
+
 // TestReweighShapesAreInTheWindow keeps the trap honest: the re-weighted
 // edges really are window deltas with the new weight, and the lighter
 // 0->2 is a useful seed only from v3 on.
@@ -137,7 +170,7 @@ func TestReweighShapesAreInTheWindow(t *testing.T) {
 	if w2, w3 := weight(2, 0, 2), weight(3, 0, 2); w2 != 9 || w3 != 1 {
 		t.Fatalf("0->2 weighs %d at v2 and %d at v3, want 9 and 1", w2, w3)
 	}
-	x, err := start(rep, Config{Algo: algo.SSSP{}, Source: 0}, "direct-hop", len(rep.Deltas), false)
+	x, err := start(rep, Config{Algo: algo.SSSP{}, Source: 0}, "direct-hop")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +217,7 @@ func TestHopAllocationDoesNotScaleWithWidth(t *testing.T) {
 		if _, err := DirectHop(rep, cfg); err != nil { // warms the leaf overlays and the free list
 			t.Fatal(err)
 		}
-		x, err := start(rep, cfg, "direct-hop", width, false)
+		x, err := start(rep, cfg, "direct-hop")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,8 +241,8 @@ func TestHopAllocationDoesNotScaleWithWidth(t *testing.T) {
 }
 
 // TestDegradeFallbackStreamsWholeBatches: Work-Sharing derives no seed
-// chain, so the Direct-Hop fallback of a failed subtree hands the engine
-// its whole batch through the same hop body, and is still exact.
+// chain, so the fallback of a failed subtree walks the star edges of its
+// leaves with their whole batches, and is still exact.
 func TestDegradeFallbackStreamsWholeBatches(t *testing.T) {
 	f := newFaultFixture(t, 411, 8)
 	tr := obs.New()
@@ -227,27 +260,38 @@ func TestDegradeFallbackStreamsWholeBatches(t *testing.T) {
 		t.Fatal("the armed subtree did not degrade")
 	}
 	f.assertMatchesClean(t, res)
-	fallbacks := 0
+	degrades := map[obs.SpanID]bool{}
 	for _, ev := range tr.Events() {
 		switch ev.Name {
 		case "hop.seeds":
 			t.Fatal("a Work-Sharing evaluation derived a seed chain")
-		case "hop.fallback":
-			fallbacks++
-			k, _ := strconv.Atoi(ev.Attr("snapshot"))
-			if want := strconv.Itoa(f.rep.Deltas[k].Len()); ev.Attr("seeds") != want || ev.Attr("batch") != want {
-				t.Fatalf("fallback hop %d: seeds=%s batch=%s, want both %s", k, ev.Attr("seeds"), ev.Attr("batch"), want)
-			}
+		case "subtree.degrade":
+			degrades[ev.ID] = true
+		}
+	}
+	fallbacks := 0
+	for _, ev := range tr.Events() {
+		if ev.Name != "schedule.edge" || !degrades[ev.Parent] {
+			continue
+		}
+		fallbacks++
+		leaf, _, _ := strings.Cut(ev.Attr("to"), ",")
+		k, _ := strconv.Atoi(leaf)
+		if ev.Attr("from") != nodeRef(f.sched.Root) {
+			t.Fatalf("fallback edge into leaf %d leaves %s, not the root", k, ev.Attr("from"))
+		}
+		if want := strconv.Itoa(f.rep.Deltas[k].Len()); ev.Attr("seeds") != want || ev.Attr("batch") != want {
+			t.Fatalf("fallback edge into leaf %d: seeds=%s batch=%s, want both %s", k, ev.Attr("seeds"), ev.Attr("batch"), want)
 		}
 	}
 	if fallbacks == 0 {
-		t.Fatal("no hop.fallback span recorded")
+		t.Fatal("no fallback schedule.edge span recorded")
 	}
 }
 
 // TestDirectHopTraceCarriesSeeds: one hop.seeds span per evaluation whose
-// useful count is the sum of the hops' seeds attributes and whose streamed
-// count is the schedule's cost.
+// useful count is the sum of the star edges' seeds attributes and whose
+// streamed count is the sum of their batches, the schedule's cost.
 func TestDirectHopTraceCarriesSeeds(t *testing.T) {
 	s, _ := randomStore(79, 8, 60, 60)
 	rep, err := BuildRep(Window{Store: s, From: 0, To: 8})
@@ -262,24 +306,26 @@ func TestDirectHopTraceCarriesSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var chains, hops, seeds int
+		var chains, edges, seeds, batch int
 		var useful, streamed string
 		for _, ev := range tr.Events() {
 			switch ev.Name {
 			case "hop.seeds":
 				chains++
 				useful, streamed = ev.Attr("useful"), ev.Attr("streamed")
-			case "hop":
-				hops++
+			case "schedule.edge":
+				edges++
 				k, _ := strconv.Atoi(ev.Attr("seeds"))
 				seeds += k
+				k, _ = strconv.Atoi(ev.Attr("batch"))
+				batch += k
 			}
 		}
-		if chains != 1 || hops != len(rep.Deltas) {
-			t.Fatalf("hop.seeds spans = %d, hop spans = %d (width %d)", chains, hops, len(rep.Deltas))
+		if chains != 1 || edges != len(rep.Deltas) {
+			t.Fatalf("hop.seeds spans = %d, schedule.edge spans = %d (width %d)", chains, edges, len(rep.Deltas))
 		}
-		if useful != strconv.Itoa(seeds) || streamed != strconv.FormatInt(res.AdditionsProcessed, 10) {
-			t.Fatalf("hop.seeds useful=%s streamed=%s; hops seeded %d, schedule streams %d", useful, streamed, seeds, res.AdditionsProcessed)
+		if useful != strconv.Itoa(seeds) || streamed != strconv.Itoa(batch) || int64(batch) != res.AdditionsProcessed {
+			t.Fatalf("hop.seeds useful=%s streamed=%s; edges seeded %d of %d, schedule streams %d", useful, streamed, seeds, batch, res.AdditionsProcessed)
 		}
 	}
 }

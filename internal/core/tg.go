@@ -222,8 +222,19 @@ func (tg *TG) Labels(edges []GridEdge) map[GridEdge]graph.EdgeList {
 	return out
 }
 
+// StarCost is what the Direct-Hop star streams, Σ_k |Δ_ck|: every leaf's
+// root distance.
+func (tg *TG) StarCost() int64 {
+	dist := tg.rootDistances()
+	var c int64
+	for k := 0; k < tg.W; k++ {
+		c += dist[k*tg.W+k]
+	}
+	return c
+}
+
 // PathCost sums label sizes along a root-to-leaf path expressed as grid
-// edges; used by tests and by the Direct-Hop cost accounting.
+// edges.
 func (tg *TG) PathCost(path []GridEdge) int64 {
 	var c int64
 	for _, e := range path {

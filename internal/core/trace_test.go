@@ -41,7 +41,7 @@ func TestWorkSharingParallelTraceCoversEverySchedule(t *testing.T) {
 	tr := obs.New()
 	root := tr.StartSpan("evaluate")
 	cfg := Config{Algo: algo.BFS{}, Source: 0, Trace: root}
-	res, sched, err := EvaluateWorkSharingParallel(rep, cfg)
+	res, sched, err := evaluateWSP(rep, cfg)
 	root.End()
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestDisabledTracerEmitsNothing(t *testing.T) {
 	if root != nil {
 		t.Fatal("nil tracer must return nil spans")
 	}
-	if _, _, err := EvaluateWorkSharingParallel(rep, Config{Algo: algo.BFS{}, Source: 0, Trace: root}); err != nil {
+	if _, _, err := evaluateWSP(rep, Config{Algo: algo.BFS{}, Source: 0, Trace: root}); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.Events(); got != nil {

@@ -52,9 +52,10 @@ func (w Window) deletions(t int) graph.EdgeList { return w.Store.Deletions(w.Fro
 //
 // A Rep is also where the window's plan lives. Everything an evaluation
 // needs that is a pure function of the window — the per-snapshot leaf
-// overlays, the Triangular Grid and the schedule with its labels and
-// overlays — is built on first use, published once and then shared
-// read-only by every later evaluation of the rep, concurrent ones included.
+// overlays and the star over them, the Triangular Grid and the schedule
+// with its labels and overlays — is built on first use, published once
+// and then shared read-only by every later evaluation of the rep,
+// concurrent ones included.
 type Rep struct {
 	Window Window
 	N      int
@@ -66,8 +67,11 @@ type Rep struct {
 	// k-th snapshot of the window.
 	Deltas []*delta.Batch
 
-	// leaves[k] indexes Deltas[k] for traversal (LeafOverlay).
-	leaves []leafOverlay
+	// leaves[k] indexes Deltas[k] for traversal (LeafOverlay); starSched
+	// is the Direct-Hop schedule over them (star).
+	leaves    []leafOverlay
+	starOnce  sync.Once
+	starSched *Schedule
 
 	// schedMu guards sched, the single-flight slot of Schedule. It is
 	// never held while building.
@@ -105,6 +109,13 @@ func (r *Rep) LeafOverlay(k int) *delta.Overlay {
 	l := &r.leaves[k]
 	l.once.Do(func() { l.ov = delta.NewOverlay(r.N, r.Deltas[k]) })
 	return l.ov
+}
+
+// star returns the window's Direct-Hop schedule (starSchedule), built
+// once, on first use.
+func (r *Rep) star() *Schedule {
+	r.starOnce.Do(func() { r.starSched = starSchedule(r.Deltas) })
+	return r.starSched
 }
 
 // Schedule returns the window's Triangular Grid and its Work-Sharing

@@ -1,12 +1,11 @@
 // Package faults is the repo's deterministic fault-injection registry —
 // the testing backbone of the fault-tolerance layer. Production code
 // declares *named injection points* at the places a long-running
-// evolving-graph service can actually fail (store writes, overlay builds,
-// engine runs, schedule-subtree walks, ingest window closes, window
-// maintenance); tests arm a seeded Plan that makes chosen points return
-// errors or panic on chosen hits. Disarmed — the default, and the only
-// state production ever sees — a Check is a single atomic load and
-// injects nothing.
+// evolving-graph service can actually fail (store writes, engine runs,
+// schedule-edge walks, ingest window closes, window maintenance); tests
+// arm a seeded Plan that makes chosen points return errors or panic on
+// chosen hits. Disarmed — the default, and the only state production ever
+// sees — a Check is a single atomic load and injects nothing.
 //
 // Determinism: firing decisions depend only on the Plan (its Seed, for
 // probabilistic "chaos" specs, drives a splitmix64 stream) and on the
@@ -36,11 +35,9 @@ const (
 	// CoreEngineRun gates the from-scratch engine solve on the common
 	// graph, the entry of every evaluation strategy.
 	CoreEngineRun Point = "core.engine-run"
-	// CoreOverlayBuild gates overlay construction — once per Direct-Hop
-	// and per degraded-fallback snapshot.
-	CoreOverlayBuild Point = "core.overlay-build"
-	// CoreSubtreeWalk gates every schedule-edge boundary of the
-	// Work-Sharing DFS (sequential and parallel) — the cooperative
+	// CoreSubtreeWalk gates every schedule-edge boundary of every
+	// CommonGraph strategy — each Direct-Hop star edge, each Work-Sharing
+	// tree edge, each degraded-fallback edge — and is the cooperative
 	// cancellation checkpoint.
 	CoreSubtreeWalk Point = "core.subtree-walk"
 	// CoreMaintainAppend and CoreMaintainAdvance gate the two maintained-
@@ -93,7 +90,7 @@ const (
 // domain of the fault-injection matrix tests.
 func Points() []Point {
 	return []Point{
-		StoreNewVersion, CoreEngineRun, CoreOverlayBuild, CoreSubtreeWalk,
+		StoreNewVersion, CoreEngineRun, CoreSubtreeWalk,
 		CoreMaintainAppend, CoreMaintainAdvance, IngestWindowClose,
 		StoreWALAppend, StoreWALSync, StoreSegmentWrite, StoreManifestSwap,
 		StoreWALRotate, StoreCompact,

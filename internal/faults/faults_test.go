@@ -97,11 +97,11 @@ func TestTransientMarking(t *testing.T) {
 // fires on the same hit sequence, a different seed on a different one.
 func TestChaosDeterminism(t *testing.T) {
 	run := func(seed uint64) []int {
-		disarm := Arm(&Plan{Seed: seed, Specs: []Spec{{Point: CoreOverlayBuild, Prob: 0.3}}})
+		disarm := Arm(&Plan{Seed: seed, Specs: []Spec{{Point: CoreSubtreeWalk, Prob: 0.3}}})
 		defer disarm()
 		var fired []int
 		for hit := 1; hit <= 64; hit++ {
-			if err := Check(CoreOverlayBuild); err != nil {
+			if err := Check(CoreSubtreeWalk); err != nil {
 				fired = append(fired, hit)
 			}
 		}

@@ -10,24 +10,24 @@ import (
 // firing (error or panic mode) increments the canonical per-point
 // counter, while non-firing checks do not.
 func TestFiringsIncrementObsCounter(t *testing.T) {
-	c := obs.FaultFirings(string(CoreOverlayBuild))
+	c := obs.FaultFirings(string(CoreSubtreeWalk))
 	before := c.Value()
 
-	disarm := Arm(&Plan{Specs: []Spec{{Point: CoreOverlayBuild, After: 1, Times: 2}}})
+	disarm := Arm(&Plan{Specs: []Spec{{Point: CoreSubtreeWalk, After: 1, Times: 2}}})
 	defer disarm()
 
-	if err := Check(CoreOverlayBuild); err != nil {
+	if err := Check(CoreSubtreeWalk); err != nil {
 		t.Fatalf("hit 1 fired early: %v", err)
 	}
 	if got := c.Value() - before; got != 0 {
 		t.Fatalf("non-firing check incremented the counter by %d", got)
 	}
 	for hit := 2; hit <= 3; hit++ {
-		if err := Check(CoreOverlayBuild); err == nil {
+		if err := Check(CoreSubtreeWalk); err == nil {
 			t.Fatalf("hit %d did not fire", hit)
 		}
 	}
-	if err := Check(CoreOverlayBuild); err != nil {
+	if err := Check(CoreSubtreeWalk); err != nil {
 		t.Fatalf("Times cap ignored: %v", err)
 	}
 	if got := c.Value() - before; got != 2 {

@@ -69,10 +69,6 @@ type Config struct {
 	// RetryAfter is the backoff hint on queue-full responses (0 = 500ms).
 	// Quota denials compute their own from the bucket's refill rate.
 	RetryAfter time.Duration
-	// Options is the base evaluation tuning applied to every request
-	// (engine workers, scheduler mode). Per-request fields (KeepValues,
-	// Plan) are overwritten by the service.
-	Options commongraph.Options
 }
 
 func (c Config) withDefaults() Config {
@@ -336,13 +332,11 @@ func (s *Server) resolve(wreq *apiv1.RunRequest) (commongraph.Request, commongra
 			return bad("strategy %s needs the full update stream; a windowed service serves only the CommonGraph strategies", strategy.Slug())
 		}
 	}
-	opt := s.cfg.Options
-	opt.KeepValues = wreq.KeepValues
 	return commongraph.Request{
 		Query:    commongraph.Query{Algorithm: algo, Source: commongraph.VertexID(wreq.Source)},
 		Window:   win,
 		Strategy: strategy,
-		Options:  opt,
+		Options:  commongraph.Options{KeepValues: wreq.KeepValues},
 	}, win, nil
 }
 

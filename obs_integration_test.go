@@ -17,9 +17,9 @@ import (
 )
 
 // TestTimingsAttributionAllStrategies proves every strategy attributes
-// its wall time to the right phases. Workers and Parallelism are pinned
-// to 1 so the execution is fully serialized and the per-phase sum is a
-// set of disjoint subintervals of Total. Tracing is enabled so the
+// its wall time to the right phases. The worker budget is pinned to 1,
+// so the execution is fully serialized and the per-phase sum is a set of
+// disjoint subintervals of Total. Tracing is enabled so the
 // allocation deltas populate too.
 func TestTimingsAttributionAllStrategies(t *testing.T) {
 	q := Query{Algorithm: SSSP, Source: 0}
@@ -42,7 +42,7 @@ func TestTimingsAttributionAllStrategies(t *testing.T) {
 			// A graph of its own: Mutation is the construction this call
 			// paid for, so the window's plan must be cold.
 			g, _ := buildEvolving(t, 7007, 9, 120, 120)
-			opt := Options{Workers: 1, Parallelism: 1, Trace: NewTracer()}
+			opt := Options{Workers: 1, Trace: NewTracer()}
 			res, err := g.Run(context.Background(), Request{Query: q, Window: Window{From: 0, To: 9}, Strategy: c.strategy, Options: opt})
 			if err != nil {
 				t.Fatal(err)

@@ -28,49 +28,51 @@ func referenceValues(t *testing.T, g *EvolvingGraph, idx int, q Query) []Value {
 }
 
 // TestWarmPlanDifferential is the strategy differential over the window
-// plan: for every CommonGraph strategy x algorithm, with and without a
-// PlanCache, the first Run on a window (which builds its
+// plan: for every CommonGraph strategy x worker budget x algorithm, with
+// and without a PlanCache, the first Run on a window (which builds its
 // plan) and the second and third (which reuse it) return bit-identical
 // values, and those are engine.Reference's on every snapshot — reuse is an
 // optimization, never an approximation.
 func TestWarmPlanDifferential(t *testing.T) {
 	windows := []Window{{From: 0, To: 4}, {From: 1, To: 5}, {From: 2, To: 6}, {From: 0, To: 6}, {From: 3, To: 3}}
 	for _, s := range commonGraphStrategies() {
-		// A graph of its own, so the first Run below is a cold one.
-		g, _ := buildEvolving(t, 53, 6, 70, 70)
-		pc := NewPlanCache()
-		for _, a := range Algorithms() {
-			q := Query{Algorithm: a, Source: 2}
-			for _, w := range windows {
-				name := fmt.Sprintf("%s %v %v", a.Name(), s, w)
-				var first *Result
-				for run, plan := range []*PlanCache{nil, nil, pc, pc} {
-					res, err := g.Run(context.Background(), Request{Query: q, Window: w, Strategy: s,
-						Options: Options{KeepValues: true, Plan: plan}})
-					if err != nil {
-						t.Fatalf("%s run %d: %v", name, run, err)
-					}
-					if first == nil {
-						first = res
-						for k, snap := range res.Snapshots {
-							if want := referenceValues(t, g, w.From+k, q); !reflect.DeepEqual(snap.Values, want) {
-								t.Fatalf("%s: snapshot %d differs from engine.Reference", name, w.From+k)
-							}
+		for _, budget := range []int{1, 2, 8} {
+			// A graph of its own, so the first Run below is a cold one.
+			g, _ := buildEvolving(t, 53, 6, 70, 70)
+			pc := NewPlanCache()
+			for _, a := range Algorithms() {
+				q := Query{Algorithm: a, Source: 2}
+				for _, w := range windows {
+					name := fmt.Sprintf("%s %v workers=%d %v", a.Name(), s, budget, w)
+					var first *Result
+					for run, plan := range []*PlanCache{nil, nil, pc, pc} {
+						res, err := g.Run(context.Background(), Request{Query: q, Window: w, Strategy: s,
+							Options: Options{Workers: budget, KeepValues: true, Plan: plan}})
+						if err != nil {
+							t.Fatalf("%s run %d: %v", name, run, err)
 						}
-						continue
-					}
-					if !reflect.DeepEqual(res.Snapshots, first.Snapshots) {
-						t.Fatalf("%s: run %d on the warm plan differs from the first", name, run)
+						if first == nil {
+							first = res
+							for k, snap := range res.Snapshots {
+								if want := referenceValues(t, g, w.From+k, q); !reflect.DeepEqual(snap.Values, want) {
+									t.Fatalf("%s: snapshot %d differs from engine.Reference", name, w.From+k)
+								}
+							}
+							continue
+						}
+						if !reflect.DeepEqual(res.Snapshots, first.Snapshots) {
+							t.Fatalf("%s: run %d on the warm plan differs from the first", name, run)
+						}
 					}
 				}
 			}
-		}
-		st := pc.Stats()
-		if st.Solves == 0 || st.Shared == 0 {
-			t.Fatalf("%v: cache never engaged: %+v", s, st)
-		}
-		if st.RepMisses != 0 || st.RepHits == 0 {
-			t.Fatalf("%v: every plan was warm by the time the cache was used, want hits only: %+v", s, st)
+			st := pc.Stats()
+			if st.Solves == 0 || st.Shared == 0 {
+				t.Fatalf("%v workers=%d: cache never engaged: %+v", s, budget, st)
+			}
+			if st.RepMisses != 0 || st.RepHits == 0 {
+				t.Fatalf("%v workers=%d: every plan was warm by the time the cache was used, want hits only: %+v", s, budget, st)
+			}
 		}
 	}
 }
