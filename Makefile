@@ -19,21 +19,19 @@ race:
 	$(GO) test -race -timeout 45m ./...
 
 # vet = the standard toolchain vet plus cgvet, the repo's own
-# invariant-checking analyzers (eight syntactic + the v2 flow tier:
-# goleak, ctxflow, atomicguard, errflow, plus ignore hygiene). Both must
-# be clean; cgvet gates on .cgvet.baseline.json, so only *fresh*
-# findings fail.
+# invariant-checking analyzers (`go run ./cmd/cgvet -list`: csrimmutable,
+# gopanic, obsdiscipline, closecheck, the flow tier goleak / errflow /
+# spanend, and ignorehygiene). Both must be clean: every cgvet finding
+# fails, and `go test ./...` runs the same suite as TestModuleIsClean.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/cgvet ./...
 
-# check = the full static gate: compile, toolchain vet, cgvet. This is
-# what the dedicated CI cgvet job runs before producing the SARIF report.
+# check = the full static gate: compile, toolchain vet, cgvet.
 check: build vet
 
 # sarif renders the cgvet findings as SARIF 2.1.0 (cgvet.sarif) for
-# GitHub code-scanning upload. The file is written even when findings
-# exist — the exit status still reflects them.
+# GitHub code-scanning upload. The exit status still reflects them.
 sarif:
 	$(GO) run ./cmd/cgvet -sarif ./... > cgvet.sarif
 

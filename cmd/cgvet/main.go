@@ -1,25 +1,22 @@
 // Command cgvet runs CommonGraph's invariant-checking static-analysis
 // suite (internal/analysis) over the module: the syntactic tier (the
-// mutation-free CSR contract, engine-state monotonicity, lock
-// discipline, determinism, observability discipline) and the flow tier
-// (goroutine termination, context propagation, atomic/plain access
-// contracts, durability error flow), plus an auditor that rejects
-// unjustified //cgvet:ignore suppressions.
+// mutation-free CSR contract, panic containment in the executor layer,
+// silent library packages, file-handle ownership) and the flow tier
+// (goroutine termination, durability error flow, ended spans), plus an
+// auditor that rejects unjustified //cgvet:ignore suppressions.
 //
 // Usage:
 //
-//	go run ./cmd/cgvet ./...              # whole module (what CI runs)
+//	go run ./cmd/cgvet ./...              # whole module
 //	go run ./cmd/cgvet ./internal/core    # one package
 //	go run ./cmd/cgvet -json ./...        # machine-readable findings
 //	go run ./cmd/cgvet -sarif ./...       # SARIF 2.1.0 for code scanning
 //	go run ./cmd/cgvet -list              # describe the analyzers
 //
-// Findings present in the baseline ledger (.cgvet.baseline.json at the
-// module root; override with -baseline) are reported as accepted and do
-// not fail the run; -write-baseline regenerates the ledger from the
-// current findings. Exit status: 0 when clean (or all findings
-// baselined), 1 on any new finding, 2 on load/internal errors — the
-// shape CI gates expect.
+// Every finding is an error; the only way to accept one is an audited
+// in-line //cgvet:ignore <analyzer> -- <reason>. Exit status: 0 when
+// clean, 1 on any finding, 2 on load/internal errors. The suite also runs
+// under go test as internal/analysis's TestModuleIsClean.
 package main
 
 import (
@@ -33,21 +30,17 @@ import (
 	"commongraph/internal/analysis"
 )
 
-const baselineName = ".cgvet.baseline.json"
-
 func main() {
-	jsonOut := flag.Bool("json", false, "emit new findings as a JSON array")
-	sarifOut := flag.Bool("sarif", false, "emit new findings as SARIF 2.1.0")
+	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
+	sarifOut := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0")
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	baselinePath := flag.String("baseline", "", "baseline ledger path (default <module root>/"+baselineName+")")
-	writeBaseline := flag.Bool("write-baseline", false, "accept all current findings into the baseline and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: cgvet [-json|-sarif] [-baseline file] [-write-baseline] [-list] [packages]\n\n"+
+		fmt.Fprintf(os.Stderr, "usage: cgvet [-json|-sarif] [-list] [packages]\n\n"+
 			"Runs CommonGraph's repo-specific analyzers. Package patterns are\n"+
 			"module-relative (./..., ./internal/graph, ./internal/...); with no\n"+
 			"pattern the whole module is checked.\n\nAnalyzers:\n")
 		for _, a := range analysis.All {
-			fmt.Fprintf(os.Stderr, "  %-15s [%-7s] %s\n", a.Name, sevOf(a), a.Doc)
+			fmt.Fprintf(os.Stderr, "  %-15s %s\n", a.Name, a.Doc)
 		}
 		flag.PrintDefaults()
 	}
@@ -55,7 +48,7 @@ func main() {
 
 	if *list {
 		for _, a := range analysis.All {
-			fmt.Printf("%-15s %-7s %s\n", a.Name, sevOf(a), a.Doc)
+			fmt.Printf("%-15s %s\n", a.Name, a.Doc)
 		}
 		return
 	}
@@ -82,63 +75,34 @@ func main() {
 
 	diags := analysis.RunAnalyzers(pkgs, analysis.All)
 
-	bpath := *baselinePath
-	if bpath == "" {
-		bpath = filepath.Join(root, baselineName)
-	}
-	if *writeBaseline {
-		if err := analysis.WriteBaseline(bpath, diags, root); err != nil {
-			fmt.Fprintln(os.Stderr, "cgvet:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "cgvet: wrote %d finding(s) to %s\n", len(diags), bpath)
-		return
-	}
-	baseline, err := analysis.LoadBaseline(bpath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cgvet:", err)
-		os.Exit(2)
-	}
-	fresh, accepted := baseline.Filter(diags, root)
-
 	switch {
 	case *sarifOut:
-		out, err := analysis.SARIF(fresh, analysis.All, root)
+		out, err := analysis.SARIF(diags, analysis.All, root)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cgvet:", err)
 			os.Exit(2)
 		}
 		os.Stdout.Write(append(out, '\n'))
 	case *jsonOut:
-		relativize(fresh)
-		if fresh == nil {
-			fresh = []analysis.Diagnostic{}
+		relativize(diags)
+		if diags == nil {
+			diags = []analysis.Diagnostic{}
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(fresh); err != nil {
+		if err := enc.Encode(diags); err != nil {
 			fmt.Fprintln(os.Stderr, "cgvet:", err)
 			os.Exit(2)
 		}
 	default:
-		relativize(fresh)
-		for _, d := range fresh {
+		relativize(diags)
+		for _, d := range diags {
 			fmt.Println(d)
 		}
 	}
-	if len(accepted) > 0 {
-		fmt.Fprintf(os.Stderr, "cgvet: %d baselined finding(s) suppressed (see %s)\n", len(accepted), bpath)
-	}
-	if len(fresh) > 0 {
+	if len(diags) > 0 {
 		os.Exit(1)
 	}
-}
-
-func sevOf(a *analysis.Analyzer) analysis.Severity {
-	if a.Severity == "" {
-		return analysis.SevError
-	}
-	return a.Severity
 }
 
 // findModuleRoot walks up from the working directory to the nearest

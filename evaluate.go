@@ -232,7 +232,8 @@ type Timings struct {
 	Mallocs    uint64
 }
 
-// Result is the outcome of Evaluate.
+// Result is the outcome of Run, RunMulti or Watcher.Run: per-snapshot
+// results in snapshot order plus the evaluation's cost accounting.
 type Result struct {
 	Strategy  Strategy
 	Snapshots []SnapshotResult
@@ -314,7 +315,7 @@ func (g *EvolvingGraph) checkSource(src VertexID) error {
 // only thing a watcher evaluation does differently.
 func (g *EvolvingGraph) run(ctx context.Context, req Request, held *core.Rep) (*Result, error) {
 	if ctx == nil {
-		ctx = context.Background() //cgvet:ignore ctxflow -- nil-ctx compatibility shim; callers with a real context pass it through
+		ctx = context.Background()
 	}
 	q, strategy, opt := req.Query, req.Strategy, req.Options
 	if q.Algorithm == nil {
@@ -510,7 +511,7 @@ func (g *EvolvingGraph) Plan(from, to int, opt Options) (*Plan, error) {
 	sp := opt.tracer().StartSpan("plan", obs.Int("from", from), obs.Int("to", to))
 	defer sp.End()
 	w := core.Window{Store: g.store, From: from, To: to}
-	rep, _, sched, err := g.windowPlan(context.Background(), w, nil, true, opt, sp) //cgvet:ignore ctxflow -- Plan takes no context: it is never cancelled
+	rep, _, sched, err := g.windowPlan(context.Background(), w, nil, true, opt, sp)
 	if err != nil {
 		return nil, err
 	}

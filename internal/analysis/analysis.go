@@ -1,19 +1,21 @@
 // Package analysis is cgvet's engine: a self-contained static-analysis
 // driver (stdlib go/parser + go/types only) that loads every package of
-// the module and runs repo-specific analyzers enforcing the invariants the
-// CommonGraph design rests on but the Go compiler cannot see — the
-// mutation-free CSR, the monotonic engine-state contract, lock discipline
-// in the parallel evaluators, and run-to-run determinism.
+// the module and runs the repo-specific analyzers that earn their place —
+// each either caught a real bug or guards an invariant no test, race run
+// or chaos run would notice breaking: the mutation-free CSR, panic
+// containment in the executor layer, silent library packages, goroutine
+// termination, durability error flow, file-handle ownership and ended
+// spans (DESIGN.md "Static analysis").
 //
 // A finding can be suppressed at a specific site with a comment on the
 // same line or the line above:
 //
-//	//cgvet:ignore lockdiscipline -- index-disjoint writes, one k per goroutine
+//	//cgvet:ignore goleak -- serves until Close shuts the listener
 //
 // Omitting the analyzer list suppresses every analyzer on that line. The
 // trailing "-- reason" (an em dash "—" works too) is mandatory: the
 // ignorehygiene analyzer turns a bare ignore into a finding that no
-// suppression can silence.
+// suppression can silence. There is no other suppression mechanism.
 package analysis
 
 import (
@@ -25,23 +27,11 @@ import (
 	"strings"
 )
 
-// Severity classifies a finding: errors are invariant violations that
-// must be fixed or justified; warnings flag contract drift worth a look
-// but tolerable in a pinch. Both fail cgvet unless baselined — severity
-// feeds reporting (SARIF level, sorted output), not the exit code.
-type Severity string
-
-const (
-	SevError   Severity = "error"
-	SevWarning Severity = "warning"
-)
-
 // Diagnostic is one finding: a position, the analyzer that produced it,
-// its severity, and a human-readable message.
+// and a human-readable message. Every finding is an error.
 type Diagnostic struct {
 	Pos      token.Position `json:"pos"`
 	Analyzer string         `json:"analyzer"`
-	Severity Severity       `json:"severity"`
 	Message  string         `json:"message"`
 }
 
@@ -62,43 +52,27 @@ type Pass struct {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	sev := p.Analyzer.Severity
-	if sev == "" {
-		sev = SevError
-	}
 	p.report(Diagnostic{
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
-		Severity: sev,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
 
 // Analyzer is one named invariant check.
 type Analyzer struct {
-	Name     string
-	Doc      string
-	Severity Severity // default SevError
-	Run      func(*Pass)
+	Name string
+	Doc  string
+	Run  func(*Pass)
 }
 
 // All is the cgvet suite, in reporting order: the syntactic tier first,
-// then the flow tier (goleak, ctxflow, atomicguard, errflow — built on
-// the CFG in flow.go), then the suppression auditor.
+// then the flow tier (goleak, errflow, spanend — built on the CFG in
+// flow.go), then the suppression auditor.
 var All = []*Analyzer{
-	CSRImmutable, LockDiscipline, StateWrite, Determinism, GoPanic, ObsDiscipline, CloseCheck,
-	GoLeak, CtxFlow, AtomicGuard, ErrFlow, SpanEnd,
+	CSRImmutable, GoPanic, ObsDiscipline, CloseCheck,
+	GoLeak, ErrFlow, SpanEnd,
 	IgnoreHygiene,
-}
-
-// ByName returns the analyzer with the given name, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }
 
 // RunAnalyzers applies each analyzer to each package, filters findings

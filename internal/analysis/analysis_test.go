@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -73,24 +75,45 @@ func runFixture(t *testing.T, dir, asPath string, a *Analyzer) {
 	}
 }
 
-func TestCSRImmutableFixture(t *testing.T) {
-	runFixture(t, "csrimmutable", "commongraph/internal/graph", CSRImmutable)
+// fixturePaths is the import path each analyzer's fixture
+// (testdata/src/<analyzer>) is type-checked under: the path, not the
+// directory, decides which of the analyzer's scoped rules apply.
+var fixturePaths = map[string]string{
+	"csrimmutable":  "commongraph/internal/graph",
+	"gopanic":       "commongraph/internal/core",
+	"obsdiscipline": "commongraph/internal/core",
+	"closecheck":    "commongraph/internal/store",
+	"goleak":        "commongraph/internal/engine",
+	"errflow":       "commongraph/internal/store",
+	"spanend":       "commongraph/internal/obs",
+	"ignorehygiene": "commongraph/internal/core",
 }
 
-func TestLockDisciplineFixture(t *testing.T) {
-	runFixture(t, "lockdiscipline", "commongraph/internal/core", LockDiscipline)
-}
-
-func TestStateWriteFixture(t *testing.T) {
-	runFixture(t, "statewrite", "commongraph/internal/engine", StateWrite)
-}
-
-func TestDeterminismFixture(t *testing.T) {
-	runFixture(t, "determinism", "commongraph/internal/graph", Determinism)
-}
-
-func TestGoPanicFixture(t *testing.T) {
-	runFixture(t, "gopanic", "commongraph/internal/core", GoPanic)
+// TestFixtures runs every analyzer of the suite over its fixture, and
+// fails on a fixture directory that names no analyzer of the suite — a
+// <analyzer>_<suffix> directory counts as its analyzer's — so an analyzer
+// cannot be deleted while its fixture stays behind.
+func TestFixtures(t *testing.T) {
+	names := make(map[string]bool, len(All))
+	for _, a := range All {
+		names[a.Name] = true
+		t.Run(a.Name, func(t *testing.T) {
+			path, ok := fixturePaths[a.Name]
+			if !ok {
+				t.Fatalf("no fixture import path for analyzer %s", a.Name)
+			}
+			runFixture(t, a.Name, path, a)
+		})
+	}
+	dirs, err := os.ReadDir(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dirs {
+		if name, _, _ := strings.Cut(d.Name(), "_"); !names[name] {
+			t.Errorf("testdata/src/%s is the fixture of no analyzer in All", d.Name())
+		}
+	}
 }
 
 // TestGoPanicScopedToCore proves the analyzer keeps out of other layers:
@@ -103,10 +126,6 @@ func TestGoPanicScopedToCore(t *testing.T) {
 	if diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{GoPanic}); len(diags) > 0 {
 		t.Fatalf("out-of-scope package flagged: %v", diags)
 	}
-}
-
-func TestObsDisciplineFixture(t *testing.T) {
-	runFixture(t, "obsdiscipline", "commongraph/internal/core", ObsDiscipline)
 }
 
 // TestObsDisciplineScopedToLibraries proves commands and examples keep
@@ -124,22 +143,9 @@ func TestObsDisciplineScopedToLibraries(t *testing.T) {
 	}
 }
 
-// TestDeterminismAllowlistedPath proves the same constructs are legal in
-// the harness layer: the identical rand/time usage under internal/bench
-// yields zero diagnostics.
-func TestDeterminismAllowlistedPath(t *testing.T) {
-	pkg, err := LoadDir(filepath.Join("testdata", "src", "determinism_allowed"), "commongraph/internal/bench")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{Determinism}); len(diags) > 0 {
-		t.Fatalf("allowlisted package flagged: %v", diags)
-	}
-}
-
 // TestModuleIsClean runs the full suite over the real module: the tree
-// must satisfy its own invariants (the CI gate `go run ./cmd/cgvet ./...`
-// relies on exactly this property).
+// must satisfy its own invariants. It is cgvet's gate — `go test ./...`
+// fails on any finding and prints each one.
 func TestModuleIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module (and stdlib) from source")
@@ -157,23 +163,12 @@ func TestModuleIsClean(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, a := range All {
-		if ByName(a.Name) != a {
-			t.Fatalf("ByName(%q) did not round-trip", a.Name)
-		}
-	}
-	if ByName("nope") != nil {
-		t.Fatal("ByName of unknown analyzer should be nil")
-	}
-}
-
 // TestSuppressionScopes pins down the directive grammar: named analyzer,
 // bare (all analyzers), and the comment-above form.
 func TestSuppressionScopes(t *testing.T) {
 	sup := suppressions{
 		"f.go": {
-			10: {"lockdiscipline": true},
+			10: {"goleak": true},
 			20: {"": true},
 		},
 	}
@@ -182,10 +177,10 @@ func TestSuppressionScopes(t *testing.T) {
 		analyzer string
 		want     bool
 	}{
-		{10, "lockdiscipline", true},
-		{11, "lockdiscipline", true}, // comment-above form
-		{12, "lockdiscipline", false},
-		{10, "statewrite", false},
+		{10, "goleak", true},
+		{11, "goleak", true}, // comment-above form
+		{12, "goleak", false},
+		{10, "errflow", false},
 		{20, "anything", true},
 		{21, "anything", true},
 	}
@@ -197,10 +192,6 @@ func TestSuppressionScopes(t *testing.T) {
 			t.Errorf("line %d analyzer %s: suppressed=%v want %v", c.line, c.analyzer, got, c.want)
 		}
 	}
-}
-
-func TestCloseCheckFixture(t *testing.T) {
-	runFixture(t, "closecheck", "commongraph/internal/store", CloseCheck)
 }
 
 // TestCloseCheckScopedToLibraries proves short-lived commands are out of

@@ -32,10 +32,9 @@ import (
 // already fsynced and which is about to be replaced — carries
 // //cgvet:ignore errflow -- <why the error does not matter>.
 var ErrFlow = &Analyzer{
-	Name:     "errflow",
-	Doc:      "durability errors in the store layer must reach a return, poison/rollback path, or metric",
-	Severity: SevError,
-	Run:      runErrFlow,
+	Name: "errflow",
+	Doc:  "durability errors in the store layer must reach a return, poison/rollback path, or metric",
+	Run:  runErrFlow,
 }
 
 // riskyNames are the method names whose error results carry durability
@@ -97,7 +96,7 @@ func checkErrFlowFrame(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt) {
 			}
 			pass.Reportf(st.Pos(),
 				"error from %s is silently dropped; return it, feed the poison/rollback path, or count it in a metric (//cgvet:ignore errflow -- <why it cannot matter> if truly benign)",
-				calleeName(pass.Info, call))
+				calleeName(call))
 		case *ast.AssignStmt:
 			checkErrAssign(pass, g, body, st, named)
 		case *ast.DeferStmt:
@@ -128,7 +127,7 @@ func checkErrAssign(pass *Pass, g *flowGraph, body *ast.BlockStmt, as *ast.Assig
 		}
 		pass.Reportf(as.Pos(),
 			"error from %s is discarded with _; return it, feed the poison/rollback path, or count it in a metric",
-			calleeName(pass.Info, call))
+			calleeName(call))
 		return
 	}
 	obj := pass.Info.Defs[id]
@@ -141,7 +140,7 @@ func checkErrAssign(pass *Pass, g *flowGraph, body *ast.BlockStmt, as *ast.Assig
 	if !g.valueReaches(as, obj) {
 		pass.Reportf(as.Pos(),
 			"error from %s is assigned to %s but never consulted before being overwritten or dropped",
-			calleeName(pass.Info, call), id.Name)
+			calleeName(call), id.Name)
 	}
 }
 

@@ -1,8 +1,8 @@
 package analysis
 
 // The flow tier: a per-function control-flow graph with just enough
-// def-use reasoning for the semantic analyzers (goleak, ctxflow,
-// atomicguard, errflow). The module is dependency-free by design, so this
+// def-use reasoning for the semantic analyzers (goleak, errflow,
+// spanend). The module is dependency-free by design, so this
 // is a self-contained SSA-lite built on go/ast + go/types rather than
 // golang.org/x/tools/go/ssa: basic blocks hold the function's statements
 // (and branch guards) in execution order, edges follow every structural

@@ -3,13 +3,8 @@ package analysis
 import (
 	"encoding/json"
 	"path/filepath"
-	"strings"
 	"testing"
 )
-
-func TestGoLeakFixture(t *testing.T) {
-	runFixture(t, "goleak", "commongraph/internal/engine", GoLeak)
-}
 
 // TestGoLeakScopedToLibraries proves commands are out of scope: the same
 // leaky spawns under cmd/ die with the process and yield nothing.
@@ -21,37 +16,6 @@ func TestGoLeakScopedToLibraries(t *testing.T) {
 	if diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{GoLeak}); len(diags) > 0 {
 		t.Fatalf("command package flagged: %v", diags)
 	}
-}
-
-func TestCtxFlowFixture(t *testing.T) {
-	runFixture(t, "ctxflow", "commongraph/internal/core", CtxFlow)
-}
-
-// TestCtxFlowRootRuleScopedToLibraries proves only the root-context rule
-// is path-scoped: under cmd/ minting Background() is legal, while the
-// severed-flow and spin-loop rules keep firing.
-func TestCtxFlowRootRuleScopedToLibraries(t *testing.T) {
-	pkg, err := LoadDir(filepath.Join("testdata", "src", "ctxflow"), "commongraph/cmd/cgquery")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{CtxFlow})
-	if len(diags) == 0 {
-		t.Fatal("flow rules should still fire in commands")
-	}
-	for _, d := range diags {
-		if strings.Contains(d.Message, "mints a root context") {
-			t.Errorf("root-context rule fired in a command package: %s", d)
-		}
-	}
-}
-
-func TestAtomicGuardFixture(t *testing.T) {
-	runFixture(t, "atomicguard", "commongraph/internal/engine", AtomicGuard)
-}
-
-func TestErrFlowFixture(t *testing.T) {
-	runFixture(t, "errflow", "commongraph/internal/store", ErrFlow)
 }
 
 // TestErrFlowScopedToStoreLayer proves the durability rules only bind the
@@ -66,95 +30,13 @@ func TestErrFlowScopedToStoreLayer(t *testing.T) {
 	}
 }
 
-func TestSpanEndFixture(t *testing.T) {
-	runFixture(t, "spanend", "commongraph/internal/obs", SpanEnd)
-}
-
-// TestIgnoreHygieneFixture: bare ignores are findings, and — because a
-// bare nameless ignore suppresses every analyzer on its line — the
-// finding must bypass the suppression machinery to surface at all.
-func TestIgnoreHygieneFixture(t *testing.T) {
-	pkg, err := LoadDir(filepath.Join("testdata", "src", "ignorehygiene"), "commongraph/internal/core")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{IgnoreHygiene})
-	if len(diags) != 2 {
-		t.Fatalf("want 2 bare-ignore findings, got %d: %v", len(diags), diags)
-	}
-	for _, d := range diags {
-		if !strings.Contains(d.Message, "bare //cgvet:ignore") {
-			t.Errorf("unexpected message: %s", d.Message)
-		}
-	}
-}
-
-func TestSeverityDefaultsToError(t *testing.T) {
-	for _, a := range All {
-		switch a.Severity {
-		case "", SevError, SevWarning:
-		default:
-			t.Errorf("analyzer %s has unknown severity %q", a.Name, a.Severity)
-		}
-	}
-	if CtxFlow.Severity != SevWarning {
-		t.Error("ctxflow should be a warning")
-	}
-	if GoLeak.Severity != SevError || ErrFlow.Severity != SevError {
-		t.Error("goleak/errflow should be errors")
-	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	root := t.TempDir()
-	d1 := Diagnostic{Analyzer: "goleak", Severity: SevError, Message: "m1"}
-	d1.Pos.Filename = filepath.Join(root, "internal", "engine", "x.go")
-	d1.Pos.Line = 10
-	d2 := Diagnostic{Analyzer: "errflow", Severity: SevError, Message: "m2"}
-	d2.Pos.Filename = filepath.Join(root, "store.go")
-	d2.Pos.Line = 3
-
-	path := filepath.Join(root, ".cgvet.baseline.json")
-	if err := WriteBaseline(path, []Diagnostic{d1}, root); err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Findings) != 1 || b.Findings[0].File != "internal/engine/x.go" {
-		t.Fatalf("baseline content wrong: %+v", b.Findings)
-	}
-
-	// d1 is accepted even from a different line; d2 is fresh.
-	d1moved := d1
-	d1moved.Pos.Line = 99
-	fresh, accepted := b.Filter([]Diagnostic{d1moved, d2}, root)
-	if len(accepted) != 1 || accepted[0].Message != "m1" {
-		t.Fatalf("baselined finding not accepted: fresh=%v accepted=%v", fresh, accepted)
-	}
-	if len(fresh) != 1 || fresh[0].Message != "m2" {
-		t.Fatalf("new finding not surfaced: fresh=%v", fresh)
-	}
-}
-
-func TestLoadBaselineMissingIsEmpty(t *testing.T) {
-	b, err := LoadBaseline(filepath.Join(t.TempDir(), "nope.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Findings) != 0 {
-		t.Fatalf("missing baseline should be empty, got %+v", b.Findings)
-	}
-}
-
 // TestSARIFShape pins the serialized envelope to what GitHub code
 // scanning consumes: version, driver name, per-analyzer rules, and a
 // result with a module-relative location.
 func TestSARIFShape(t *testing.T) {
 	root := t.TempDir()
-	d := Diagnostic{Analyzer: "ctxflow", Severity: SevWarning, Message: "ctx severed"}
-	d.Pos.Filename = filepath.Join(root, "watch.go")
+	d := Diagnostic{Analyzer: "errflow", Message: "error from f.Sync is silently dropped"}
+	d.Pos.Filename = filepath.Join(root, "store.go")
 	d.Pos.Line = 7
 	d.Pos.Column = 2
 
@@ -202,11 +84,11 @@ func TestSARIFShape(t *testing.T) {
 		t.Errorf("rules = %d, want one per analyzer (%d)", len(log.Runs[0].Tool.Driver.Rules), len(All))
 	}
 	res := log.Runs[0].Results
-	if len(res) != 1 || res[0].RuleID != "ctxflow" || res[0].Level != "warning" {
+	if len(res) != 1 || res[0].RuleID != "errflow" || res[0].Level != "error" {
 		t.Fatalf("result shape wrong: %+v", res)
 	}
 	loc := res[0].Locations[0].PhysicalLocation
-	if loc.ArtifactLocation.URI != "watch.go" || loc.Region.StartLine != 7 {
+	if loc.ArtifactLocation.URI != "store.go" || loc.Region.StartLine != 7 {
 		t.Errorf("location wrong: %+v", loc)
 	}
 }

@@ -1,11 +1,9 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -36,10 +34,9 @@ import (
 // documented broadcast protocol, a server closed elsewhere) carry
 // //cgvet:ignore goleak -- <the argument>.
 var GoLeak = &Analyzer{
-	Name:     "goleak",
-	Doc:      "require a provable termination path for every goroutine spawned in library packages",
-	Severity: SevError,
-	Run:      runGoLeak,
+	Name: "goleak",
+	Doc:  "require a provable termination path for every goroutine spawned in library packages",
+	Run:  runGoLeak,
 }
 
 func runGoLeak(pass *Pass) {
@@ -347,17 +344,4 @@ func pkgName(f *types.Func) string {
 		return "?"
 	}
 	return f.Pkg().Name()
-}
-
-// funcNames joins sorted function names for messages.
-func funcNames(set map[string]bool, max int) string {
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	if len(names) > max {
-		names = append(names[:max], fmt.Sprintf("+%d more", len(set)-max))
-	}
-	return strings.Join(names, ", ")
 }

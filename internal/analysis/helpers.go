@@ -65,8 +65,8 @@ func namedRecv(info *types.Info, sel *ast.SelectorExpr) *types.Named {
 // selectsField reports whether expr (after unwrapping indexing/parens)
 // selects the named field of the named struct type defined in a package
 // with the given name, returning the selector when it does. This is how
-// analyzers recognize graph.CSR's backing arrays or engine.State.words
-// without importing those packages (fixtures define look-alikes).
+// csrimmutable recognizes graph.CSR's backing arrays without importing
+// internal/graph (its fixture defines a look-alike).
 func selectsField(info *types.Info, expr ast.Expr, pkgName, typeName string, fields map[string]bool) (*ast.SelectorExpr, *types.Var) {
 	for {
 		switch x := expr.(type) {
@@ -112,6 +112,20 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	f, _ := info.Uses[id].(*types.Func)
 	return f
+}
+
+// calleeName renders the callee for messages ("store.Sync", "run").
+func calleeName(call *ast.CallExpr) string {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fun.Name
+	case *ast.SelectorExpr:
+		if id, ok := fun.X.(*ast.Ident); ok {
+			return id.Name + "." + fun.Sel.Name
+		}
+		return fun.Sel.Name
+	}
+	return "the callee"
 }
 
 // isBuiltin reports whether the call invokes the named builtin (append,

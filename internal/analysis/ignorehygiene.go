@@ -4,9 +4,9 @@ import (
 	"strings"
 )
 
-// IgnoreHygiene keeps the suppression ledger honest: every
-// //cgvet:ignore must say *why* — `//cgvet:ignore lockdiscipline --
-// cursor is owner-local until published`. A bare ignore is a finding in
+// IgnoreHygiene keeps the suppressions honest: every //cgvet:ignore must
+// say *why* — `//cgvet:ignore goleak -- reader unblocks when the session
+// closes conn`. A bare ignore is a finding in
 // its own right, because an unsupervised suppression is how an invariant
 // dies quietly: the code changes, the reason (if there ever was one)
 // stops holding, and nothing notices.
@@ -14,10 +14,9 @@ import (
 // Findings from this analyzer bypass the suppression machinery — a bare
 // ignore cannot ignore the complaint about itself.
 var IgnoreHygiene = &Analyzer{
-	Name:     "ignorehygiene",
-	Doc:      "every //cgvet:ignore must carry a `-- reason` justification",
-	Severity: SevError,
-	Run:      runIgnoreHygiene,
+	Name: "ignorehygiene",
+	Doc:  "every //cgvet:ignore must carry a `-- reason` justification",
+	Run:  runIgnoreHygiene,
 }
 
 func runIgnoreHygiene(pass *Pass) {

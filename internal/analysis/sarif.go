@@ -1,11 +1,19 @@
 package analysis
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"path/filepath"
+	"strings"
+)
 
 // SARIF 2.1.0 serialization — the minimal subset GitHub code scanning
 // consumes: one run, one driver with a rule per analyzer, one result per
 // finding with a physical location. Static JSON structs beat a SARIF
 // dependency the module is not allowed to take.
+
+// sarifLevel is the level of every rule and result: each finding is an
+// invariant violation.
+const sarifLevel = "error"
 
 type sarifLog struct {
 	Schema  string     `json:"$schema"`
@@ -77,14 +85,14 @@ func SARIF(diags []Diagnostic, analyzers []*Analyzer, root string) ([]byte, erro
 		rules = append(rules, sarifRule{
 			ID:                   a.Name,
 			ShortDescription:     sarifText{Text: a.Doc},
-			DefaultConfiguration: sarifDefault{Level: sarifLevel(a.Severity)},
+			DefaultConfiguration: sarifDefault{Level: sarifLevel},
 		})
 	}
 	results := make([]sarifResult, 0, len(diags))
 	for _, d := range diags {
 		results = append(results, sarifResult{
 			RuleID:  d.Analyzer,
-			Level:   sarifLevel(d.Severity),
+			Level:   sarifLevel,
 			Message: sarifText{Text: d.Message},
 			Locations: []sarifLocation{{
 				PhysicalLocation: sarifPhysical{
@@ -108,9 +116,13 @@ func SARIF(diags []Diagnostic, analyzers []*Analyzer, root string) ([]byte, erro
 	return json.MarshalIndent(&log, "", "  ")
 }
 
-func sarifLevel(s Severity) string {
-	if s == SevWarning {
-		return "warning"
+// moduleRel renders filename relative to the module root with forward
+// slashes — a stable, machine-independent artifact URI.
+func moduleRel(root, filename string) string {
+	if root != "" {
+		if rel, err := filepath.Rel(root, filename); err == nil && !strings.HasPrefix(rel, "..") {
+			return filepath.ToSlash(rel)
+		}
 	}
-	return "error"
+	return filepath.ToSlash(filename)
 }

@@ -27,10 +27,9 @@ import (
 // A deliberately leaked span carries
 // //cgvet:ignore spanend -- <who ends it and when>.
 var SpanEnd = &Analyzer{
-	Name:     "spanend",
-	Doc:      "spans must be ended on every path: End() all-paths, defer End(), or ownership transfer",
-	Severity: SevError,
-	Run:      runSpanEnd,
+	Name: "spanend",
+	Doc:  "spans must be ended on every path: End() all-paths, defer End(), or ownership transfer",
+	Run:  runSpanEnd,
 }
 
 // spanStartNames are the span-constructor method names of the obs layer.
@@ -79,7 +78,7 @@ func checkSpanFrame(pass *Pass, body *ast.BlockStmt) {
 			}
 			pass.Reportf(as.Pos(),
 				"span from %s is discarded with _ and can never be ended; bind it and call End()",
-				calleeName(pass.Info, call))
+				calleeName(call))
 			return
 		}
 		obj := pass.Info.Defs[id]
@@ -100,7 +99,7 @@ func checkSpanFrame(pass *Pass, body *ast.BlockStmt) {
 		}) {
 			pass.Reportf(as.Pos(),
 				"span from %s is not ended on every path; call %s.End() before each return, defer it, or hand the span off (//cgvet:ignore spanend -- <who ends it> if transferred invisibly)",
-				calleeName(pass.Info, call), id.Name)
+				calleeName(call), id.Name)
 		}
 	})
 }

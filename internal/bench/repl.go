@@ -89,7 +89,7 @@ func measureReplication(w *Workload, src graph.VertexID, history, live int) ([]s
 		return nil, err
 	}
 	defer f.Close()
-	ctx, cancel := context.WithCancel(context.Background()) //cgvet:ignore ctxflow -- benchmark harness root; the deferred cancel bounds the follower loop to this measurement
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	//cgvet:ignore goleak -- catch-up loop exits when the deferred cancel fires; Follower.Close severs the conn first
 	go f.Run(ctx) //nolint:errcheck // progress observed via applied; cancel ends it

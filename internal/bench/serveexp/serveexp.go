@@ -184,7 +184,6 @@ func measure(g *commongraph.EvolvingGraph, conc int, sharing bool) (measurement,
 			defer wg.Done()
 			win := window(i)
 			t0 := time.Now()
-			//cgvet:ignore ctxflow -- bench lifecycle root: Experiment.Run carries no ctx
 			_, err := client.Run(context.Background(), &apiv1.RunRequest{
 				Algorithm: "SSSP",
 				Source:    0,
@@ -238,7 +237,6 @@ func measureCacheHitRate(g *commongraph.EvolvingGraph) (hits, total int, err err
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < batch; i++ {
 			win := window(i)
-			//cgvet:ignore ctxflow -- bench lifecycle root: Experiment.Run carries no ctx
 			res, err := client.Run(context.Background(), &apiv1.RunRequest{
 				Algorithm: "BFS", Source: 1, Window: &win,
 			})

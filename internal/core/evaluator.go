@@ -88,7 +88,7 @@ func executorCtx(cfg Config) context.Context {
 	if cfg.Ctx != nil {
 		return cfg.Ctx
 	}
-	return context.Background() //cgvet:ignore ctxflow -- nil Config.Ctx means "never cancelled"; pprof labelling still needs some context to hang off
+	return context.Background() // a nil Config.Ctx is never cancelled
 }
 
 // SnapshotResult is the query outcome at one snapshot of the window.

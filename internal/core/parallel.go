@@ -53,7 +53,7 @@ func (x *execution) each(n int, unit func(i int, acc *Result) error) error {
 				if err != nil {
 					failed.Store(true)
 				}
-				errs[i] = err //cgvet:ignore lockdiscipline -- index-disjoint, one i per goroutine
+				errs[i] = err
 			}()
 			defer recoverToError(&err)
 			sem <- struct{}{}

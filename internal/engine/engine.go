@@ -369,7 +369,7 @@ func (r *syncRunner) sparsePar(list []graph.VertexID, prefix []int, total int) (
 					imp += i2
 				}
 			}
-			bufs[w] = buf //cgvet:ignore lockdiscipline -- index-disjoint, one w per goroutine
+			bufs[w] = buf // index-disjoint: one w per goroutine
 			pushed.Add(p)
 			improved.Add(imp)
 		}(w)
@@ -489,7 +489,7 @@ func (r *syncRunner) densePar(cur *frontier) (int64, int64) {
 					imp += i2
 				})
 			}
-			bufs[w] = buf //cgvet:ignore lockdiscipline -- index-disjoint, one w per goroutine
+			bufs[w] = buf // index-disjoint: one w per goroutine
 			pushed.Add(p)
 			improved.Add(imp)
 		}(w)

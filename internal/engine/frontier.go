@@ -21,7 +21,9 @@ import (
 // (list abandoned, set is dense). Every other method is single-writer and
 // assumes the list/bitset invariant holds.
 type frontier struct {
-	//cgvet:ignore atomicguard -- phase contract (documented above): trySet CASes bits only inside sparsePar/densePar worker pools; every plain access (setSeq, clear, the async drain's in-queue set) runs single-writer with no worker in flight
+	// Phase contract: trySet CASes bits only inside the sparsePar/densePar
+	// worker pools; every plain access (setSeq, clear, the async drain's
+	// in-queue set) runs single-writer with no worker in flight.
 	bits []uint64
 	n    int
 	// sparse is the exact active list (no duplicates, unspecified order)

@@ -25,7 +25,12 @@ type State struct {
 	// min caches a.Direction() == Minimize so the per-edge improvement
 	// test is a plain comparison, not an interface call.
 	min bool
-	//cgvet:ignore atomicguard -- phase contract: Load/TryImprove/Improves CAS words while workers run; improveSeq loads and stores them plainly in single-writer phases (addition seeding, sparseSeq, denseSeq, runAsync: one goroutine, no worker in flight); Clone/CloneRecycled/Recycle/Equal/Summary and construction touch them plainly only at quiescent points (no pass in flight)
+	// Phase contract: Load/TryImprove/Improves access words atomically
+	// while workers run; improveSeq loads and stores them plainly in
+	// single-writer phases (addition seeding, sparseSeq, denseSeq,
+	// runAsync: one goroutine, no worker in flight); Clone, CloneRecycled,
+	// Recycle, Equal, Summary and construction touch them plainly only at
+	// quiescent points (no pass in flight).
 	words []uint64 // hi 32 bits: value (int32 bit pattern); lo 32: parent
 }
 

@@ -334,7 +334,9 @@ func (t *Tracer) record(e Event) {
 		for _, a := range e.Attrs {
 			logAttrs = append(logAttrs, slog.String(a.Key, a.Value))
 		}
-		t.logger.LogAttrs(context.Background(), slog.LevelInfo, e.Name, logAttrs...) //cgvet:ignore ctxflow -- slog.LogAttrs wants a context only for handler plumbing; trace emission has no request context and must never block on one
+		// slog wants a context only for handler plumbing; trace emission has
+		// no request context and must never block on one.
+		t.logger.LogAttrs(context.Background(), slog.LevelInfo, e.Name, logAttrs...)
 	}
 }
 

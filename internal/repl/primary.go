@@ -69,7 +69,7 @@ func NewPrimary(st *store.Store, heartbeat time.Duration) *Primary {
 	}
 	// The primary is its own lifecycle root: sessions serve until Close,
 	// not until some caller's request context ends.
-	ctx, cancel := context.WithCancel(context.Background()) //cgvet:ignore ctxflow -- replication-server lifecycle root; cancelled by Close
+	ctx, cancel := context.WithCancel(context.Background())
 	return &Primary{
 		st:        st,
 		heartbeat: heartbeat,

@@ -66,9 +66,6 @@ type Config struct {
 	// (KickStarter, which a windowed service cannot serve anyway) means
 	// DirectHopParallel.
 	DefaultStrategy commongraph.Strategy
-	// RetryAfter is the backoff hint on queue-full responses (0 = 500ms).
-	// Quota denials compute their own from the bucket's refill rate.
-	RetryAfter time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -87,14 +84,15 @@ func (c Config) withDefaults() Config {
 	if c.DefaultStrategy == commongraph.KickStarter {
 		c.DefaultStrategy = commongraph.DirectHopParallel
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 500 * time.Millisecond
-	}
 	return c
 }
 
 // defaultTenant is the quota identity of requests without X-CG-Tenant.
 const defaultTenant = "default"
+
+// queueFullRetryAfter is the backoff hint on queue-full responses. Quota
+// denials compute their own from the bucket's refill rate.
+const queueFullRetryAfter = 500 * time.Millisecond
 
 // Server is the query service. It implements http.Handler for the
 // apiv1.RunPath endpoint; mount it on an obs.OpsMux next to /metrics and
@@ -211,7 +209,7 @@ func (s *Server) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 		s.fail(rw, tenant, "queue_full", &apiv1.Error{
 			Code:             apiv1.CodeQueueFull,
 			Message:          fmt.Sprintf("admission queue at capacity (%d in service)", q-1),
-			RetryAfterMillis: s.cfg.RetryAfter.Milliseconds(),
+			RetryAfterMillis: queueFullRetryAfter.Milliseconds(),
 			Status:           http.StatusTooManyRequests,
 		})
 		return

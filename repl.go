@@ -196,7 +196,7 @@ func Follow(cfg FollowerConfig) (*Follower, error) {
 	}
 	// The follower is its own lifecycle root: the catch-up loop runs until
 	// Close, not until some caller's request context ends.
-	ctx, cancel := context.WithCancel(context.Background()) //cgvet:ignore ctxflow -- follower lifecycle root; cancelled by Close
+	ctx, cancel := context.WithCancel(context.Background())
 	f.cancel = cancel
 	//cgvet:ignore goleak -- catch-up loop exits when Close cancels ctx (or after promotion); Close waits on done
 	go func() {

@@ -66,10 +66,9 @@ const maxICGEntries = 64
 // state (8 bytes per vertex) per source forever.
 const maxICGGroups = 64
 
-// groupKey identifies one family of ICG states. Engine tuning (workers,
-// scheduler mode) is deliberately absent: the programs are monotonic, so
-// the fixpoint is schedule-independent and any configuration's solve is
-// reusable by every other.
+// groupKey identifies one family of ICG states. The worker budget is
+// deliberately absent: the programs are monotonic, so the fixpoint is
+// schedule-independent and any budget's solve is reusable by every other.
 type groupKey struct {
 	algo   string
 	source VertexID

@@ -82,7 +82,7 @@ func (g *EvolvingGraph) Watch(from, to int) (*Watcher, error) {
 	}
 	// The watcher is its own lifecycle root: background compactions run
 	// until Close, not until some caller's request context ends.
-	bgCtx, bgCancel := context.WithCancel(context.Background()) //cgvet:ignore ctxflow -- watcher lifecycle root; cancelled by Close, no caller context outlives it
+	bgCtx, bgCancel := context.WithCancel(context.Background())
 	return &Watcher{g: g, m: m, retry: DefaultRetry, bgCtx: bgCtx, bgCancel: bgCancel}, nil
 }
 
@@ -423,7 +423,7 @@ func (w *Watcher) ServeMetrics(addr string) (*MetricsServer, error) {
 // context cancels the evaluation like Run's.
 func (g *EvolvingGraph) RunMulti(ctx context.Context, queries []Query, win Window, opt Options) ([]*Result, error) {
 	if ctx == nil {
-		ctx = context.Background() //cgvet:ignore ctxflow -- nil-ctx compatibility shim; callers with a real context pass it through
+		ctx = context.Background()
 	}
 	w := core.Window{Store: g.store, From: win.From, To: win.To}
 	rep, tg, sched, err := g.windowPlan(ctx, w, nil, true, opt, nil)
