@@ -123,11 +123,11 @@ func strategyNames() string {
 // Options tunes an evaluation.
 type Options struct {
 	// Workers is the evaluation's worker budget (0 = GOMAXPROCS). The
-	// sequential strategies and every common-graph solve run their engine
-	// passes with all of it; DirectHopParallel and WorkSharingParallel
-	// run min(units, Workers) hops or root subtrees at a time and split
-	// it among them. The engine's scheduler is not an option: each pass's
-	// input picks it (§4.3).
+	// sequential strategies run their incremental engine passes with all
+	// of it; DirectHopParallel and WorkSharingParallel run min(units,
+	// Workers) hops or root subtrees at a time and split it among them.
+	// Every from-scratch solve runs on one goroutine. The engine's
+	// scheduler is not an option: each pass's input picks it (§4.3).
 	Workers int
 	// KeepValues retains full per-snapshot value arrays in the result.
 	KeepValues bool

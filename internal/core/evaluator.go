@@ -19,10 +19,10 @@ type Config struct {
 	Algo   algo.Algorithm
 	Source graph.VertexID
 	// Engine tunes the engine passes. Its Workers is the evaluation's one
-	// worker budget B (0 = GOMAXPROCS). The common solve and the sequential
-	// strategies run every pass with B workers. A concurrent strategy runs
-	// min(units, B) units at a time, each pass with max(1, B/in-flight)
-	// workers (DESIGN.md "Engine").
+	// worker budget B (0 = GOMAXPROCS). The common solve runs on one
+	// goroutine; the sequential strategies run every incremental pass with
+	// B workers. A concurrent strategy runs min(units, B) units at a time,
+	// each pass with max(1, B/in-flight) workers (DESIGN.md "Engine").
 	Engine engine.Options
 	// KeepValues retains the full per-snapshot value arrays in the result
 	// (tests and small runs); otherwise only counts and checksums are kept.
@@ -45,9 +45,10 @@ type Config struct {
 	// never instrumented either way.
 	Trace *obs.Span
 	// Common, when non-nil, is a pre-solved fixpoint state for the
-	// window's common graph: solveCommon clones it instead of running the
-	// from-scratch solve. The caller owns correctness — the state must be
-	// the exact fixpoint of (Algo, Source) on the rep's base graph. The
+	// window's common graph: solveCommon clones it, into recycled storage,
+	// instead of running the from-scratch solve, and never writes or
+	// recycles it. The caller owns correctness — the state must be the
+	// exact fixpoint of (Algo, Source) on the rep's base graph. The
 	// cross-query PlanCache uses this to share one common-graph solve
 	// among overlapping concurrent queries.
 	Common *engine.State
@@ -68,10 +69,11 @@ func nodeRef(n *ScheduleNode) string { return fmt.Sprintf("%d,%d", n.I, n.J) }
 
 // solveCommon is the shared from-scratch solve on the common graph, under
 // a "common.solve" span (with the engine's own pass span nested inside).
+// The state it returns is the evaluation's own, in recycled storage.
 func solveCommon(g delta.Graph, cfg Config) (*engine.State, engine.Stats) {
 	if cfg.Common != nil {
 		sp := cfg.Trace.StartChild("common.reuse")
-		st := cfg.Common.Clone()
+		st := cfg.Common.CloneRecycled()
 		sp.End()
 		return st, engine.Stats{}
 	}
@@ -282,6 +284,7 @@ func SeedShare(rep *Rep, cfg Config) (streamed, useful int64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
+	defer x.base.Recycle()
 	return rep.TotalDeltaEdges(), x.seedChain(), nil
 }
 
@@ -354,13 +357,15 @@ func checkWidth(rep *Rep, tg *TG) error {
 // goroutine, and the last one takes the base state itself. Isolated units
 // run concurrently, min(units, B) at a time, each from its own copy of
 // the base state and panic-contained, so that Config.Degrade can
-// recompute a failed one along the star.
+// recompute a failed one along the star. Every unit has been joined when
+// the walk returns, so the base state goes back to the free list then.
 func walk(rep *Rep, sched *Schedule, cfg Config, label string, isolated bool) (res *Result, err error) {
 	defer recoverToError(&err)
 	x, err := start(rep, cfg, label)
 	if err != nil {
 		return nil, err
 	}
+	defer x.base.Recycle()
 	width := 1
 	if isolated {
 		width = min(len(sched.Root.Edges), cfg.budget())

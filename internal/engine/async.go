@@ -8,8 +8,9 @@ import "commongraph/internal/graph"
 // in-queue set (a vertex's bit is set while it waits and cleared just
 // before its value is read, so a later improvement re-enqueues it) and its
 // member list the head of the queue, so a small incremental batch pays
-// O(|batch|) setup and allocates nothing beyond the queue's growth. One
-// goroutine owns both, so every access is a plain word operation.
+// O(|batch|) setup and allocates nothing beyond the queue's growth, which
+// the frontier keeps as its list's storage. One goroutine owns both, so
+// every access is a plain word operation. The pass leaves seed empty.
 func runAsync(st *State, seed *frontier, layers []graph.Rows) Stats {
 	var stats Stats
 	alg, id, min := st.a, st.a.Identity(), st.minimize()
@@ -40,5 +41,6 @@ func runAsync(st *State, seed *frontier, layers []graph.Rows) Stats {
 			stats.EdgesPushed += int64(len(ts))
 		}
 	}
+	seed.sparse, seed.dense = queue[:0], false
 	return stats
 }

@@ -41,32 +41,36 @@ func benchHub(b *testing.B) (*graph.Pair, int) {
 	return graph.NewPair(n, edges.Canonicalize()), n
 }
 
-// BenchmarkEngineSyncPass measures the level-synchronous from-scratch
-// solve on the skewed workload — the sync-pass cost every strategy's
-// common-graph solve pays.
-func BenchmarkEngineSyncPass(b *testing.B) {
+// BenchmarkRun measures the from-scratch solve, the ordered pass every
+// strategy's common-graph solve pays, per algorithm on the skewed
+// workload, with the edges it relaxes.
+func BenchmarkRun(b *testing.B) {
 	g, _ := benchSkewed(b)
-	for _, a := range []algo.Algorithm{algo.BFS{}, algo.SSSP{}} {
-		a := a
+	for _, a := range algo.All() {
 		b.Run(a.Name(), func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
+			var pushed int64
 			for i := 0; i < b.N; i++ {
-				Run(g, a, 0, Options{})
+				st, s := Run(g, a, 0, Options{})
+				b.StopTimer()
+				pushed += s.EdgesPushed
+				st.Recycle()
+				b.StartTimer()
 			}
+			b.ReportMetric(float64(pushed)/float64(b.N), "edges/op")
 		})
 	}
 }
 
-// BenchmarkEngineSyncHub measures the sync pass on the single-hub graph:
-// the iteration where the hub is the whole frontier is the degenerate
-// load-balance case.
+// BenchmarkEngineSyncHub measures a sync pass from the chain's head on the
+// single-hub graph: the iteration where the hub is the whole frontier is
+// the degenerate load-balance case.
 func BenchmarkEngineSyncHub(b *testing.B) {
-	g, _ := benchHub(b)
+	g, n := benchHub(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Run(g, algo.SSSP{}, 0, Options{})
+		runSync(NewState(n, algo.SSSP{}, 0), frontierOf(n, 0), g.OutRows(), Options{}.workers())
 	}
 }
 

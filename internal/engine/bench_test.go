@@ -16,34 +16,29 @@ func benchSetup(b *testing.B) (*graph.Pair, int) {
 	return graph.NewPair(n, edges), n
 }
 
-// BenchmarkFromScratch measures the initial full evaluation per algorithm
-// (the cost both KickStarter and CommonGraph pay once per query).
-func BenchmarkFromScratch(b *testing.B) {
-	g, _ := benchSetup(b)
+// BenchmarkFromScratchModes contrasts the three passes on a full
+// evaluation: the ordered pass Run takes, the sync pass at the default
+// width, and the async drain.
+func BenchmarkFromScratchModes(b *testing.B) {
+	g, n := benchSetup(b)
+	layers := g.OutRows()
 	for _, a := range algo.All() {
-		a := a
-		b.Run(a.Name(), func(b *testing.B) {
+		b.Run(a.Name()+"/Ordered", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				Run(g, a, 0, Options{})
 			}
 		})
+		b.Run(a.Name()+"/Sync", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				runSync(NewState(n, a, 0), frontierOf(n, 0), layers, Options{}.workers())
+			}
+		})
+		b.Run(a.Name()+"/Async", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				runAsync(NewState(n, a, 0), frontierOf(n, 0), layers)
+			}
+		})
 	}
-}
-
-// BenchmarkFromScratchModes contrasts the two schedulers on a full
-// evaluation — the reason Run always picks the sync pass.
-func BenchmarkFromScratchModes(b *testing.B) {
-	g, n := benchSetup(b)
-	b.Run("Sync", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Run(g, algo.BFS{}, 0, Options{})
-		}
-	})
-	b.Run("Async", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runAsync(NewState(n, algo.BFS{}, 0), frontierOf(n, 0), g.OutRows())
-		}
-	})
 }
 
 // BenchmarkIncrementalAdd measures addition batches of growing size —

@@ -20,16 +20,21 @@ type engineVariant struct {
 
 // engineVariants is the matrix every differential check runs against:
 // sequential and parallel sync passes (hybrid frontier + work stealing),
-// the async drain, and the input policy that chooses between them. Small
-// graphs exercise the sequential fast paths; the large trials push
-// iterations over the parallel cutoffs.
+// the async drain, the ordered pass Run solves with, and the input policy
+// that chooses an incremental pass's scheduler. Small graphs exercise the
+// sequential fast paths; the large trials push iterations over the
+// parallel cutoffs.
 func engineVariants() []engineVariant {
 	return []engineVariant{
 		{"sync×1", func(g delta.Graph, st *State, seed *frontier) Stats { return runSync(st, seed, g.OutRows(), 1) }},
 		{"sync×4", func(g delta.Graph, st *State, seed *frontier) Stats { return runSync(st, seed, g.OutRows(), 4) }},
 		{"async", func(g delta.Graph, st *State, seed *frontier) Stats { return runAsync(st, seed, g.OutRows()) }},
+		{"ordered", func(g delta.Graph, st *State, seed *frontier) Stats {
+			return runOrdered(st, seed.members(), g.OutRows(), &radixQueue{})
+		}},
 		{"policy", func(g delta.Graph, st *State, seed *frontier) Stats {
-			return propagate(g, st, seed, Options{Workers: 4})
+			stats, _ := propagate(g, st, seed, Options{Workers: 4})
+			return stats
 		}},
 	}
 }
@@ -95,7 +100,7 @@ func checkAllVariants(t *testing.T, g *graph.Pair, add graph.EdgeList, a algo.Al
 	refInc := Reference(og, a, src)
 	base, _ := Run(g, a, src, Options{Workers: 1})
 	if !ValuesEqual(base, refBase) {
-		t.Fatalf("%s: baseline sync run diverges from oracle", a.Name())
+		t.Fatalf("%s: baseline run diverges from oracle", a.Name())
 	}
 	allSeeds := make([]graph.VertexID, n)
 	for i := range allSeeds {
@@ -189,8 +194,8 @@ func FuzzEngineDifferential(f *testing.F) {
 func TestParallelMatchesSequentialStats(t *testing.T) {
 	n, edges := gen.RMAT(gen.DefaultRMAT(12, 60_000, 9))
 	g := graph.NewPair(n, edges)
-	_, seq := Run(g, algo.BFS{}, 0, Options{Workers: 1})
-	_, par := Run(g, algo.BFS{}, 0, Options{Workers: 4})
+	seq := runSync(NewState(n, algo.BFS{}, 0), frontierOf(n, 0), g.OutRows(), 1)
+	par := runSync(NewState(n, algo.BFS{}, 0), frontierOf(n, 0), g.OutRows(), 4)
 	if seq.Iterations != par.Iterations {
 		t.Fatalf("iterations differ: seq %d par %d", seq.Iterations, par.Iterations)
 	}

@@ -16,8 +16,9 @@ import (
 // Options tunes an engine pass. The scheduler is not among them: the
 // input picks it (see propagate).
 type Options struct {
-	// Workers is the parallel width of sync iterations; 0 means
-	// GOMAXPROCS.
+	// Workers is the parallel width of an incremental pass's sync
+	// iterations; 0 means GOMAXPROCS. The from-scratch solve (Run) runs on
+	// one goroutine whatever it says.
 	Workers int
 	// Span, when non-nil, is the caller's trace span: each Run /
 	// IncrementalAddParts emits one child span carrying its Stats. Spans
@@ -41,15 +42,15 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// asyncCutoff is the scheduler policy of §4.3: a seeded frontier of at
-// most this many vertices drains the sequential async worklist, a larger
-// one runs level-synchronous iterations. Set from BenchmarkAsyncCutover
+// asyncCutoff is the scheduler policy of §4.3 for incremental passes: a
+// seeded frontier of at most this many vertices drains the sequential
+// async worklist, a larger one runs level-synchronous iterations. Set from BenchmarkAsyncCutover
 // (DESIGN.md "Engine" records the measurement).
 const asyncCutoff = 2048
 
 // Stats reports the work an engine pass performed.
 type Stats struct {
-	Iterations  int   // sync iterations (0 for async runs)
+	Iterations  int   // sync iterations (0 for async and ordered passes)
 	EdgesPushed int64 // out-edges examined from active vertices
 	Improved    int64 // successful value improvements
 	Trimmed     int64 // vertices invalidated by deletion trimming
@@ -63,28 +64,24 @@ func (s *Stats) Add(o Stats) {
 	s.Trimmed += o.Trimmed
 }
 
-// Run evaluates the query from scratch: it allocates fresh state with only
-// the source set and propagates to fixpoint over g. A from-scratch solve
-// touches the whole graph regardless of its one-vertex seed, so it always
-// runs level-synchronous (parallel) iterations.
+// Run evaluates the query from scratch: it draws state holding only the
+// source's value (recycled storage when the free list has some) and
+// settles the graph in value order on the calling goroutine (runOrdered),
+// so each reached vertex relaxes its row once.
 func Run(g delta.Graph, a algo.Algorithm, src graph.VertexID, opt Options) (*State, Stats) {
 	sp := opt.Span.StartChild("engine.run", obs.String("algo", a.Name()))
-	st := NewState(g.NumVertices(), a, src)
-	seed := newFrontier(g.NumVertices())
-	seed.setSeq(src)
-	stats := runSync(st, seed, g.OutRows(), opt.workers())
-	sp.SetAttr(statAttrs(stats)...)
+	st := newStateRecycled(g.NumVertices(), a, src)
+	q := getQueue()
+	stats := runOrdered(st, []graph.VertexID{src}, g.OutRows(), q)
+	queues.Put(q)
+	sp.SetAttr(statAttrs("ordered", stats)...)
 	sp.End()
 	return st, stats
 }
 
-// statAttrs renders a pass's Stats as span attributes. The mode is the
-// scheduler the pass ran: only the async drain reports no iterations.
-func statAttrs(s Stats) []obs.Attr {
-	mode := "sync"
-	if s.Iterations == 0 {
-		mode = "async"
-	}
+// statAttrs renders a pass's Stats as span attributes, mode naming the
+// pass that ran: ordered, async or sync.
+func statAttrs(mode string, s Stats) []obs.Attr {
 	return []obs.Attr{
 		obs.String("mode", mode),
 		obs.Int("iterations", s.Iterations),
@@ -98,22 +95,26 @@ func statAttrs(s Stats) []obs.Attr {
 // Duplicate seeds are deduplicated; the frontier starts in its sparse
 // representation, so a small seed set never pays a bitset-scan.
 func Propagate(g delta.Graph, st *State, seeds []graph.VertexID, opt Options) Stats {
-	f := newFrontier(g.NumVertices())
+	f := getFrontier(g.NumVertices())
 	for _, v := range seeds {
 		f.setSeq(v)
 	}
-	return propagate(g, st, f, opt)
+	stats, _ := propagate(g, st, f, opt)
+	putFrontier(f)
+	return stats
 }
 
-// propagate is the input-chosen scheduler (§4.3). A small frontier — the
-// common shape of an incremental batch — drains the async worklist, where
-// an improvement is visible within the pass and no level barrier is paid;
-// a large one runs synchronous iterations, which can use every worker.
-func propagate(g delta.Graph, st *State, seed *frontier, opt Options) Stats {
+// propagate is the input-chosen scheduler of an incremental pass (§4.3),
+// and returns the mode it picked. A small frontier — the common shape of
+// an incremental batch — drains the async worklist, where an improvement
+// is visible within the pass and no level barrier is paid; a large one
+// runs synchronous iterations, which can use every worker. Either leaves
+// seed empty, for the caller to recycle.
+func propagate(g delta.Graph, st *State, seed *frontier, opt Options) (Stats, string) {
 	if seed.count() <= asyncCutoff {
-		return runAsync(st, seed, g.OutRows())
+		return runAsync(st, seed, g.OutRows()), "async"
 	}
-	return runSync(st, seed, g.OutRows(), opt.workers())
+	return runSync(st, seed, g.OutRows(), opt.workers()), "sync"
 }
 
 // degree sums u's row lengths across the layers.
@@ -144,7 +145,8 @@ const (
 
 // syncRunner holds one sync pass's reusable scratch: the next frontier,
 // per-worker buffers, and the degree-prefix array of the sparse path.
-// Everything is allocated once per pass and recycled across iterations.
+// Everything is recycled across iterations, and the runner, buffers and
+// prefix included, across passes (runners).
 type syncRunner struct {
 	st      *State
 	alg     algo.Algorithm
@@ -161,12 +163,16 @@ type syncRunner struct {
 // frontier representation (sparse list vs dense bitset scan) and the
 // execution shape (sequential below seqEdgeCutoff; otherwise degree-aware
 // chunks handed to workers through an atomic work-stealing cursor).
+// The pass leaves the seed frontier cur empty.
 func runSync(st *State, cur *frontier, layers []graph.Rows, workers int) Stats {
 	var stats Stats
-	r := &syncRunner{
-		st: st, alg: st.a, id: st.a.Identity(), min: st.minimize(),
-		layers: layers, workers: workers, next: newFrontier(cur.n),
+	r, _ := runners.Get().(*syncRunner)
+	if r == nil {
+		r = new(syncRunner)
 	}
+	r.st, r.alg, r.id, r.min = st, st.a, st.a.Identity(), st.minimize()
+	r.layers, r.workers, r.next = layers, workers, getFrontier(cur.n)
+	seed := cur
 	for !cur.empty() {
 		stats.Iterations++
 		p, imp := r.iterate(cur)
@@ -175,8 +181,19 @@ func runSync(st *State, cur *frontier, layers []graph.Rows, workers int) Stats {
 		cur, r.next = r.next, cur
 		r.next.clear()
 	}
+	// Both frontiers are empty, and one of them is the caller's seed.
+	if r.next == seed {
+		r.next = cur
+	}
+	putFrontier(r.next)
+	*r = syncRunner{prefix: r.prefix, bufs: r.bufs}
+	runners.Put(r)
 	return stats
 }
+
+// runners recycles sync runners across passes; a pooled runner keeps only
+// its prefix array and worker buffers.
+var runners sync.Pool
 
 // iterate processes one frontier into r.next and returns (pushed,
 // improved) counts.

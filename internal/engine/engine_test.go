@@ -35,11 +35,12 @@ func TestRunMatchesReferenceAllAlgorithms(t *testing.T) {
 }
 
 func TestSyncParallelWidths(t *testing.T) {
-	g, _ := testGraph(2, 10, 8000)
+	g, n := testGraph(2, 10, 8000)
 	a := algo.SSSP{}
 	ref := Reference(g, a, 0)
 	for _, workers := range []int{1, 2, 4, 8} {
-		st, _ := Run(g, a, 0, Options{Workers: workers})
+		st := NewState(n, a, 0)
+		runSync(st, frontierOf(n, 0), g.OutRows(), workers)
 		if !ValuesEqual(st, ref) {
 			t.Fatalf("workers=%d: wrong values", workers)
 		}
@@ -47,16 +48,17 @@ func TestSyncParallelWidths(t *testing.T) {
 }
 
 // TestAutoModePolicies pins the input policy: a from-scratch solve runs
-// sync, and an incremental pass drains the async worklist (no iterations)
-// when its batch seeds at most asyncCutoff vertices and runs sync above
-// that. Each pass's span names the mode it ran.
+// the ordered pass (no iterations), and an incremental pass drains the
+// async worklist (no iterations) when its batch seeds at most asyncCutoff
+// vertices and runs sync above that. Each pass's span names the mode it
+// ran.
 func TestAutoModePolicies(t *testing.T) {
 	const n = 4096
 	base := graph.NewPair(n, nil)
 	tr := obs.New(obs.WithFlightRecorder(nil))
 	root := tr.StartSpan("test")
-	if _, stats := Run(base, algo.BFS{}, 0, Options{Span: root}); stats.Iterations == 0 {
-		t.Fatal("from-scratch run should iterate synchronously")
+	if _, stats := Run(base, algo.BFS{}, 0, Options{Span: root}); stats.Iterations != 0 {
+		t.Fatalf("from-scratch run ran %d sync iterations", stats.Iterations)
 	}
 	for _, k := range []int{1, asyncCutoff, asyncCutoff + 1} {
 		// Every edge of the batch improves its own destination.
@@ -77,7 +79,7 @@ func TestAutoModePolicies(t *testing.T) {
 			modes = append(modes, e.Attr("mode"))
 		}
 	}
-	if want := []string{"sync", "async", "async", "sync"}; !reflect.DeepEqual(modes, want) {
+	if want := []string{"ordered", "async", "async", "sync"}; !reflect.DeepEqual(modes, want) {
 		t.Fatalf("span modes %v, want %v", modes, want)
 	}
 }
@@ -325,18 +327,23 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
-// TestDenseParallelPassAllocationsDoNotScaleWithV: a from-scratch parallel
-// solve over a flat graph runs its middle iterations as dense word scans,
-// whose per-vertex body (pushFull) must not allocate — the allocations of
-// a pass are its per-iteration scratch, not a function of how many
-// vertices were active.
+// TestDenseParallelPassAllocationsDoNotScaleWithV: a parallel sync pass
+// from one seed over a flat graph runs its middle iterations as dense word
+// scans, whose per-vertex body (pushFull) must not allocate — the
+// allocations of a pass are its per-iteration scratch, not a function of
+// how many vertices were active.
 func TestDenseParallelPassAllocationsDoNotScaleWithV(t *testing.T) {
 	allocs := func(scale int) (float64, int) {
 		n, edges := gen.RMAT(gen.DefaultRMAT(scale, 8<<scale, 3))
 		g := graph.NewPair(n, edges)
-		_, stats := Run(g, algo.BFS{}, 0, Options{Workers: 2})
+		layers := g.OutRows()
+		st := NewState(n, algo.BFS{}, 0)
+		stats := runSync(st, frontierOf(n, 0), layers, 2)
+		seed := frontierOf(n, 0)
 		return testing.AllocsPerRun(3, func() {
-			Run(g, algo.BFS{}, 0, Options{Workers: 2})
+			st.init(algo.BFS{}, 0)
+			seed.setSeq(0)
+			runSync(st, seed, layers, 2)
 		}), int(stats.Improved)
 	}
 	small, _ := allocs(15)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"commongraph/internal/graph"
@@ -34,6 +35,30 @@ type frontier struct {
 
 func newFrontier(n int) *frontier {
 	return &frontier{bits: make([]uint64, (n+63)/64), n: n}
+}
+
+// frontiers recycles the seed frontiers of incremental passes and the
+// second frontier of sync passes. A pooled frontier is empty and its whole
+// bitset — past its current length too — is clear.
+var frontiers sync.Pool
+
+// getFrontier returns an empty frontier over n vertices: a pooled one when
+// its bitset has room for n, else a new one. A misfit is dropped, so the
+// pool follows the graph sizes in use.
+func getFrontier(n int) *frontier {
+	words := (n + 63) / 64
+	if f, _ := frontiers.Get().(*frontier); f != nil && cap(f.bits) >= words {
+		f.bits, f.n = f.bits[:words], n
+		return f
+	}
+	return newFrontier(n)
+}
+
+// putFrontier hands back a frontier whose bitset is clear (a pass that
+// drained or cleared it); the list keeps its storage.
+func putFrontier(f *frontier) {
+	f.sparse, f.dense = f.sparse[:0], false
+	frontiers.Put(f)
 }
 
 // reserve sizes the sparse list for up to n setSeq calls, so seeding a

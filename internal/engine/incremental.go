@@ -30,18 +30,22 @@ func IncrementalAddParts(g delta.Graph, st *State, parts [][]graph.Edge, opt Opt
 	}
 	sp := opt.Span.StartChild("engine.incremental", obs.Int("batch", batchLen))
 	seed, stats := seedParts(st, parts, batchLen)
+	mode := "async" // a batch that improves nothing runs no pass
 	if seed != nil {
-		stats.Add(propagate(g, st, seed, opt))
+		var s Stats
+		s, mode = propagate(g, st, seed, opt)
+		stats.Add(s)
+		putFrontier(seed)
 	}
-	sp.SetAttr(statAttrs(stats)...)
+	sp.SetAttr(statAttrs(mode, stats)...)
 	sp.End()
 	return stats
 }
 
 // seedParts applies every added edge once. Seeding is a single-writer
 // phase: plain stores, and the improved destinations go straight into the
-// pass's frontier, whose list is sized once from the batch. The frontier
-// is nil when no edge improved its destination.
+// pass's frontier, a recycled one whose list is sized once from the batch.
+// The frontier is nil when no edge improved its destination.
 func seedParts(st *State, parts [][]graph.Edge, batchLen int) (*frontier, Stats) {
 	var stats Stats
 	var seed *frontier
@@ -57,7 +61,7 @@ func seedParts(st *State, parts [][]graph.Edge, batchLen int) (*frontier, Stats)
 			if st.improveSeq(e.Dst, cand, e.Src, min) {
 				stats.Improved++
 				if seed == nil {
-					seed = newFrontier(st.NumVertices())
+					seed = getFrontier(st.NumVertices())
 					seed.reserve(batchLen)
 				}
 				seed.setSeq(e.Dst)

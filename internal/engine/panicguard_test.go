@@ -5,33 +5,49 @@ import (
 	"testing"
 
 	"commongraph/internal/algo"
+	"commongraph/internal/delta"
 	"commongraph/internal/graph"
 )
 
-// panicAlgo is SSSP with a Propagate that always panics — a stand-in for
-// a buggy vertex program running inside the worker pools.
+// panicAlgo is SSSP with a Propagate that panics past the source — a
+// stand-in for a buggy vertex program running inside the worker pools.
+// Seeding a batch out of the source runs clean, so the panic is raised by
+// the pass the batch seeds.
 type panicAlgo struct{ algo.SSSP }
 
-func (panicAlgo) Propagate(algo.Value, graph.Weight) algo.Value {
-	panic("vertex program bug")
+func (a panicAlgo) Propagate(uval algo.Value, w graph.Weight) algo.Value {
+	if uval != a.SourceValue() {
+		panic("vertex program bug")
+	}
+	return a.SSSP.Propagate(uval, w)
 }
 
-// starGraph returns a hub with leaves out-edges, big enough to push one
-// iteration past seqEdgeCutoff so the parallel pools engage.
-func starGraph(leaves int) *graph.Pair {
-	edges := make([]graph.Edge, leaves)
-	for i := range edges {
-		edges[i] = graph.Edge{Src: 0, Dst: graph.VertexID(i + 1), W: 1}
+// fanGraph returns a source 0 with no out-edges, seeds vertices 1..seeds
+// each with fan out-edges to the vertices past them, and the batch that
+// links the source to every seed.
+func fanGraph(seeds, fan int) (*graph.Pair, graph.EdgeList) {
+	n := 1 + seeds + fan
+	var edges, batch graph.EdgeList
+	for s := 1; s <= seeds; s++ {
+		batch = append(batch, graph.Edge{Src: 0, Dst: graph.VertexID(s), W: 1})
+		for j := 0; j < fan; j++ {
+			edges = append(edges, graph.Edge{Src: graph.VertexID(s), Dst: graph.VertexID(1 + seeds + j), W: 1})
+		}
 	}
-	return graph.NewPair(leaves+1, edges)
+	return graph.NewPair(n, edges.Canonicalize()), batch.Canonicalize()
 }
 
 // TestWorkerPanicContained proves a panic on a pool worker resurfaces on
 // the coordinating goroutine (where internal/core's recoverToError can
 // contain it) instead of crashing the process, and that the pool still
-// drains — wg.Wait returns.
+// drains — wg.Wait returns. The pool is reached the way an evaluation
+// reaches it: an incremental pass seeding more than asyncCutoff vertices
+// runs sync, and its first iteration holds more than seqEdgeCutoff edges.
 func TestWorkerPanicContained(t *testing.T) {
-	g := starGraph(3 * seqEdgeCutoff)
+	seeds := asyncCutoff + 1
+	g, batch := fanGraph(seeds, seqEdgeCutoff/seeds+1)
+	og := delta.NewOverlayGraph(g, delta.NewOverlay(g.NumVertices(), delta.NewBatch(batch)))
+	st := NewState(g.NumVertices(), panicAlgo{}, 0)
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -48,7 +64,7 @@ func TestWorkerPanicContained(t *testing.T) {
 			t.Fatal("worker stack not captured")
 		}
 	}()
-	Run(g, panicAlgo{}, 0, Options{Workers: 4})
+	IncrementalAdd(og, st, batch, Options{Workers: 4})
 }
 
 // TestWorkerPanicFirstWins: concurrent sibling panics collapse to one

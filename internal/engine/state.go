@@ -1,10 +1,10 @@
 // Package engine is the push-based iterative execution engine shared by
 // the KickStarter baseline and the CommonGraph system. It evaluates a
 // monotonic vertex program (internal/algo) over the flat rows of any
-// adjacency view (internal/delta.Graph) from scratch or incrementally,
-// sequentially or in parallel, and maintains the dependence tree (each vertex's parent — the
-// in-neighbour that justified its value) that KickStarter-style trimming
-// requires.
+// adjacency view (internal/delta.Graph) from scratch, in value order on
+// one goroutine, or incrementally, sequentially or in parallel, and
+// maintains the dependence tree (each vertex's parent — the in-neighbour
+// that justified its value) that KickStarter-style trimming requires.
 package engine
 
 import (
@@ -28,9 +28,9 @@ type State struct {
 	// Phase contract: Load/TryImprove/Improves access words atomically
 	// while workers run; improveSeq loads and stores them plainly in
 	// single-writer phases (addition seeding, sparseSeq, denseSeq,
-	// runAsync: one goroutine, no worker in flight); Clone, CloneRecycled,
-	// Recycle, Equal, Summary and construction touch them plainly only at
-	// quiescent points (no pass in flight).
+	// runAsync, runOrdered: one goroutine, no worker in flight); Clone,
+	// CloneRecycled, Recycle, Equal, Summary and construction touch them
+	// plainly only at quiescent points (no pass in flight).
 	words []uint64 // hi 32 bits: value (int32 bit pattern); lo 32: parent
 }
 
@@ -45,13 +45,31 @@ func unpack(w uint64) (algo.Value, graph.VertexID) {
 // NewState allocates state for n vertices: every vertex holds the
 // algorithm's identity except the source, which holds its source value.
 func NewState(n int, a algo.Algorithm, src graph.VertexID) *State {
-	s := &State{a: a, src: src, min: a.Direction() == algo.Minimize, words: make([]uint64, n)}
+	s := &State{words: make([]uint64, n)}
+	s.init(a, src)
+	return s
+}
+
+// newStateRecycled is NewState in storage from the free list, when it
+// holds a state large enough.
+func newStateRecycled(n int, a algo.Algorithm, src graph.VertexID) *State {
+	s := takeFree(n)
+	if s == nil {
+		return NewState(n, a, src)
+	}
+	s.init(a, src)
+	return s
+}
+
+// init makes s a fresh state of (a, src): the identity everywhere but at
+// the source.
+func (s *State) init(a algo.Algorithm, src graph.VertexID) {
+	s.a, s.src, s.min = a, src, a.Direction() == algo.Minimize
 	id := pack(a.Identity(), graph.NoVertex)
 	for i := range s.words {
 		s.words[i] = id
 	}
 	s.words[src] = pack(a.SourceValue(), graph.NoVertex)
-	return s
 }
 
 // NumVertices returns the number of vertices covered.
@@ -115,10 +133,11 @@ func (s *State) Improves(v graph.VertexID, cand algo.Value, minimize bool) bool 
 }
 
 // improveSeq is TryImprove for the single-writer phases — addition
-// seeding, sparseSeq, denseSeq and the async drain, where one goroutine
-// owns the state and no worker is in flight: a plain load, compare and
-// store in place of the pre-filter load plus LOCK CMPXCHG. The worker
-// bodies (pushRange, pushFull) keep Improves + TryImprove.
+// seeding, sparseSeq, denseSeq, the async drain and the ordered solve,
+// where one goroutine owns the state and no worker is in flight: a plain
+// load, compare and store in place of the pre-filter load plus LOCK
+// CMPXCHG. The worker bodies (pushRange, pushFull) keep Improves +
+// TryImprove.
 func (s *State) improveSeq(v graph.VertexID, cand algo.Value, parent graph.VertexID, minimize bool) bool {
 	cur := algo.Value(int32(uint32(s.words[v] >> 32)))
 	if minimize {
@@ -153,7 +172,7 @@ func (s *State) Clone() *State {
 // the process retains at maxFreeStates states of the largest graph served.
 const maxFreeStates = 8
 
-// freeStates is the process-wide free list behind CloneRecycled and
+// freeStates is the process-wide free list behind Run, CloneRecycled and
 // Recycle. It outlives an evaluation on purpose: a parallel strategy has
 // every unit's state in flight at once, so only the states the previous
 // evaluation returned spare the next one its allocations.
@@ -173,6 +192,20 @@ var ScribbleOnRecycle atomic.Bool
 // quiescent. The caller owns the copy and should Recycle it once the
 // state is dead.
 func (s *State) CloneRecycled() *State {
+	c := takeFree(len(s.words))
+	if c == nil {
+		return s.Clone()
+	}
+	c.a, c.src, c.min = s.a, s.src, s.min
+	copy(c.words, s.words)
+	return c
+}
+
+// takeFree pops the free list's last state, resliced to n words, or returns
+// nil when the list is empty or that state is sized for a smaller graph:
+// graphs of different sizes share the process, and dropping the misfit
+// lets the list follow the sizes actually in use.
+func takeFree(n int) *State {
 	freeStates.Lock()
 	var c *State
 	if last := len(freeStates.list) - 1; last >= 0 {
@@ -180,23 +213,18 @@ func (s *State) CloneRecycled() *State {
 		freeStates.list = freeStates.list[:last]
 	}
 	freeStates.Unlock()
-	n := len(s.words)
 	if c == nil || cap(c.words) < n {
-		// Nothing to reuse, or storage sized for a smaller graph: graphs of
-		// different sizes share the process, and dropping the misfit lets
-		// the list follow the sizes actually in use.
-		return s.Clone()
+		return nil
 	}
-	c.a, c.src, c.min, c.words = s.a, s.src, s.min, c.words[:n]
-	copy(c.words, s.words)
+	c.words = c.words[:n]
 	return c
 }
 
 // Recycle hands a dead state's storage to the free list; the list drops it
 // when full. The caller must own s exclusively and never touch it again:
-// the next CloneRecycled, on any goroutine, overwrites it. A state someone
-// else may still read — an evaluation's common fixpoint, a caller-supplied
-// Config.Common — is never recycled.
+// the next Run or CloneRecycled, on any goroutine, overwrites it. A state
+// someone else may still read — a caller-supplied Config.Common, a state
+// handed to a caller — is never recycled.
 func (s *State) Recycle() {
 	if ScribbleOnRecycle.Load() {
 		for i := range s.words {

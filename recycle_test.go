@@ -11,10 +11,12 @@ import (
 	"commongraph/internal/graph"
 )
 
-// TestRecycledStatesAreNotShared: hop and leaf states come from, and go
-// back to, one process-wide free list, so concurrent evaluations — mixed
-// algorithms, all six strategies, two graphs of different vertex counts —
-// keep handing each other storage. Every state is scribbled over at its
+// TestRecycledStatesAreNotShared: common, hop and leaf states come from,
+// and go back to, one process-wide free list, so concurrent evaluations —
+// mixed algorithms, all six strategies, with and without a PlanCache, two
+// graphs of different vertex counts — keep handing each other storage.
+// With a PlanCache the common state is the cache's, copied into recycled
+// storage and never recycled itself. Every state is scribbled over at its
 // release: anyone still reading one afterwards, or two evaluations holding
 // the same one, shows up as a snapshot that differs from the reference
 // (run with -race).
@@ -25,6 +27,7 @@ func TestRecycledStatesAreNotShared(t *testing.T) {
 	type fixture struct {
 		g    *EvolvingGraph
 		n    int
+		plan *PlanCache
 		refs map[string][][]Value // algorithm name -> snapshot -> values
 	}
 	const transitions = 5
@@ -34,7 +37,7 @@ func TestRecycledStatesAreNotShared(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := &fixture{g: New(n, base), n: n, refs: map[string][][]Value{}}
+		f := &fixture{g: New(n, base), n: n, plan: NewPlanCache(), refs: map[string][][]Value{}}
 		for _, tr := range trs {
 			if _, err := f.g.ApplyUpdates(tr.Additions, tr.Deletions); err != nil {
 				t.Fatal(err)
@@ -56,28 +59,30 @@ func TestRecycledStatesAreNotShared(t *testing.T) {
 	var wg sync.WaitGroup
 	for round := 0; round < 2; round++ {
 		for _, f := range fixtures {
-			for _, s := range Strategies() {
-				for _, a := range Algorithms() {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						res, err := f.g.Run(context.Background(), Request{
-							Query:    Query{Algorithm: a, Source: 0},
-							Window:   Window{From: 0, To: transitions},
-							Strategy: s,
-							Options:  Options{KeepValues: true},
-						})
-						if err != nil {
-							t.Errorf("n=%d %v %s: %v", f.n, s, a.Name(), err)
-							return
-						}
-						for k, snap := range res.Snapshots {
-							if !slices.Equal(snap.Values, f.refs[a.Name()][k]) {
-								t.Errorf("n=%d %v %s: snapshot %d differs from the reference", f.n, s, a.Name(), k)
+			for _, plan := range []*PlanCache{nil, f.plan} {
+				for _, s := range Strategies() {
+					for _, a := range Algorithms() {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							res, err := f.g.Run(context.Background(), Request{
+								Query:    Query{Algorithm: a, Source: 0},
+								Window:   Window{From: 0, To: transitions},
+								Strategy: s,
+								Options:  Options{KeepValues: true, Plan: plan},
+							})
+							if err != nil {
+								t.Errorf("n=%d %v %s plan=%v: %v", f.n, s, a.Name(), plan != nil, err)
 								return
 							}
-						}
-					}()
+							for k, snap := range res.Snapshots {
+								if !slices.Equal(snap.Values, f.refs[a.Name()][k]) {
+									t.Errorf("n=%d %v %s plan=%v: snapshot %d differs from the reference", f.n, s, a.Name(), plan != nil, k)
+									return
+								}
+							}
+						}()
+					}
 				}
 			}
 		}
