@@ -35,13 +35,15 @@ check: build vet
 sarif:
 	$(GO) run ./cmd/cgvet -sarif ./... > cgvet.sarif
 
-# Short deterministic fuzz of the graph ingest paths (text + binary) and
-# the engine differential oracle (every engine path vs reference.go
+# Short deterministic fuzz of the graph ingest paths (text + binary), the
+# row patcher of the maintained common graph (PatchRows against a rebuild,
+# branches included) and the engine differential oracle (every engine path vs reference.go
 # on fuzzer-shaped random graphs and batches).
 fuzz-smoke:
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzParseEdgeList$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzLoadCSR$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzEdgeListIO$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzPatchRows$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzEngineDifferential$$' -fuzztime $(FUZZTIME)
 
 # Probabilistic fault injection under the race detector: seeded random

@@ -7,7 +7,7 @@ import (
 // CSRImmutable enforces the paper's mutation-free representation (§4.1,
 // idea 3): once constructed, a graph.CSR is never written again. Any
 // assignment, element write, append, or copy targeting a CSR backing
-// field (offsets, targets, weights, n) outside the constructors in
+// field (starts, ends, targets, weights, n, m) outside the constructors in
 // internal/graph is a contract violation — overlays, not mutation, are
 // how snapshots differ.
 var CSRImmutable = &Analyzer{
@@ -21,16 +21,18 @@ var csrConstructors = map[string]bool{
 	"NewCSR":        true,
 	"NewReverseCSR": true,
 	"NewCSRParts":   true,
-	"PatchPair":     true,
+	"PatchRows":     true,
 	"buildCSR":      true,
 	"reverseOf":     true,
 }
 
 var csrFields = map[string]bool{
 	"n":       true,
-	"offsets": true,
+	"starts":  true,
+	"ends":    true,
 	"targets": true,
 	"weights": true,
+	"m":       true,
 }
 
 func runCSRImmutable(pass *Pass) {

@@ -8,15 +8,15 @@ type VertexID uint32
 type Weight int32
 
 type CSR struct {
-	n       int
-	offsets []int32
-	targets []VertexID
-	weights []Weight
+	n            int
+	starts, ends []int32
+	targets      []VertexID
+	weights      []Weight
 }
 
 func NewCSR(n, m int) *CSR {
 	c := &CSR{n: n}
-	c.offsets = make([]int32, n+1) // constructor: allowed
+	c.starts = make([]int32, n) // constructor: allowed
 	for i := 0; i < m; i++ {
 		c.targets = append(c.targets, 0) // constructor: allowed
 		c.weights = append(c.weights, 1) // constructor: allowed
@@ -31,7 +31,7 @@ func buildCSR(n int) *CSR {
 }
 
 func (c *CSR) Degree(u VertexID) int {
-	return int(c.offsets[u+1] - c.offsets[u]) // read: allowed
+	return int(c.ends[u] - c.starts[u]) // read: allowed
 }
 
 func Grow(c *CSR, v VertexID) {
@@ -43,7 +43,7 @@ func (c *CSR) SetWeight(i int, w Weight) {
 }
 
 func Patch(c *CSR) {
-	c.offsets[0]++ // want `write to graph\.CSR field "offsets"`
+	c.ends[0]++ // want `write to graph\.CSR field "ends"`
 }
 
 func Overwrite(c *CSR, src *CSR) {
@@ -51,5 +51,5 @@ func Overwrite(c *CSR, src *CSR) {
 }
 
 func Rebind(c *CSR) {
-	c.offsets = nil // want `write to graph\.CSR field "offsets"`
+	c.starts = nil // want `write to graph\.CSR field "starts"`
 }

@@ -181,7 +181,7 @@ func TestSlideRollsBackOnMidMaintenanceError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !graph.Equal(m.Rep().Common, fresh.Common) {
+	if !graph.Equal(m.Rep().Base.Out.Edges(), fresh.Common) {
 		t.Fatal("rolled-back representation's common graph differs from a fresh build")
 	}
 	for k := range fresh.Deltas {

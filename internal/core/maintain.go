@@ -22,14 +22,17 @@ import (
 //   - Slide does both, keeping the window's width.
 //
 // Every update is planned on the small lists — which edges leave the
-// common graph is a search per deleted edge, which are promoted an
-// intersection of the deltas — and then applied by one rebase: O(|Δ| ·
-// width) set work plus, when the common edge set actually changed, a
-// single pass that writes the new common list and its base CSR together.
+// common graph is a search per deleted edge in its base row, which are
+// promoted an intersection of the deltas — and then applied by one rebase:
+// each surviving delta is written once, and the base CSR is patched row by
+// row (graph.PatchRows), so a slide costs the rows it changes plus an
+// amortised compaction, not a rewrite of the common graph. A maintained
+// Rep carries no common edge list (Rep.Common is nil): its Base is E_c.
 // The result always equals BuildRep of the current window
 // (property-tested).
 type MaintainedRep struct {
-	rep *Rep
+	rep     *Rep
+	patched graph.PatchStats
 }
 
 // NewMaintainedRep builds the representation for an initial window.
@@ -47,6 +50,10 @@ func (m *MaintainedRep) Rep() *Rep { return m.rep }
 
 // Window returns the currently covered window.
 func (m *MaintainedRep) Window() Window { return m.rep.Window }
+
+// Patched reports what the last successful update wrote into the base
+// CSR: zero when the common graph carried over as it was.
+func (m *MaintainedRep) Patched() graph.PatchStats { return m.patched }
 
 // Append extends the window to include the store's next snapshot, which
 // must already exist (Store.NewVersion first, then Append).
@@ -88,20 +95,24 @@ func (m *MaintainedRep) Slide() error {
 	return nil
 }
 
-// maintenance is a maintenance update being planned: the window and the
-// deltas the representation will have, and the edges that leave and join
-// the common graph on the way. Planning reads the current representation
-// and writes nothing anyone else can see.
+// maintenance is a maintenance update being planned: the window it moves
+// to, and the edges that leave and join the common graph on the way.
+// Planning reads the current representation and writes nothing anyone
+// else can see; the deltas are written once, by rebase.
 type maintenance struct {
-	common   graph.EdgeList // the common graph being maintained, unchanged
-	w        Window
-	deltas   []*delta.Batch
+	base   *graph.Pair    // the common graph being maintained, unchanged
+	deltas []*delta.Batch // the current deltas, unchanged
+	w      Window
+	// next is the appended snapshot's delta before promotion, nil when
+	// the update appends nothing; drop is 1 when it advances.
+	next     graph.EdgeList
+	drop     int
 	leaving  graph.EdgeList // common edges the appended transition deletes
 	promoted graph.EdgeList // edges common to every snapshot that remains
 }
 
 func (m *MaintainedRep) plan() *maintenance {
-	return &maintenance{common: m.rep.Common, w: m.rep.Window, deltas: m.rep.Deltas}
+	return &maintenance{base: m.rep.Base, deltas: m.rep.Deltas, w: m.rep.Window}
 }
 
 // append plans the window's extension by the store's next snapshot.
@@ -118,21 +129,16 @@ func (p *maintenance) append() error {
 
 	// Edges of the common graph deleted by this transition stop being
 	// common; they are still present in every *old* snapshot, so they join
-	// every old delta. Intersecting from the common side keeps its weights.
-	p.leaving = graph.Intersect(p.common, delBatch)
-
-	width := len(p.deltas)
-	deltas := make([]*delta.Batch, width+1)
-	copy(deltas, p.deltas)
-	if len(p.leaving) > 0 {
-		for k := 0; k < width; k++ {
-			deltas[k] = delta.FromMerged(graph.Union(p.deltas[k].Edges(), p.leaving))
+	// every old delta. Each is found in its base row, keeping the common
+	// side's weight.
+	for _, e := range delBatch {
+		if w, ok := p.base.Out.Lookup(e.Src, e.Dst); ok {
+			p.leaving = append(p.leaving, graph.Edge{Src: e.Src, Dst: e.Dst, W: w})
 		}
 	}
-	// The new snapshot: E_new \ E_c' = ((D_last ∪ leaving) \ Δ−) ∪ Δ+.
-	last := deltas[width-1].Edges()
-	deltas[width] = delta.FromMerged(graph.Union(graph.Minus(last, delBatch), addBatch))
-	p.deltas = deltas
+	// The new snapshot: E_new \ E_c' = ((D_last ∪ leaving) \ Δ−) ∪ Δ+, and
+	// leaving ⊆ Δ−, so it derives from the last delta alone.
+	p.next = graph.Patch(p.deltas[len(p.deltas)-1].Edges(), delBatch, addBatch)
 	p.w.To++
 	return nil
 }
@@ -142,31 +148,53 @@ func (p *maintenance) advance() error {
 	if err := faults.Check(faults.CoreMaintainAdvance); err != nil {
 		return fmt.Errorf("core: maintain advance: %w", err)
 	}
-	width := len(p.deltas)
-	if width <= 1 {
+	if p.w.Width() <= 1 {
 		return fmt.Errorf("core: cannot advance a single-snapshot window")
 	}
-	p.promoted = commonWithin(p.deltas, 1, width-1)
-
-	deltas := make([]*delta.Batch, width-1)
-	copy(deltas, p.deltas[1:])
-	if len(p.promoted) > 0 {
-		for k := range deltas {
-			deltas[k] = delta.FromMerged(graph.Minus(deltas[k].Edges(), p.promoted))
-		}
+	// The snapshots that remain are deltas 1.. and the appended one. An
+	// edge that leaves is in no remaining old delta's intersection (it was
+	// common, so in no delta) nor in the appended one (deleted), so the
+	// intersection is taken over the deltas as they are.
+	remain := make([]graph.EdgeList, 0, len(p.deltas))
+	for _, d := range p.deltas[1:] {
+		remain = append(remain, d.Edges())
 	}
-	p.deltas = deltas
+	if p.next != nil {
+		remain = append(remain, p.next)
+	}
+	p.promoted = graph.IntersectAll(remain...)
+	p.drop = 1
 	p.w.From++
 	return nil
 }
 
 // rebase publishes a planned update as the new representation — the one
-// place a maintained Base is built. When no edge leaves or joins the
-// common graph the common list and its base CSR carry over as they are.
+// place a maintained Base is built. Every surviving delta is written once:
+// its promoted edges go and the leaving ones join (the two are disjoint,
+// and no delta holds a leaving edge). When no edge leaves or joins the
+// common graph the deltas and the base carry over as they are.
 func (m *MaintainedRep) rebase(p *maintenance) {
-	common, base := m.rep.Common, m.rep.Base
-	if len(p.leaving) > 0 || len(p.promoted) > 0 {
-		common, base = graph.PatchPair(m.rep.N, common, p.leaving, p.promoted)
+	changed := len(p.leaving) > 0 || len(p.promoted) > 0
+	deltas := make([]*delta.Batch, 0, len(p.deltas)+1)
+	for _, d := range p.deltas[p.drop:] {
+		if changed {
+			d = delta.FromMerged(graph.Patch(d.Edges(), p.promoted, p.leaving))
+		}
+		deltas = append(deltas, d)
 	}
-	m.rep = newRep(p.w, common, base, p.deltas)
+	if p.next != nil {
+		next := p.next
+		if len(p.promoted) > 0 {
+			next = graph.Minus(next, p.promoted)
+		}
+		deltas = append(deltas, delta.FromMerged(next))
+	}
+	base := p.base
+	m.patched = graph.PatchStats{}
+	if changed {
+		var out *graph.CSR
+		out, m.patched = graph.PatchRows(base.Out, p.leaving, p.promoted)
+		base = &graph.Pair{Out: out}
+	}
+	m.rep = newRep(p.w, nil, base, deltas)
 }

@@ -59,7 +59,10 @@ func (w Window) deletions(t int) graph.EdgeList { return w.Store.Deletions(w.Fro
 type Rep struct {
 	Window Window
 	N      int
-	// Common is the canonical common edge set E_c.
+	// Common is the canonical common edge set E_c as BuildRep derives it.
+	// It is nil in a Rep that MaintainedRep published: a maintained common
+	// graph is patched row by row and never listed, so Base alone holds it
+	// (Base.Out.Edges() lists it, Base.NumEdges() counts it).
 	Common graph.EdgeList
 	// Base is E_c in traversal form; it is never mutated.
 	Base *graph.Pair
@@ -208,14 +211,12 @@ func (r *Rep) SnapshotGraph(k int) *delta.OverlayGraph {
 // sub-window's. An edge outside E_c is common to those snapshots exactly
 // when it is in every one of their deltas. The result may alias a delta
 // and must not be modified.
-func (r *Rep) CommonWithin(lo, hi int) graph.EdgeList { return commonWithin(r.Deltas, lo, hi) }
-
-func commonWithin(deltas []*delta.Batch, lo, hi int) graph.EdgeList {
-	out := deltas[lo].Edges()
-	for k := lo + 1; k <= hi && len(out) > 0; k++ {
-		out = graph.Intersect(out, deltas[k].Edges())
+func (r *Rep) CommonWithin(lo, hi int) graph.EdgeList {
+	lists := make([]graph.EdgeList, 0, hi-lo+1)
+	for _, d := range r.Deltas[lo : hi+1] {
+		lists = append(lists, d.Edges())
 	}
-	return out
+	return graph.IntersectAll(lists...)
 }
 
 // TotalDeltaEdges sums the Direct-Hop addition batches — the total number

@@ -73,7 +73,7 @@ func Run(g delta.Graph, a algo.Algorithm, src graph.VertexID, opt Options) (*Sta
 	st := newStateRecycled(g.NumVertices(), a, src)
 	q := getQueue()
 	stats := runOrdered(st, []graph.VertexID{src}, g.OutRows(), q)
-	queues.Put(q)
+	putQueue(q)
 	sp.SetAttr(statAttrs("ordered", stats)...)
 	sp.End()
 	return st, stats

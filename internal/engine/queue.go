@@ -82,16 +82,44 @@ func (q *radixQueue) pop() (qEntry, bool) {
 	return e, true
 }
 
-// queues recycles radix queues, buckets and all, across ordered passes. A
-// queue goes back empty; getQueue rewinds last.
-var queues sync.Pool
+// maxFreeQueues bounds the queue free list: one ordered pass runs per
+// goroutine, so a few cover the solves a process runs at once.
+const maxFreeQueues = 4
 
+// freeQueues recycles radix queues, buckets and all, across ordered
+// passes. It is a bounded free list, not a sync.Pool, for the reason
+// freeStates is: a garbage collection empties a pool, and the next solve
+// then grows its 33 buckets again from nothing — about half a megabyte on
+// a live slide's read, and the bimodal alloc_mb_per_op of a warm op.
+var freeQueues struct {
+	sync.Mutex
+	list []*radixQueue
+}
+
+// getQueue returns an empty queue, last rewound: a recycled one when the
+// free list holds one.
 func getQueue() *radixQueue {
-	if q, _ := queues.Get().(*radixQueue); q != nil {
-		q.last, q.spilled = 0, 0
-		return q
+	freeQueues.Lock()
+	var q *radixQueue
+	if last := len(freeQueues.list) - 1; last >= 0 {
+		q, freeQueues.list[last] = freeQueues.list[last], nil
+		freeQueues.list = freeQueues.list[:last]
 	}
-	return new(radixQueue)
+	freeQueues.Unlock()
+	if q == nil {
+		return new(radixQueue)
+	}
+	q.last, q.spilled = 0, 0
+	return q
+}
+
+// putQueue hands back a queue a pass drained; the list drops it when full.
+func putQueue(q *radixQueue) {
+	freeQueues.Lock()
+	if len(freeQueues.list) < maxFreeQueues {
+		freeQueues.list = append(freeQueues.list, q)
+	}
+	freeQueues.Unlock()
 }
 
 // keyMask maps a value to its queue key, uint32(v) ^ keyMask: flipping the

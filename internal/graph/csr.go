@@ -1,15 +1,34 @@
 package graph
 
-import "sync"
+import (
+	"slices"
+	"sync"
+	"sync/atomic"
+)
 
-// CSR is a compressed-sparse-row adjacency: for vertex u, its outgoing
-// (or, for a reverse CSR, incoming) half-edges occupy
-// targets[offsets[u]:offsets[u+1]]. A CSR is immutable after construction.
+// CSR is a compressed-sparse-row adjacency: vertex u's outgoing (or, for a
+// reverse CSR, incoming) half-edges occupy targets[starts[u]:ends[u]]. A
+// freshly built CSR has its rows back to back, starts and ends aliasing one
+// offsets array (ends[u] == starts[u+1]); a patched one (PatchRows) shares
+// its predecessor's storage and leaves the slots of the rows it rewrote
+// dead between them. A CSR is immutable after construction.
 type CSR struct {
-	n       int
-	offsets []int32
+	n            int
+	starts, ends []int32
+	// targets and weights cover every slot this CSR can see: its rows and
+	// the dead slots among them. The capacity past their length is the
+	// tail, where the one successor that claims it writes its rows.
 	targets []VertexID
 	weights []Weight
+	m       int // live half-edges
+	// claimed is set by the PatchRows that writes into the tail; any later
+	// patch off this CSR compacts instead.
+	claimed atomic.Bool
+}
+
+// fromOffsets wraps back-to-back rows: u's row ends where u+1's starts.
+func fromOffsets(n int, offsets []int32, targets []VertexID, weights []Weight) *CSR {
+	return &CSR{n: n, starts: offsets[:n], ends: offsets[1:], targets: targets, weights: weights, m: len(targets)}
 }
 
 // NewCSR builds a forward CSR over n vertices from an edge list.
@@ -25,26 +44,23 @@ func NewReverseCSR(n int, edges []Edge) *CSR {
 }
 
 func buildCSR(n int, edges []Edge, reverse bool) *CSR {
-	c := &CSR{
-		n:       n,
-		offsets: make([]int32, n+1),
-		targets: make([]VertexID, len(edges)),
-		weights: make([]Weight, len(edges)),
-	}
+	offsets := make([]int32, n+1)
+	targets := make([]VertexID, len(edges))
+	weights := make([]Weight, len(edges))
 	if !reverse && sortedBySrc(edges) {
 		// Fast path: the input is already grouped by source (canonical
 		// lists always are), so rows are contiguous — one linear pass.
 		for i, e := range edges {
-			c.offsets[e.Src+1] = int32(i + 1)
-			c.targets[i] = e.Dst
-			c.weights[i] = e.W
+			offsets[e.Src+1] = int32(i + 1)
+			targets[i] = e.Dst
+			weights[i] = e.W
 		}
 		for i := 1; i <= n; i++ {
-			if c.offsets[i] == 0 {
-				c.offsets[i] = c.offsets[i-1]
+			if offsets[i] == 0 {
+				offsets[i] = offsets[i-1]
 			}
 		}
-		return c
+		return fromOffsets(n, offsets, targets, weights)
 	}
 	row := func(e Edge) VertexID {
 		if reverse {
@@ -59,20 +75,20 @@ func buildCSR(n int, edges []Edge, reverse bool) *CSR {
 		return e.Dst
 	}
 	for _, e := range edges {
-		c.offsets[row(e)+1]++
+		offsets[row(e)+1]++
 	}
 	for i := 0; i < n; i++ {
-		c.offsets[i+1] += c.offsets[i]
+		offsets[i+1] += offsets[i]
 	}
 	cursor := make([]int32, n)
 	for _, e := range edges {
 		r := row(e)
-		p := c.offsets[r] + cursor[r]
+		p := offsets[r] + cursor[r]
 		cursor[r]++
-		c.targets[p] = col(e)
-		c.weights[p] = e.W
+		targets[p] = col(e)
+		weights[p] = e.W
 	}
-	return c
+	return fromOffsets(n, offsets, targets, weights)
 }
 
 // sortedBySrc reports whether edges are grouped in non-decreasing source
@@ -94,61 +110,71 @@ func NewCSRParts(n int, parts ...[]Edge) *CSR {
 	for _, p := range parts {
 		m += len(p)
 	}
-	c := &CSR{
-		n:       n,
-		offsets: make([]int32, n+1),
-		targets: make([]VertexID, m),
-		weights: make([]Weight, m),
-	}
+	offsets := make([]int32, n+1)
+	targets := make([]VertexID, m)
+	weights := make([]Weight, m)
 	for _, p := range parts {
 		for _, e := range p {
-			c.offsets[e.Src+1]++
+			offsets[e.Src+1]++
 		}
 	}
 	for i := 0; i < n; i++ {
-		c.offsets[i+1] += c.offsets[i]
+		offsets[i+1] += offsets[i]
 	}
 	cursor := make([]int32, n)
 	for _, p := range parts {
 		for _, e := range p {
-			pos := c.offsets[e.Src] + cursor[e.Src]
+			pos := offsets[e.Src] + cursor[e.Src]
 			cursor[e.Src]++
-			c.targets[pos] = e.Dst
-			c.weights[pos] = e.W
+			targets[pos] = e.Dst
+			weights[pos] = e.W
 		}
 	}
-	return c
+	return fromOffsets(n, offsets, targets, weights)
 }
 
 // NumVertices returns the number of vertices.
 func (c *CSR) NumVertices() int { return c.n }
 
 // NumEdges returns the number of stored half-edges.
-func (c *CSR) NumEdges() int { return len(c.targets) }
+func (c *CSR) NumEdges() int { return c.m }
 
 // Degree returns the number of entries in vertex u's row.
 func (c *CSR) Degree(u VertexID) int {
-	return int(c.offsets[u+1] - c.offsets[u])
+	return int(c.ends[u] - c.starts[u])
 }
 
 // Neighbors calls fn for each entry in u's row.
 func (c *CSR) Neighbors(u VertexID, fn func(v VertexID, w Weight)) {
-	for p := c.offsets[u]; p < c.offsets[u+1]; p++ {
+	for p := c.starts[u]; p < c.ends[u]; p++ {
 		fn(c.targets[p], c.weights[p])
 	}
 }
 
 // Row returns u's row as parallel slices (aliased, do not modify).
 func (c *CSR) Row(u VertexID) ([]VertexID, []Weight) {
-	lo, hi := c.offsets[u], c.offsets[u+1]
+	lo, hi := c.starts[u], c.ends[u]
 	return c.targets[lo:hi], c.weights[lo:hi]
+}
+
+// Lookup returns the weight of u's entry for v, by a binary search of u's
+// row. The row must be sorted, as every row of a CSR built from a
+// canonical list, or patched by PatchRows, is.
+func (c *CSR) Lookup(u, v VertexID) (Weight, bool) {
+	lo, hi := c.starts[u], c.ends[u]
+	i, ok := slices.BinarySearch(c.targets[lo:hi], v)
+	if !ok {
+		return 0, false
+	}
+	return c.weights[int(lo)+i], true
 }
 
 // Rows is one out-adjacency layer in the flat form the engine walks:
 // vertex u's half-edges occupy positions [Starts[u], Ends[u]) of Targets
-// and Weights. A CSR's rows are back to back (Ends[u] == Starts[u+1]); a
-// slack layout leaves room between them. The slices alias the layer and
-// are read-only: a layer's rows never change while a pass holds them.
+// and Weights. A fresh CSR's rows are back to back (Ends[u] == Starts[u+1]);
+// a patched CSR or a slack layout leaves room between them. The slices
+// alias the layer and are read-only: a layer's rows never change while a
+// pass holds them.
 type Rows struct {
 	Starts, Ends []int32
 	Targets      []VertexID
@@ -159,15 +185,15 @@ type Rows struct {
 // cost. They are read-only by the §4.1 immutability contract (enforced
 // for the fields themselves by cgvet's csrimmutable analyzer).
 func (c *CSR) Rows() Rows {
-	return Rows{Starts: c.offsets[:c.n], Ends: c.offsets[1:], Targets: c.targets, Weights: c.weights}
+	return Rows{Starts: c.starts, Ends: c.ends, Targets: c.targets, Weights: c.weights}
 }
 
 // Edges reconstructs the edge list (forward orientation). For a reverse
 // CSR the rows are destinations, so the caller should not use this.
 func (c *CSR) Edges() EdgeList {
-	out := make(EdgeList, 0, len(c.targets))
+	out := make(EdgeList, 0, c.m)
 	for u := 0; u < c.n; u++ {
-		for p := c.offsets[u]; p < c.offsets[u+1]; p++ {
+		for p := c.starts[u]; p < c.ends[u]; p++ {
 			out = append(out, Edge{Src: VertexID(u), Dst: c.targets[p], W: c.weights[p]})
 		}
 	}
@@ -178,29 +204,28 @@ func (c *CSR) Edges() EdgeList {
 // destinations, entries are sources in ascending order) straight from its
 // rows, without materializing the edge list in between.
 func reverseOf(f *CSR) *CSR {
-	c := &CSR{
-		n:       f.n,
-		offsets: make([]int32, f.n+1),
-		targets: make([]VertexID, len(f.targets)),
-		weights: make([]Weight, len(f.targets)),
-	}
-	for _, v := range f.targets {
-		c.offsets[v+1]++
+	offsets := make([]int32, f.n+1)
+	targets := make([]VertexID, f.m)
+	weights := make([]Weight, f.m)
+	for u := 0; u < f.n; u++ {
+		for _, v := range f.targets[f.starts[u]:f.ends[u]] {
+			offsets[v+1]++
+		}
 	}
 	for i := 0; i < f.n; i++ {
-		c.offsets[i+1] += c.offsets[i]
+		offsets[i+1] += offsets[i]
 	}
 	cursor := make([]int32, f.n)
 	for u := 0; u < f.n; u++ {
-		for p := f.offsets[u]; p < f.offsets[u+1]; p++ {
+		for p := f.starts[u]; p < f.ends[u]; p++ {
 			v := f.targets[p]
-			q := c.offsets[v] + cursor[v]
+			q := offsets[v] + cursor[v]
 			cursor[v]++
-			c.targets[q] = VertexID(u)
-			c.weights[q] = f.weights[p]
+			targets[q] = VertexID(u)
+			weights[q] = f.weights[p]
 		}
 	}
-	return c
+	return fromOffsets(f.n, offsets, targets, weights)
 }
 
 // Pair couples a forward and a reverse CSR over the same edge set; the
@@ -219,39 +244,6 @@ type Pair struct {
 // one follows on first use.
 func NewPair(n int, edges []Edge) *Pair {
 	return &Pair{Out: NewCSR(n, edges)}
-}
-
-// PatchPair returns Patch(base, remove, add) together with its traversal
-// pair, both written in the one pass that emits the list: a big canonical
-// list that changes by a few edges gets its successor and that successor's
-// forward CSR without being scanned a second time.
-func PatchPair(n int, base, remove, add EdgeList) (EdgeList, *Pair) {
-	size := len(base) + len(add)
-	out := make(EdgeList, 0, size)
-	c := &CSR{
-		n:       n,
-		offsets: make([]int32, n+1),
-		targets: make([]VertexID, 0, size),
-		weights: make([]Weight, 0, size),
-	}
-	splice(base, remove, add, func(run EdgeList) {
-		at := len(out)
-		out = append(out, run...)
-		c.targets, c.weights = c.targets[:len(out)], c.weights[:len(out)]
-		targets, weights := c.targets[at:], c.weights[at:]
-		for i, e := range run {
-			targets[i], weights[i] = e.Dst, e.W
-			c.offsets[e.Src+1] = int32(at + i + 1)
-		}
-	})
-	// Rows are contiguous in a canonical list: a row's end was recorded by
-	// its last edge, an empty row ends where the row before it did.
-	for i := 1; i <= n; i++ {
-		if c.offsets[i] == 0 {
-			c.offsets[i] = c.offsets[i-1]
-		}
-	}
-	return out, &Pair{Out: c}
 }
 
 // NumVertices returns the number of vertices.

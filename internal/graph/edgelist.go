@@ -185,6 +185,48 @@ func Intersect(a, b EdgeList) EdgeList {
 	return intersectMerge(out, a, b)
 }
 
+// IntersectAll returns the intersection of any number of canonical lists
+// as one canonical list, with the first list's weights. It allocates the
+// result and nothing else: the shortest list seeds it, and every other
+// list filters it in place by a galloping search per surviving edge, so
+// the cost follows the shortest list, not the longest. A single list is
+// returned as is, so the result must not be modified.
+func IntersectAll(lists ...EdgeList) EdgeList {
+	switch len(lists) {
+	case 0:
+		return EdgeList{}
+	case 1:
+		return lists[0]
+	}
+	short := 0
+	for i, l := range lists {
+		if len(l) < len(lists[short]) {
+			short = i
+		}
+	}
+	out := append(make(EdgeList, 0, len(lists[short])), lists[short]...)
+	for i, l := range lists {
+		if i == short {
+			continue
+		}
+		keep, at := 0, 0
+		for _, e := range out {
+			var ok bool
+			if at, ok = l.search(at, e); ok {
+				if i == 0 {
+					e.W = l[at].W
+				}
+				out[keep] = e
+				keep++
+			}
+		}
+		if out = out[:keep]; keep == 0 {
+			break
+		}
+	}
+	return out
+}
+
 // intersectMerge appends a ∩ b to out by walking both lists end to end.
 func intersectMerge(out, a, b EdgeList) EdgeList {
 	i, j := 0, 0
@@ -207,16 +249,10 @@ func intersectMerge(out, a, b EdgeList) EdgeList {
 // lists must be canonical. An edge of add that base keeps has base's
 // weight; one that remove takes out first has add's. The cost is the
 // copy of base plus a search per edge of remove and add, so patching a
-// big list with a small change never walks the big list edge by edge.
+// big list with a small change never walks the big list edge by edge:
+// base is copied in runs, between the edges that change something.
 func Patch(base, remove, add EdgeList) EdgeList {
 	out := make(EdgeList, 0, len(base)+len(add))
-	splice(base, remove, add, func(run EdgeList) { out = append(out, run...) })
-	return out
-}
-
-// splice walks (base \ remove) ∪ add in canonical order and hands it to
-// emit as consecutive runs, each a sub-slice of base or one edge of add.
-func splice(base, remove, add EdgeList, emit func(run EdgeList)) {
 	i, r, a := 0, 0, 0
 	for r < len(remove) || a < len(add) {
 		// The next edge, in canonical order, that changes something.
@@ -228,9 +264,7 @@ func splice(base, remove, add EdgeList, emit func(run EdgeList)) {
 			e = remove[r]
 		}
 		at, present := base.search(i, e)
-		if at > i {
-			emit(base[i:at])
-		}
+		out = append(out, base[i:at]...)
 		i = at
 		if !fromAdd {
 			if present {
@@ -243,13 +277,11 @@ func splice(base, remove, add EdgeList, emit func(run EdgeList)) {
 			}
 		}
 		if !present {
-			emit(add[a : a+1])
+			out = append(out, add[a])
 		}
 		a++
 	}
-	if i < len(base) {
-		emit(base[i:])
-	}
+	return append(out, base[i:]...)
 }
 
 // Equal reports whether two canonical lists contain the same endpoints in

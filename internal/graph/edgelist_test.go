@@ -149,8 +149,7 @@ func TestSetAlgebraProperties(t *testing.T) {
 			return false
 		}
 		// Patch is Minus then Union in one pass, weights included, whether
-		// the change is small against the list or as big as it; PatchPair
-		// adds the CSR NewPair would build from that list.
+		// the change is small against the list or as big as it.
 		for _, c := range []struct{ remove, add EdgeList }{
 			{b, randomCanonical(r, 40, 80)},
 			{randomCanonical(r, 40, 3), randomCanonical(r, 40, 3)},
@@ -158,11 +157,6 @@ func TestSetAlgebraProperties(t *testing.T) {
 		} {
 			want := Union(Minus(a, c.remove), c.add)
 			if got := Patch(a, c.remove, c.add); !reflect.DeepEqual(append(EdgeList{}, got...), append(EdgeList{}, want...)) {
-				return false
-			}
-			got, pair := PatchPair(40, a, c.remove, c.add)
-			if !reflect.DeepEqual(append(EdgeList{}, got...), append(EdgeList{}, want...)) ||
-				!reflect.DeepEqual(pair.Out, NewCSR(40, want)) {
 				return false
 			}
 		}
@@ -175,6 +169,20 @@ func TestSetAlgebraProperties(t *testing.T) {
 			fold = Union(fold, lists[i])
 		}
 		if !reflect.DeepEqual(UnionAll(lists...), fold) {
+			return false
+		}
+		// IntersectAll is the left fold of Intersect, weights included: the
+		// first list's copy of an edge wins. The lists overlap heavily, so
+		// the fold is rarely empty before the last list.
+		inter := make([]EdgeList, 1+r.Intn(6))
+		for i := range inter {
+			inter[i] = Union(randomCanonical(r, 6, 20), randomCanonical(r, 40, 30))
+		}
+		ifold := inter[0]
+		for _, l := range inter[1:] {
+			ifold = Intersect(ifold, l)
+		}
+		if got := IntersectAll(inter...); !reflect.DeepEqual(append(EdgeList{}, got...), append(EdgeList{}, ifold...)) {
 			return false
 		}
 		return true

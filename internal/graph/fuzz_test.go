@@ -198,3 +198,45 @@ func FuzzLoadCSR(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPatchRows drives PatchRows with fuzzer-shaped changes: the input is
+// a vertex count, then 4-byte records (op, src, dst, weight) that add an
+// edge to the pending add or remove list, or patch — off the newest CSR
+// or, branching, off the one before it. After every patch every CSR of
+// the chain must still present its own list, the newest the patched one.
+func FuzzPatchRows(f *testing.F) {
+	f.Add([]byte{5, 0, 1, 2, 9, 0, 1, 3, 4, 2, 0, 0, 0, 1, 1, 2, 0, 0, 1, 2, 7, 2, 0, 0, 0, 3, 0, 0, 0})
+	f.Add([]byte{3, 0, 0, 1, 1, 0, 0, 2, 2, 2, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 5, 3, 0, 0, 0, 2, 0, 0, 0})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0]%24)
+		chain := []patchedCSR{{NewCSR(n, nil), nil}}
+		var remove, add EdgeList
+		for data = data[1:]; len(data) >= 4 && len(chain) < 48; data = data[4:] {
+			e := Edge{Src: VertexID(int(data[1]) % n), Dst: VertexID(int(data[2]) % n), W: Weight(int8(data[3]))}
+			switch op := data[0] % 4; op {
+			case 0:
+				add = append(add, e)
+			case 1:
+				remove = append(remove, e)
+			default:
+				from := chain[len(chain)-1]
+				if op == 3 && len(chain) > 1 {
+					from = chain[len(chain)-2]
+				}
+				remove, add = remove.Canonicalize(), add.Canonicalize()
+				c, _ := PatchRows(from.c, remove, add)
+				chain = append(chain, patchedCSR{c, Patch(from.want, remove, add)})
+				remove, add = nil, nil
+				for i, pc := range chain {
+					if err := csrPresents(pc.c, n, pc.want); err != nil {
+						t.Fatalf("CSR %d of %d: %v", i, len(chain), err)
+					}
+				}
+			}
+		}
+	})
+}

@@ -171,6 +171,53 @@ func TestDeferredFoldIsObservable(t *testing.T) {
 	t.Fatal("no watcher.slide span in the flight ring")
 }
 
+// TestSlideSpanReportsRowPatch: a slide's span says what it wrote into
+// the common graph — the rows rewritten, the edges they hold, and whether
+// the patch compacted — the same figures the maintained window reports.
+func TestSlideSpanReportsRowPatch(t *testing.T) {
+	if obs.Env() != nil {
+		t.Skip("spans go to the COMMONGRAPH_TRACE tracer, not the flight ring")
+	}
+	g, _ := buildEvolving(t, 7014, 5, 30, 30)
+	w, err := g.Watch(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for i := 0; i < 2; i++ {
+		if err := w.Slide(); err != nil {
+			t.Fatal(err)
+		}
+		w.mu.RLock()
+		p := w.m.Patched()
+		w.mu.RUnlock()
+		if p.Rows == 0 {
+			t.Fatalf("slide %d rewrote no row of the common graph; the stream should change it", i)
+		}
+		want := map[string]string{
+			"rows_rewritten":  strconv.Itoa(p.Rows),
+			"edges_rewritten": strconv.Itoa(p.Edges),
+			"compacted":       strconv.FormatBool(p.Compacted),
+		}
+		recs := obs.Flight().Records()
+		r := len(recs) - 1
+		for r >= 0 && recs[r].Root.Name != "watcher.slide" {
+			r--
+		}
+		if r < 0 {
+			t.Fatal("no watcher.slide span in the flight ring")
+		}
+		for _, a := range recs[r].Root.Attrs {
+			if v, ok := want[a.Key]; ok && v == a.Value {
+				delete(want, a.Key)
+			}
+		}
+		if len(want) > 0 {
+			t.Fatalf("watcher.slide span %d lacks %v: %v", i, want, recs[r].Root.Attrs)
+		}
+	}
+}
+
 // promValue extracts one sample's value from a Prometheus exposition.
 func promValue(t *testing.T, text, series string) int64 {
 	t.Helper()

@@ -146,7 +146,7 @@ func (w *Watcher) Window() (from, to int) {
 func (w *Watcher) CommonEdges() int {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	return len(w.m.Rep().Common)
+	return w.m.Rep().Base.NumEdges()
 }
 
 // Append extends the window to the next snapshot, which must already have
@@ -205,8 +205,9 @@ func (w *Watcher) Close() error {
 // so a failed step leaves the previous window fully evaluable.
 //
 // Each step is observable: one "watcher.<kind>" span on the process
-// tracer, the maintenance op/error counters by kind, and the retry
-// counter per transient re-attempt.
+// tracer (the new window, and what the step wrote into the common graph:
+// rows_rewritten, edges_rewritten, compacted), the maintenance op/error
+// counters by kind, and the retry counter per transient re-attempt.
 func (w *Watcher) maintain(kind string, step func(*core.MaintainedRep) error) error {
 	err := w.maintainLocked(kind, step)
 	if err == nil {
@@ -247,8 +248,10 @@ func (w *Watcher) maintainLocked(kind string, step func(*core.MaintainedRep) err
 		err = step(w.m)
 		if err == nil {
 			obs.MaintenanceOps(kind).Inc()
-			win := w.m.Window()
-			sp.SetAttr(obs.Int("from", win.From), obs.Int("to", win.To))
+			win, patched := w.m.Window(), w.m.Patched()
+			sp.SetAttr(obs.Int("from", win.From), obs.Int("to", win.To),
+				obs.Int("rows_rewritten", patched.Rows), obs.Int("edges_rewritten", patched.Edges),
+				obs.Bool("compacted", patched.Compacted))
 			if w.persist != nil && (kind == "advance" || kind == "slide") {
 				w.foldBehind(win.From, sp)
 			}
