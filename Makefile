@@ -11,10 +11,12 @@ build:
 test:
 	$(GO) test ./...
 
-# The §5 parallel executors are validated under the race detector; the
+# The §5 parallel executors are validated under the race detector: the
 # race-stress tests in internal/core pit DirectHopParallel and
 # WorkSharingParallel at worker budgets 1/2/GOMAXPROCS against sequential
-# Work-Sharing over a shared representation.
+# Work-Sharing over a shared representation. The units are the only
+# concurrency: every engine pass runs on its unit's goroutine, which owns
+# the state it writes.
 race:
 	$(GO) test -race -timeout 45m ./...
 

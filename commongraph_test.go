@@ -2,12 +2,10 @@ package commongraph
 
 import (
 	"context"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
-	"commongraph/internal/engine"
 	"commongraph/internal/gen"
 	"commongraph/internal/graph"
 )
@@ -234,10 +232,6 @@ func TestPublicTypesAreAliases(t *testing.T) {
 	var el graph.EdgeList = []Edge{e}
 	if len(el) != 1 {
 		t.Fatal("alias failure")
-	}
-	var o Options
-	if !reflect.DeepEqual(o.engine(), engine.Options{}) {
-		t.Fatal("default engine options should be zero")
 	}
 }
 

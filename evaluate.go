@@ -122,12 +122,12 @@ func strategyNames() string {
 
 // Options tunes an evaluation.
 type Options struct {
-	// Workers is the evaluation's worker budget (0 = GOMAXPROCS). The
-	// sequential strategies run their incremental engine passes with all
-	// of it; DirectHopParallel and WorkSharingParallel run min(units,
-	// Workers) hops or root subtrees at a time and split it among them.
-	// Every from-scratch solve runs on one goroutine. The engine's
-	// scheduler is not an option: each pass's input picks it (§4.3).
+	// Workers is the evaluation's worker budget (0 = GOMAXPROCS): it
+	// counts units. DirectHopParallel and WorkSharingParallel run
+	// min(units, Workers) hops or root subtrees at a time; the other
+	// strategies run on the calling goroutine. Every engine pass runs on
+	// the goroutine of the unit it belongs to. The engine's scheduler is
+	// not an option: each pass's input picks it (§4.3).
 	Workers int
 	// KeepValues retains full per-snapshot value arrays in the result.
 	KeepValues bool
@@ -165,17 +165,13 @@ func (o Options) tracer() *obs.Tracer {
 	return obs.Active()
 }
 
-func (o Options) engine() engine.Options {
-	return engine.Options{Workers: o.Workers}
-}
-
 // config builds the core configuration for one query under root span sp.
 // Centralizing this keeps every entry point passing the full option set.
 func (o Options) config(ctx context.Context, q Query, sp *obs.Span) core.Config {
 	return core.Config{
 		Algo:       q.Algorithm,
 		Source:     q.Source,
-		Engine:     o.engine(),
+		Workers:    o.Workers,
 		KeepValues: o.KeepValues,
 		Ctx:        ctx,
 		Degrade:    o.Degrade,
@@ -421,7 +417,7 @@ func (g *EvolvingGraph) evaluateKickStarter(ctx context.Context, q Query, w core
 		return nil, err
 	}
 	solve := sp.StartChild("common.solve")
-	sys := kickstarter.New(g.NumVertices(), first, q.Algorithm, q.Source, opt.engine().WithSpan(solve))
+	sys := kickstarter.New(g.NumVertices(), first, q.Algorithm, q.Source, engine.Options{Span: solve})
 	solve.End()
 	sys.Trace = sp
 	res := &Result{}

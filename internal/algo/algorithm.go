@@ -46,7 +46,7 @@ type Algorithm interface {
 	SourceValue() Value
 	// Propagate computes the value edge (u,v) with weight w offers to v,
 	// given u's current value. This is the EdgeFunction of Table 3 minus
-	// the CAS, which the engine performs.
+	// the MIN/MAX update, which the engine performs.
 	Propagate(uval Value, w graph.Weight) Value
 }
 

@@ -13,9 +13,8 @@ import (
 // function literal whose top-level statements include either
 // `defer recoverToError(&err)` or a deferred closure that calls the
 // recover builtin; a bare `go foo()` cannot be verified and is flagged
-// too. Scoped to internal/core — the engine's worker goroutines only run
-// trusted bitset/CAS loops, and containing a panic there would hide
-// engine bugs rather than isolate user code.
+// too. Scoped to internal/core: the engine starts no goroutines, so every
+// pass runs on a goroutine this analyzer has already checked.
 var GoPanic = &Analyzer{
 	Name: "gopanic",
 	Doc:  "require a recovery wrapper in every goroutine internal/core spawns",

@@ -163,8 +163,8 @@ func BenchmarkStrategies(b *testing.B) {
 // BenchmarkUnitWidth measures the worker-budget rule on DirectHopParallel
 // over a window shaped like the repository benchmark's dh-wide (LJ-sim at
 // twice the default size, 36 snapshots, 750 + 750 updates per transition)
-// at budget B = 2: one hop in flight with two engine workers, two hops with
-// one each (the rule, min(units, B)), and all 36 at once with one each.
+// at budget B = 2: one hop in flight, two (the rule, min(units, B)), and
+// all 36 at once.
 // The common fixpoint is handed in, as a PlanCache does, so the hops and
 // the seed chain are what is timed. DESIGN.md "Engine" records the table.
 func BenchmarkUnitWidth(b *testing.B) {
@@ -197,7 +197,7 @@ func BenchmarkUnitWidth(b *testing.B) {
 		}
 	}
 	common, _ := engine.Run(rep.Base, algo.SSSP{}, src, engine.Options{})
-	cfg := Config{Algo: algo.SSSP{}, Source: src, Engine: engine.Options{Workers: 2}, Common: common}
+	cfg := Config{Algo: algo.SSSP{}, Source: src, Workers: 2, Common: common}
 	star := rep.star()
 	for _, width := range []int{1, 2, len(star.Root.Edges)} {
 		b.Run(fmt.Sprintf("inflight=%d", width), func(b *testing.B) {

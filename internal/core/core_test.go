@@ -422,7 +422,7 @@ func TestDirectHopParallelBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Algo: algo.BFS{}, Source: 0, Engine: engine.Options{Workers: 2}}
+	cfg := Config{Algo: algo.BFS{}, Source: 0, Workers: 2}
 	res, err := DirectHopParallel(rep, cfg)
 	if err != nil {
 		t.Fatal(err)

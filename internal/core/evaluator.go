@@ -18,12 +18,11 @@ import (
 type Config struct {
 	Algo   algo.Algorithm
 	Source graph.VertexID
-	// Engine tunes the engine passes. Its Workers is the evaluation's one
-	// worker budget B (0 = GOMAXPROCS). The common solve runs on one
-	// goroutine; the sequential strategies run every incremental pass with
-	// B workers. A concurrent strategy runs min(units, B) units at a time,
-	// each pass with max(1, B/in-flight) workers (DESIGN.md "Engine").
-	Engine engine.Options
+	// Workers is the evaluation's one worker budget B (0 = GOMAXPROCS): a
+	// concurrent strategy runs min(units, B) units at a time, and the
+	// sequential strategies ignore it. Every engine pass runs on its
+	// unit's goroutine (DESIGN.md "Engine").
+	Workers int
 	// KeepValues retains the full per-snapshot value arrays in the result
 	// (tests and small runs); otherwise only counts and checksums are kept.
 	KeepValues bool
@@ -56,8 +55,8 @@ type Config struct {
 
 // budget is the evaluation's worker budget B.
 func (cfg Config) budget() int {
-	if cfg.Engine.Workers > 0 {
-		return cfg.Engine.Workers
+	if cfg.Workers > 0 {
+		return cfg.Workers
 	}
 	return runtime.GOMAXPROCS(0)
 }
@@ -78,7 +77,7 @@ func solveCommon(g delta.Graph, cfg Config) (*engine.State, engine.Stats) {
 		return st, engine.Stats{}
 	}
 	sp := cfg.Trace.StartChild("common.solve")
-	st, stats := engine.Run(g, cfg.Algo, cfg.Source, cfg.Engine.WithSpan(sp))
+	st, stats := engine.Run(g, cfg.Algo, cfg.Source, engine.Options{Span: sp})
 	sp.End()
 	return st, stats
 }
@@ -167,10 +166,9 @@ type execution struct {
 	cfg   Config
 	label string // strategy slug: the HopSeconds series and the pprof label
 	// width is how many units may be in flight at once; at 1 they run in
-	// order on the calling goroutine. engine tunes the units' passes.
-	width  int
-	engine engine.Options
-	base   *engine.State // the common graph's fixpoint
+	// order on the calling goroutine.
+	width int
+	base  *engine.State // the common graph's fixpoint
 	// seeds[k] is the part of Deltas[k] an edge from the root into leaf k
 	// hands the engine (seedChain); nil when nothing derived it.
 	seeds [][]graph.Edge
@@ -182,7 +180,7 @@ func start(rep *Rep, cfg Config, label string) (*execution, error) {
 	if err := checkpoint(cfg.Ctx, faults.CoreEngineRun); err != nil {
 		return nil, err
 	}
-	x := &execution{rep: rep, cfg: cfg, label: label, engine: cfg.Engine,
+	x := &execution{rep: rep, cfg: cfg, label: label,
 		res: &Result{Snapshots: make([]SnapshotResult, len(rep.Deltas))}}
 	t0 := time.Now()
 	var stats engine.Stats
@@ -231,13 +229,13 @@ func (r *Result) unitDone(hops *obs.Histogram, d time.Duration) {
 // "Direct-Hop seeding").
 func appendUseful(dst graph.EdgeList, base *engine.State, batch graph.EdgeList) graph.EdgeList {
 	a := base.Algorithm()
-	id, min := a.Identity(), a.Direction() == algo.Minimize
+	id := a.Identity()
 	for _, e := range batch {
 		uval := base.Value(e.Src)
 		if uval == id {
 			continue
 		}
-		if base.Improves(e.Dst, a.Propagate(uval, e.W), min) {
+		if base.Improves(e.Dst, a.Propagate(uval, e.W)) {
 			dst = append(dst, e)
 		}
 	}
@@ -377,8 +375,7 @@ func walk(rep *Rep, sched *Schedule, cfg Config, label string, isolated bool) (r
 }
 
 // run walks sched from the common graph's solution, width units at a
-// time, sharing the worker budget B among them: each unit's passes get
-// max(1, B/width) workers. The star's walk derives the seed chain first.
+// time. The star's walk derives the seed chain first.
 func (x *execution) run(sched *Schedule, isolated bool, width int) error {
 	root := sched.Root
 	if root.IsLeaf() {
@@ -396,9 +393,6 @@ func (x *execution) run(sched *Schedule, isolated bool, width int) error {
 	x.res.Cost.OverlayBuild += time.Since(tL)
 
 	x.width = width
-	if width > 1 {
-		x.engine.Workers = max(1, x.cfg.budget()/width)
-	}
 	units := root.Edges
 	return x.each(len(units), func(i int, acc *Result) error {
 		if isolated {
@@ -442,7 +436,7 @@ func (x *execution) walkSubtree(from *ScheduleNode, e *ScheduleEdge, st *engine.
 	t2 := time.Now()
 	acc.Cost.OverlayBuild += t2.Sub(t1)
 
-	s := engine.IncrementalAddParts(og, st, parts, x.engine.WithSpan(sp))
+	s := engine.IncrementalAddParts(og, st, parts, engine.Options{Span: sp})
 	acc.Cost.IncrementalAdd += time.Since(t2)
 	sp.End()
 	acc.Work.Add(s)

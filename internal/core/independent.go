@@ -39,7 +39,7 @@ func Independent(w Window, cfg Config) (*Result, error) {
 		t1 := time.Now()
 		res.Cost.OverlayBuild += t1.Sub(t0)
 
-		st, stats := engine.Run(pair, cfg.Algo, cfg.Source, cfg.Engine.WithSpan(sp))
+		st, stats := engine.Run(pair, cfg.Algo, cfg.Source, engine.Options{Span: sp})
 		t2 := time.Now()
 		res.Cost.InitialCompute += t2.Sub(t1)
 		sp.End()

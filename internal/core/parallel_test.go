@@ -61,8 +61,8 @@ func evaluateWSP(rep *Rep, cfg Config) (*Result, *Schedule, error) {
 }
 
 // TestWorkSharingParallelBoundedParallelism: under every worker budget,
-// from one unit at a time with one worker to more workers than units, the
-// concurrent strategies reach the sequential values.
+// from one unit at a time to more workers than units, the concurrent
+// strategies reach the sequential values.
 func TestWorkSharingParallelBoundedParallelism(t *testing.T) {
 	s, _ := randomStore(223, 6, 40, 40)
 	rep, err := BuildRep(Window{Store: s, From: 0, To: 6})
@@ -74,7 +74,7 @@ func TestWorkSharingParallelBoundedParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range []int{1, 2, 3, 16} {
-		cfg := Config{Algo: algo.BFS{}, Source: 0, Engine: engine.Options{Workers: b}}
+		cfg := Config{Algo: algo.BFS{}, Source: 0, Workers: b}
 		ws, _, err := evaluateWSP(rep, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -113,7 +113,7 @@ func TestWorkerBudgetBoundsUnitsInFlight(t *testing.T) {
 				}
 			}})
 			cfg := f.cfg
-			cfg.Engine.Workers = b
+			cfg.Workers = b
 			res, err := f.strategies()[name](cfg)
 			disarm()
 			if err != nil {

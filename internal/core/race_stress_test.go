@@ -58,7 +58,7 @@ func TestWorkSharingParallelRaceStress(t *testing.T) {
 			go func(i int, v variant) {
 				defer wg.Done()
 				c := cfg
-				c.Engine.Workers = v.budget
+				c.Workers = v.budget
 				results[i], errs[i] = v.run(c)
 			}(i, v)
 		}

@@ -9,11 +9,10 @@ import "commongraph/internal/graph"
 // before its value is read, so a later improvement re-enqueues it) and its
 // member list the head of the queue, so a small incremental batch pays
 // O(|batch|) setup and allocates nothing beyond the queue's growth, which
-// the frontier keeps as its list's storage. One goroutine owns both, so
-// every access is a plain word operation. The pass leaves seed empty.
+// the frontier keeps as its list's storage. The pass leaves seed empty.
 func runAsync(st *State, seed *frontier, layers []graph.Rows) Stats {
 	var stats Stats
-	alg, id, min := st.a, st.a.Identity(), st.minimize()
+	alg, id := st.a, st.a.Identity()
 	inQ := seed.bits
 	queue := seed.members()
 	for head := 0; head < len(queue); head++ {
@@ -29,8 +28,7 @@ func runAsync(st *State, seed *frontier, layers []graph.Rows) Stats {
 			ts := L.Targets[lo:hi]
 			ws := L.Weights[lo:hi]
 			for i, v := range ts {
-				cand := alg.Propagate(uval, ws[i])
-				if st.improveSeq(v, cand, u, min) {
+				if st.TryImprove(v, alg.Propagate(uval, ws[i]), u) {
 					stats.Improved++
 					if w, bit := &inQ[v>>6], uint64(1)<<(v&63); *w&bit == 0 {
 						*w |= bit

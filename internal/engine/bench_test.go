@@ -17,8 +17,8 @@ func benchSetup(b *testing.B) (*graph.Pair, int) {
 }
 
 // BenchmarkFromScratchModes contrasts the three passes on a full
-// evaluation: the ordered pass Run takes, the sync pass at the default
-// width, and the async drain.
+// evaluation: the ordered pass Run takes, the sync pass, and the async
+// drain.
 func BenchmarkFromScratchModes(b *testing.B) {
 	g, n := benchSetup(b)
 	layers := g.OutRows()
@@ -30,7 +30,7 @@ func BenchmarkFromScratchModes(b *testing.B) {
 		})
 		b.Run(a.Name()+"/Sync", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				runSync(NewState(n, a, 0), frontierOf(n, 0), layers, Options{}.workers())
+				runSync(NewState(n, a, 0), frontierOf(n, 0), layers)
 			}
 		})
 		b.Run(a.Name()+"/Async", func(b *testing.B) {

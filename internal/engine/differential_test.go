@@ -19,21 +19,19 @@ type engineVariant struct {
 }
 
 // engineVariants is the matrix every differential check runs against:
-// sequential and parallel sync passes (hybrid frontier + work stealing),
-// the async drain, the ordered pass Run solves with, and the input policy
-// that chooses an incremental pass's scheduler. Small graphs exercise the
-// sequential fast paths; the large trials push iterations over the
-// parallel cutoffs.
+// the sync pass (hybrid frontier), the async drain, the ordered pass Run
+// solves with, and the input policy that chooses an incremental pass's
+// scheduler. Small graphs keep the sync pass's frontiers sparse; the
+// large trial turns them dense.
 func engineVariants() []engineVariant {
 	return []engineVariant{
-		{"sync×1", func(g delta.Graph, st *State, seed *frontier) Stats { return runSync(st, seed, g.OutRows(), 1) }},
-		{"sync×4", func(g delta.Graph, st *State, seed *frontier) Stats { return runSync(st, seed, g.OutRows(), 4) }},
+		{"sync", func(g delta.Graph, st *State, seed *frontier) Stats { return runSync(st, seed, g.OutRows()) }},
 		{"async", func(g delta.Graph, st *State, seed *frontier) Stats { return runAsync(st, seed, g.OutRows()) }},
 		{"ordered", func(g delta.Graph, st *State, seed *frontier) Stats {
 			return runOrdered(st, seed.members(), g.OutRows(), &radixQueue{})
 		}},
 		{"policy", func(g delta.Graph, st *State, seed *frontier) Stats {
-			stats, _ := propagate(g, st, seed, Options{Workers: 4})
+			stats, _ := propagate(g, st, seed)
 			return stats
 		}},
 	}
@@ -43,9 +41,18 @@ func engineVariants() []engineVariant {
 func frontierOf(n int, vs ...graph.VertexID) *frontier {
 	f := newFrontier(n)
 	for _, v := range vs {
-		f.setSeq(v)
+		f.set(v)
 	}
 	return f
+}
+
+// outDegree sums u's row lengths across the layers.
+func outDegree(layers []graph.Rows, u graph.VertexID) int {
+	d := 0
+	for _, L := range layers {
+		d += int(L.Ends[u] - L.Starts[u])
+	}
+	return d
 }
 
 // solve is Run through the variant.
@@ -98,7 +105,7 @@ func checkAllVariants(t *testing.T, g *graph.Pair, add graph.EdgeList, a algo.Al
 	refBase := Reference(g, a, src)
 	og := delta.NewOverlayGraph(g, delta.NewOverlay(n, delta.NewBatch(add)))
 	refInc := Reference(og, a, src)
-	base, _ := Run(g, a, src, Options{Workers: 1})
+	base, _ := Run(g, a, src, Options{})
 	if !ValuesEqual(base, refBase) {
 		t.Fatalf("%s: baseline run diverges from oracle", a.Name())
 	}
@@ -130,8 +137,7 @@ func checkAllVariants(t *testing.T, g *graph.Pair, add graph.EdgeList, a algo.Al
 
 // TestDifferentialRandom cross-checks the hybrid engine against the
 // Reference oracle on random graphs and batches, every algorithm times
-// the full scheduler matrix. Runs under -race in CI (make race), which is
-// what pins the parallel sync chunking.
+// the full scheduler matrix.
 func TestDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xC0))
 	for trial := 0; trial < 5; trial++ {
@@ -146,9 +152,8 @@ func TestDifferentialRandom(t *testing.T) {
 }
 
 // TestDifferentialLarge runs the same cross-check on one power-law graph
-// big enough that sync iterations cross the parallel work-stealing
-// cutoffs (edge-space chunking, dense word chunking) rather than taking
-// the sequential fast path.
+// big enough that sync iterations scan dense frontiers in word order and
+// the policy picks the sync pass for the dense reseed.
 func TestDifferentialLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large differential skipped in -short")
@@ -187,23 +192,6 @@ func FuzzEngineDifferential(f *testing.F) {
 	})
 }
 
-// TestParallelMatchesSequentialStats sanity-checks that the parallel
-// variants do the same logical work: EdgesPushed of a deterministic sync
-// pass is schedule-independent (each iteration pushes exactly the
-// frontier's out-edges).
-func TestParallelMatchesSequentialStats(t *testing.T) {
-	n, edges := gen.RMAT(gen.DefaultRMAT(12, 60_000, 9))
-	g := graph.NewPair(n, edges)
-	seq := runSync(NewState(n, algo.BFS{}, 0), frontierOf(n, 0), g.OutRows(), 1)
-	par := runSync(NewState(n, algo.BFS{}, 0), frontierOf(n, 0), g.OutRows(), 4)
-	if seq.Iterations != par.Iterations {
-		t.Fatalf("iterations differ: seq %d par %d", seq.Iterations, par.Iterations)
-	}
-	if seq.EdgesPushed == 0 {
-		t.Fatal("no edges pushed")
-	}
-}
-
 // TestChecksumEqualAcrossVariants pins determinism of final values (and
 // hence checksums) across the scheduler matrix on a skewed graph.
 func TestChecksumEqualAcrossVariants(t *testing.T) {
@@ -223,52 +211,36 @@ func TestChecksumEqualAcrossVariants(t *testing.T) {
 	}
 }
 
-// TestIterationShapesAgree solves from scratch four times, forcing one
-// iteration shape at every level — sparse or dense frontier, on the
-// calling goroutine (plain stores) or on workers (CAS) — whichever one
-// seqEdgeCutoff would have picked. Levels may differ between shapes (a
-// sequential level sees its own improvements); every shape must push each
-// level's whole frontier and reach the reference fixpoint.
+// TestIterationShapesAgree solves from scratch twice, forcing one
+// iteration shape at every level — the sparse list or the dense word
+// scan — whatever the frontier's size would have picked. Every shape
+// must push each level's whole frontier and reach the reference fixpoint.
 func TestIterationShapesAgree(t *testing.T) {
 	n, edges := gen.RMAT(gen.DefaultRMAT(11, 30_000, 13))
 	g := graph.NewPair(n, edges)
 	layers := g.OutRows()
-	shapes := map[string]func(r *syncRunner, list []graph.VertexID, prefix []int, dense *frontier) (int64, int64){
-		"sparseSeq": func(r *syncRunner, list []graph.VertexID, _ []int, _ *frontier) (int64, int64) {
-			return r.sparseSeq(list)
+	shapes := map[string]func(st *State, cur, next *frontier) (int64, int64){
+		"sparseSeq": func(st *State, cur, next *frontier) (int64, int64) {
+			return sparseSeq(st, cur.members(), layers, next)
 		},
-		"sparsePar": func(r *syncRunner, list []graph.VertexID, prefix []int, _ *frontier) (int64, int64) {
-			return r.sparsePar(list, prefix, prefix[len(list)])
-		},
-		"denseSeq": func(r *syncRunner, _ []graph.VertexID, _ []int, dense *frontier) (int64, int64) {
-			return r.denseSeq(dense)
-		},
-		"densePar": func(r *syncRunner, _ []graph.VertexID, _ []int, dense *frontier) (int64, int64) {
-			return r.densePar(dense)
+		"denseSeq": func(st *State, cur, next *frontier) (int64, int64) {
+			cur.drop()
+			return denseSeq(st, cur, layers, next)
 		},
 	}
 	for _, a := range []algo.Algorithm{algo.BFS{}, algo.SSSP{}, algo.SSWP{}} {
 		ref := Reference(g, a, 0)
 		for name, shape := range shapes {
 			st := NewState(n, a, 0)
-			cur := newFrontier(n)
-			cur.setSeq(0)
+			cur := frontierOf(n, 0)
 			for level := 0; !cur.empty(); level++ {
-				var list []graph.VertexID
-				cur.forEachInWordRange(0, cur.words(), func(v graph.VertexID) { list = append(list, v) })
-				prefix := make([]int, len(list)+1)
-				dense := newFrontier(n)
-				for i, u := range list {
-					prefix[i+1] = prefix[i] + degree(layers, u)
-					dense.setSeq(u)
+				want := int64(0)
+				cur.forEach(func(u graph.VertexID) { want += int64(outDegree(layers, u)) })
+				next := newFrontier(n)
+				if pushed, _ := shape(st, cur, next); pushed != want {
+					t.Fatalf("%s %s level %d: pushed %d of %d frontier edges", a.Name(), name, level, pushed, want)
 				}
-				dense.drop()
-				r := &syncRunner{st: st, alg: a, id: a.Identity(), min: st.minimize(),
-					layers: layers, workers: 3, next: newFrontier(n)}
-				if pushed, _ := shape(r, list, prefix, dense); pushed != int64(prefix[len(list)]) {
-					t.Fatalf("%s %s level %d: pushed %d of %d frontier edges", a.Name(), name, level, pushed, prefix[len(list)])
-				}
-				cur = r.next
+				cur = next
 			}
 			if !ValuesEqual(st, ref) {
 				t.Fatalf("%s: a solve of %s iterations differs from the reference", a.Name(), name)

@@ -119,7 +119,7 @@ func TestReachedAndEqualDegenerate(t *testing.T) {
 	if a.NumVertices() != 3 {
 		t.Fatal("size wrong")
 	}
-	if v, p := a.Load(0); v != 0 || p != graph.NoVertex {
-		t.Fatalf("Load(0) = (%d,%d)", v, p)
+	if v, p := a.Value(0), a.Parent(0); v != 0 || p != graph.NoVertex {
+		t.Fatalf("source = (%d,%d)", v, p)
 	}
 }

@@ -34,19 +34,6 @@ func TestRunMatchesReferenceAllAlgorithms(t *testing.T) {
 	}
 }
 
-func TestSyncParallelWidths(t *testing.T) {
-	g, n := testGraph(2, 10, 8000)
-	a := algo.SSSP{}
-	ref := Reference(g, a, 0)
-	for _, workers := range []int{1, 2, 4, 8} {
-		st := NewState(n, a, 0)
-		runSync(st, frontierOf(n, 0), g.OutRows(), workers)
-		if !ValuesEqual(st, ref) {
-			t.Fatalf("workers=%d: wrong values", workers)
-		}
-	}
-}
-
 // TestAutoModePolicies pins the input policy: a from-scratch solve runs
 // the ordered pass (no iterations), and an incremental pass drains the
 // async worklist (no iterations) when its batch seeds at most asyncCutoff
@@ -106,7 +93,7 @@ func TestParentInvariant(t *testing.T) {
 	// exactly v's value — the dependence-tree invariant trimming relies on.
 	g, n := testGraph(4, 9, 4000)
 	for _, a := range algo.All() {
-		st, _ := Run(g, a, 0, Options{Workers: 4})
+		st, _ := Run(g, a, 0, Options{})
 		for v := 0; v < n; v++ {
 			val := st.Value(graph.VertexID(v))
 			p := st.Parent(graph.VertexID(v))
@@ -234,10 +221,10 @@ func TestFrontierOps(t *testing.T) {
 	if !f.empty() || f.count() != 0 {
 		t.Fatal("new frontier not empty")
 	}
-	f.setSeq(0)
-	f.setSeq(64)
-	f.setSeq(129)
-	f.setSeq(129) // idempotent
+	f.set(0)
+	f.set(64)
+	f.set(129)
+	f.set(129) // idempotent
 	if f.count() != 3 || f.empty() {
 		t.Fatalf("count=%d", f.count())
 	}
@@ -248,7 +235,7 @@ func TestFrontierOps(t *testing.T) {
 		t.Fatal("membership wrong")
 	}
 	var got []graph.VertexID
-	f.forEachInWordRange(0, f.words(), func(v graph.VertexID) { got = append(got, v) })
+	f.forEach(func(v graph.VertexID) { got = append(got, v) })
 	if len(got) != 3 || got[0] != 0 || got[1] != 64 || got[2] != 129 {
 		t.Fatalf("iterate got %v", got)
 	}
@@ -256,13 +243,9 @@ func TestFrontierOps(t *testing.T) {
 	if !f.empty() {
 		t.Fatal("clear failed")
 	}
-	// trySet maintains only the bitset; adopt publishes the list.
-	if !f.trySet(5) || f.trySet(5) {
-		t.Fatal("trySet not exactly-once")
-	}
-	f.adopt([]graph.VertexID{5})
+	f.set(5)
 	if !f.isSparse() || f.count() != 1 || !f.has(5) {
-		t.Fatal("adopt failed")
+		t.Fatal("set after clear failed")
 	}
 	f.clear()
 	if f.has(5) || !f.empty() {
@@ -279,12 +262,12 @@ func TestFrontierSwitchover(t *testing.T) {
 	f := newFrontier(n)
 	limit := n / sparseKeepDenom
 	for v := 0; v < limit; v++ {
-		f.setSeq(graph.VertexID(v))
+		f.set(graph.VertexID(v))
 		if !f.isSparse() {
 			t.Fatalf("dropped to dense at %d (limit %d)", v+1, limit)
 		}
 	}
-	f.setSeq(graph.VertexID(limit)) // crosses len*16 > n
+	f.set(graph.VertexID(limit)) // crosses len*16 > n
 	if f.isSparse() {
 		t.Fatal("expected dense past threshold")
 	}
@@ -296,26 +279,13 @@ func TestFrontierSwitchover(t *testing.T) {
 			t.Fatalf("lost membership of %d after switchover", v)
 		}
 	}
-	f.setSeq(graph.VertexID(limit)) // idempotent while dense
+	f.set(graph.VertexID(limit)) // idempotent while dense
 	if f.count() != limit+1 {
-		t.Fatal("dense setSeq not idempotent")
+		t.Fatal("dense set not idempotent")
 	}
 	f.clear()
 	if !f.empty() || !f.isSparse() {
 		t.Fatal("clear must reset to sparse")
-	}
-	// adopt with an oversized list degrades to dense immediately.
-	big := make([]graph.VertexID, limit+1)
-	for i := range big {
-		big[i] = graph.VertexID(i)
-		f.trySet(big[i])
-	}
-	f.adopt(big)
-	if f.isSparse() {
-		t.Fatal("oversized adopt must drop to dense")
-	}
-	if f.count() != limit+1 {
-		t.Fatalf("count=%d", f.count())
 	}
 }
 
@@ -324,37 +294,6 @@ func TestStatsAccumulate(t *testing.T) {
 	a.Add(Stats{Iterations: 2, EdgesPushed: 5, Improved: 1})
 	if a.Iterations != 3 || a.EdgesPushed != 15 || a.Improved != 3 {
 		t.Fatalf("%+v", a)
-	}
-}
-
-// TestDenseParallelPassAllocationsDoNotScaleWithV: a parallel sync pass
-// from one seed over a flat graph runs its middle iterations as dense word
-// scans, whose per-vertex body (pushFull) must not allocate — the
-// allocations of a pass are its per-iteration scratch, not a function of
-// how many vertices were active.
-func TestDenseParallelPassAllocationsDoNotScaleWithV(t *testing.T) {
-	allocs := func(scale int) (float64, int) {
-		n, edges := gen.RMAT(gen.DefaultRMAT(scale, 8<<scale, 3))
-		g := graph.NewPair(n, edges)
-		layers := g.OutRows()
-		st := NewState(n, algo.BFS{}, 0)
-		stats := runSync(st, frontierOf(n, 0), layers, 2)
-		seed := frontierOf(n, 0)
-		return testing.AllocsPerRun(3, func() {
-			st.init(algo.BFS{}, 0)
-			seed.setSeq(0)
-			runSync(st, seed, layers, 2)
-		}), int(stats.Improved)
-	}
-	small, _ := allocs(15)
-	large, reached := allocs(17)
-	if reached < 1<<15 {
-		t.Fatalf("only %d vertices reached: the dense path was not exercised", reached)
-	}
-	// Four times the vertices may cost a few more iterations' scratch,
-	// never anything proportional to the vertices themselves.
-	if large > small+200 || large > float64(reached)/64 {
-		t.Fatalf("allocations grew with V: %.0f at 2^15 vertices, %.0f at 2^17 (%d reached)", small, large, reached)
 	}
 }
 

@@ -3,28 +3,18 @@ package engine
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"commongraph/internal/graph"
 )
 
-// frontier is the hybrid active-vertex set of the §4.3 scheduler: an
-// atomic bitset (the dense representation, always authoritative for
-// membership) plus, when the set is small, an exact sparse vertex list.
-// Small frontiers — the common case for incremental batches and the first
-// and last levels of a from-scratch solve — are iterated and cleared in
-// O(|F|) through the list instead of O(V/64) full-bitset scans.
-//
-// Concurrency contract: trySet is the only operation safe to call from
-// concurrent workers, and it maintains only the bitset. The engine
-// collects the newly set vertices in per-worker buffers and, at the
-// iteration barrier, publishes them with adopt (list retained) or drop
-// (list abandoned, set is dense). Every other method is single-writer and
-// assumes the list/bitset invariant holds.
+// frontier is the hybrid active-vertex set of the §4.3 scheduler: a
+// bitset (the dense representation, always authoritative for membership)
+// plus, when the set is small, an exact sparse vertex list. Small
+// frontiers — the common case for incremental batches — are iterated and
+// cleared in O(|F|) through the list instead of O(V/64) full-bitset scans.
+// Like the State it drives, a frontier belongs to the goroutine running
+// the pass.
 type frontier struct {
-	// Phase contract: trySet CASes bits only inside the sparsePar/densePar
-	// worker pools; every plain access (setSeq, clear, the async drain's
-	// in-queue set) runs single-writer with no worker in flight.
 	bits []uint64
 	n    int
 	// sparse is the exact active list (no duplicates, unspecified order)
@@ -61,7 +51,7 @@ func putFrontier(f *frontier) {
 	frontiers.Put(f)
 }
 
-// reserve sizes the sparse list for up to n setSeq calls, so seeding a
+// reserve sizes the sparse list for up to n set calls, so seeding a
 // batch never regrows it; past the keep bound the list is dropped anyway.
 func (f *frontier) reserve(n int) {
 	if keep := f.n/sparseKeepDenom + 1; n > keep {
@@ -77,27 +67,8 @@ func (f *frontier) reserve(n int) {
 // scan, whose sequential access pattern wins on large frontiers.
 const sparseKeepDenom = 16
 
-// trySet marks v active (atomic; safe from concurrent workers) and
-// reports whether the bit was newly set — exactly one caller wins, so
-// per-worker buffers collect each vertex once. The sparse list is NOT
-// maintained; the caller must adopt or drop at the barrier.
-func (f *frontier) trySet(v graph.VertexID) bool {
-	w := &f.bits[v>>6]
-	mask := uint64(1) << (v & 63)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask != 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|mask) {
-			return true
-		}
-	}
-}
-
-// setSeq marks v active without atomics (single-writer phases: seeding,
-// sequential iterations) and keeps the sparse list exact.
-func (f *frontier) setSeq(v graph.VertexID) {
+// set marks v active and keeps the sparse list exact.
+func (f *frontier) set(v graph.VertexID) {
 	w := &f.bits[v>>6]
 	mask := uint64(1) << (v & 63)
 	if *w&mask != 0 {
@@ -110,18 +81,6 @@ func (f *frontier) setSeq(v graph.VertexID) {
 			f.drop()
 		}
 	}
-}
-
-// adopt publishes list as the exact active set after a concurrent phase
-// whose trySet calls already populated the bitset. The frontier takes
-// ownership of list's backing array. Oversized lists degrade to dense.
-func (f *frontier) adopt(list []graph.VertexID) {
-	if len(list)*sparseKeepDenom > f.n {
-		f.drop()
-		return
-	}
-	f.sparse = list
-	f.dense = false
 }
 
 // drop abandons the sparse list; the set lives only in the bitset.
@@ -198,21 +157,14 @@ func (f *frontier) empty() bool {
 	return true
 }
 
-// forEachInWordRange calls fn for every active vertex whose bitset word
-// index lies in [lo, hi), in ascending order. Dense-scan iteration.
-func (f *frontier) forEachInWordRange(lo, hi int, fn func(v graph.VertexID)) {
-	for wi := lo; wi < hi; wi++ {
-		w := f.bits[wi]
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			v := graph.VertexID(wi*64 + b)
-			if int(v) < f.n {
-				fn(v)
+// forEach calls fn for every active vertex in ascending order: the dense
+// scan.
+func (f *frontier) forEach(fn func(v graph.VertexID)) {
+	for wi, w := range f.bits {
+		for ; w != 0; w &= w - 1 {
+			if v := wi*64 + bits.TrailingZeros64(w); v < f.n {
+				fn(graph.VertexID(v))
 			}
-			w &= w - 1
 		}
 	}
 }
-
-// words returns the number of bitset words (the dense-scan extent).
-func (f *frontier) words() int { return len(f.bits) }

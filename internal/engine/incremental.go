@@ -33,7 +33,7 @@ func IncrementalAddParts(g delta.Graph, st *State, parts [][]graph.Edge, opt Opt
 	mode := "async" // a batch that improves nothing runs no pass
 	if seed != nil {
 		var s Stats
-		s, mode = propagate(g, st, seed, opt)
+		s, mode = propagate(g, st, seed)
 		stats.Add(s)
 		putFrontier(seed)
 	}
@@ -42,14 +42,14 @@ func IncrementalAddParts(g delta.Graph, st *State, parts [][]graph.Edge, opt Opt
 	return stats
 }
 
-// seedParts applies every added edge once. Seeding is a single-writer
-// phase: plain stores, and the improved destinations go straight into the
-// pass's frontier, a recycled one whose list is sized once from the batch.
+// seedParts applies every added edge once. The improved destinations go
+// straight into the pass's frontier, a recycled one whose list is sized
+// once from the batch.
 // The frontier is nil when no edge improved its destination.
 func seedParts(st *State, parts [][]graph.Edge, batchLen int) (*frontier, Stats) {
 	var stats Stats
 	var seed *frontier
-	id, min := st.a.Identity(), st.minimize()
+	id := st.a.Identity()
 	for _, batch := range parts {
 		for _, e := range batch {
 			uval := st.Value(e.Src)
@@ -57,14 +57,13 @@ func seedParts(st *State, parts [][]graph.Edge, batchLen int) (*frontier, Stats)
 				continue
 			}
 			stats.EdgesPushed++
-			cand := st.a.Propagate(uval, e.W)
-			if st.improveSeq(e.Dst, cand, e.Src, min) {
+			if st.TryImprove(e.Dst, st.a.Propagate(uval, e.W), e.Src) {
 				stats.Improved++
 				if seed == nil {
 					seed = getFrontier(st.NumVertices())
 					seed.reserve(batchLen)
 				}
-				seed.setSeq(e.Dst)
+				seed.set(e.Dst)
 			}
 		}
 	}

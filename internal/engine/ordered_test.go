@@ -27,7 +27,7 @@ func TestOrderedSolveSettlesOnce(t *testing.T) {
 			var settled int64
 			for v := 0; v < n; v++ {
 				if st.Value(graph.VertexID(v)) != a.Identity() {
-					settled += int64(degree(layers, graph.VertexID(v)))
+					settled += int64(outDegree(layers, graph.VertexID(v)))
 				}
 			}
 			if stats.EdgesPushed != settled {

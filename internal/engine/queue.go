@@ -136,14 +136,14 @@ func keyMask(minimize bool) uint32 {
 // runOrdered drives the seeds to fixpoint on the calling goroutine, popping
 // vertices in value order: the label-setting pass of a from-scratch solve.
 // An entry whose key no longer matches its vertex's value is stale and
-// skipped. improveSeq stores only strict improvements, so each value a
+// skipped. TryImprove stores only strict improvements, so each value a
 // vertex holds is queued once, and once a vertex is popped no later pop
 // can improve it unless Propagate improves on its input: each reached
 // vertex relaxes its row once and EdgesPushed is their out-degree sum.
 func runOrdered(st *State, seeds []graph.VertexID, layers []graph.Rows, q *radixQueue) Stats {
 	var stats Stats
-	alg, id, min := st.a, st.a.Identity(), st.minimize()
-	mask := keyMask(min)
+	alg, id := st.a, st.a.Identity()
+	mask := keyMask(st.min)
 	for _, v := range seeds {
 		if val := st.Value(v); val != id {
 			q.push(uint32(val)^mask, v)
@@ -166,7 +166,7 @@ func runOrdered(st *State, seeds []graph.VertexID, layers []graph.Rows, q *radix
 			ws := L.Weights[lo:hi]
 			for i, v := range ts {
 				cand := alg.Propagate(uval, ws[i])
-				if st.improveSeq(v, cand, u, min) {
+				if st.TryImprove(v, cand, u) {
 					stats.Improved++
 					q.push(uint32(cand)^mask, v)
 				}

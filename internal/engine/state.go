@@ -1,10 +1,12 @@
 // Package engine is the push-based iterative execution engine shared by
 // the KickStarter baseline and the CommonGraph system. It evaluates a
 // monotonic vertex program (internal/algo) over the flat rows of any
-// adjacency view (internal/delta.Graph) from scratch, in value order on
-// one goroutine, or incrementally, sequentially or in parallel, and
-// maintains the dependence tree (each vertex's parent — the in-neighbour
-// that justified its value) that KickStarter-style trimming requires.
+// adjacency view (internal/delta.Graph) from scratch, in value order, or
+// incrementally, and maintains the dependence tree (each vertex's parent —
+// the in-neighbour that justified its value) that KickStarter-style
+// trimming requires. Every pass runs on the goroutine that calls it:
+// concurrency lives a layer up, in the independent units (hops, subtrees)
+// an evaluation runs side by side.
 package engine
 
 import (
@@ -17,20 +19,16 @@ import (
 )
 
 // State is the query state for one graph version: per-vertex (value,
-// parent) pairs packed into single 64-bit words so parallel updates keep
-// value and dependence parent consistent, plus the query's source.
+// parent) pairs packed into single 64-bit words, plus the query's source.
+// One goroutine owns a state at a time: a pass reads and writes its words
+// with plain loads and stores, and a state changes hands (a unit's copy,
+// a result handed to a reader) only between passes.
 type State struct {
 	a   algo.Algorithm
 	src graph.VertexID
 	// min caches a.Direction() == Minimize so the per-edge improvement
 	// test is a plain comparison, not an interface call.
-	min bool
-	// Phase contract: Load/TryImprove/Improves access words atomically
-	// while workers run; improveSeq loads and stores them plainly in
-	// single-writer phases (addition seeding, sparseSeq, denseSeq,
-	// runAsync, runOrdered: one goroutine, no worker in flight); Clone,
-	// CloneRecycled, Recycle, Equal, Summary and construction touch them
-	// plainly only at quiescent points (no pass in flight).
+	min   bool
 	words []uint64 // hi 32 bits: value (int32 bit pattern); lo 32: parent
 }
 
@@ -83,81 +81,41 @@ func (s *State) Source() graph.VertexID { return s.src }
 
 // Value returns v's current value.
 func (s *State) Value(v graph.VertexID) algo.Value {
-	val, _ := unpack(atomic.LoadUint64(&s.words[v]))
+	val, _ := unpack(s.words[v])
 	return val
 }
 
 // Parent returns the in-neighbour that justified v's current value, or
 // NoVertex for the source and unreached vertices.
 func (s *State) Parent(v graph.VertexID) graph.VertexID {
-	_, p := unpack(atomic.LoadUint64(&s.words[v]))
+	_, p := unpack(s.words[v])
 	return p
 }
 
-// Load returns v's (value, parent) pair atomically.
-func (s *State) Load(v graph.VertexID) (algo.Value, graph.VertexID) {
-	return unpack(atomic.LoadUint64(&s.words[v]))
-}
-
 // TryImprove installs (cand, parent) at v if cand improves on v's current
-// value, retrying on contention. It reports whether the value changed.
-// This is the CASMIN/CASMAX of Table 3.
+// value, and reports whether it did: the relaxation every pass's hot loop
+// runs, the plain counterpart of Table 3's CASMIN/CASMAX.
 func (s *State) TryImprove(v graph.VertexID, cand algo.Value, parent graph.VertexID) bool {
-	for {
-		old := atomic.LoadUint64(&s.words[v])
-		cur, _ := unpack(old)
-		if s.min {
-			if cand >= cur {
-				return false
-			}
-		} else if cand <= cur {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(&s.words[v], old, pack(cand, parent)) {
-			return true
-		}
-	}
-}
-
-// Improves reports whether cand would improve v's value right now, given
-// the cached improvement direction (pass State.minimize). It is an
-// inlinable racy pre-filter for the hot loops: a true answer may go stale
-// before the CAS, so callers must still go through TryImprove — but the
-// common non-improving edge skips the function call entirely.
-func (s *State) Improves(v graph.VertexID, cand algo.Value, minimize bool) bool {
-	cur, _ := unpack(atomic.LoadUint64(&s.words[v]))
-	if minimize {
-		return cand < cur
-	}
-	return cand > cur
-}
-
-// improveSeq is TryImprove for the single-writer phases — addition
-// seeding, sparseSeq, denseSeq, the async drain and the ordered solve,
-// where one goroutine owns the state and no worker is in flight: a plain
-// load, compare and store in place of the pre-filter load plus LOCK
-// CMPXCHG. The worker bodies (pushRange, pushFull) keep Improves +
-// TryImprove.
-func (s *State) improveSeq(v graph.VertexID, cand algo.Value, parent graph.VertexID, minimize bool) bool {
-	cur := algo.Value(int32(uint32(s.words[v] >> 32)))
-	if minimize {
-		if cand >= cur {
-			return false
-		}
-	} else if cand <= cur {
+	if !s.Improves(v, cand) {
 		return false
 	}
 	s.words[v] = pack(cand, parent)
 	return true
 }
 
-// minimize exposes the cached direction for hot-loop hoisting.
-func (s *State) minimize() bool { return s.min }
+// Improves reports whether cand would improve v's current value.
+func (s *State) Improves(v graph.VertexID, cand algo.Value) bool {
+	cur := s.Value(v)
+	if s.min {
+		return cand < cur
+	}
+	return cand > cur
+}
 
 // Reset forces v to (value, parent) unconditionally. Used by trimming to
-// invalidate vertices; not safe concurrently with TryImprove on v.
+// invalidate vertices.
 func (s *State) Reset(v graph.VertexID, val algo.Value, parent graph.VertexID) {
-	atomic.StoreUint64(&s.words[v], pack(val, parent))
+	s.words[v] = pack(val, parent)
 }
 
 // Clone returns an independent copy of the state. The receiver must be

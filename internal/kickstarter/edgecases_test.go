@@ -26,7 +26,7 @@ func TestDeletionWithReroute(t *testing.T) {
 	if err := g.DeleteBatch(del); err != nil {
 		t.Fatal(err)
 	}
-	stats := IncrementalDelete(g, st, del, engine.Options{})
+	stats := IncrementalDelete(g, st, del)
 	if stats.Trimmed == 0 {
 		t.Fatal("dependence deletion did not trim")
 	}
@@ -48,7 +48,7 @@ func TestDeletionOfEdgeIntoSource(t *testing.T) {
 	if err := g.DeleteBatch(del); err != nil {
 		t.Fatal(err)
 	}
-	stats := IncrementalDelete(g, st, del, engine.Options{})
+	stats := IncrementalDelete(g, st, del)
 	if stats.Trimmed != 0 {
 		t.Fatalf("trimmed %d for an edge into the source", stats.Trimmed)
 	}
@@ -71,7 +71,7 @@ func TestTrimCascadeDepth(t *testing.T) {
 	if err := g.DeleteBatch(del); err != nil {
 		t.Fatal(err)
 	}
-	stats := IncrementalDelete(g, st, del, engine.Options{})
+	stats := IncrementalDelete(g, st, del)
 	if stats.Trimmed != chain {
 		t.Fatalf("trimmed %d, want the whole %d-vertex chain", stats.Trimmed, chain)
 	}

@@ -87,7 +87,7 @@ func TestIncrementalDeleteMatchesScratch(t *testing.T) {
 		if err := g.DeleteBatch(del); err != nil {
 			t.Fatal(err)
 		}
-		IncrementalDelete(g, st, del, engine.Options{})
+		IncrementalDelete(g, st, del)
 		ref := engine.Reference(g, a, 0)
 		if !engine.ValuesEqual(st, ref) {
 			t.Fatalf("%s: trim diverged from scratch", a.Name())
@@ -112,7 +112,7 @@ func TestIncrementalDeleteNoDependence(t *testing.T) {
 	if err := g.DeleteBatch(del); err != nil {
 		t.Fatal(err)
 	}
-	stats := IncrementalDelete(g, st, del, engine.Options{})
+	stats := IncrementalDelete(g, st, del)
 	if stats.Trimmed != 0 {
 		t.Fatalf("trimmed %d vertices for a non-dependence deletion", stats.Trimmed)
 	}
@@ -134,7 +134,7 @@ func TestIncrementalDeleteDisconnects(t *testing.T) {
 	if err := g.DeleteBatch(del); err != nil {
 		t.Fatal(err)
 	}
-	stats := IncrementalDelete(g, st, del, engine.Options{})
+	stats := IncrementalDelete(g, st, del)
 	if stats.Trimmed != 3 {
 		t.Fatalf("trimmed=%d want 3", stats.Trimmed)
 	}

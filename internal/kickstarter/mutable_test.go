@@ -151,12 +151,10 @@ func TestMutableRowsMatchEdges(t *testing.T) {
 }
 
 // TestMutableGraphEngineMatchesReference runs the engine over KickStarter's
-// slack layout at one and four workers, from scratch and incrementally,
-// against the Reference oracle. The source's 800 hubs stay a sparse
-// frontier while their rows cross seqEdgeCutoff, and the R-MAT edges
-// behind them give the solve dense levels, so the parallel sparse and
-// dense passes walk relocated rows too. Added as one batch, the hub rows
-// seed far more than the async cutoff.
+// slack layout, from scratch and incrementally, against the Reference
+// oracle. Added as one batch, the 800 hub rows seed far more than the
+// async cutoff, and the R-MAT edges behind them give the sync pass dense
+// levels, so its sparse and dense iterations walk relocated rows.
 func TestMutableGraphEngineMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large engine differential skipped in -short")
@@ -187,20 +185,17 @@ func TestMutableGraphEngineMatchesReference(t *testing.T) {
 		full := NewMutableGraph(n, base)
 		full.AddBatch(batch)
 		ref := engine.Reference(full, a, src)
-		for _, workers := range []int{1, 4} {
-			opt := engine.Options{Workers: workers}
-			if st, _ := engine.Run(full, a, src, opt); !engine.ValuesEqual(st, ref) {
-				t.Fatalf("%s workers=%d: Run diverges from the reference", a.Name(), workers)
-			}
-			g := NewMutableGraph(n, base)
-			st, _ := engine.Run(g, a, src, opt)
-			g.AddBatch(batch)
-			if stats := engine.IncrementalAdd(g, st, batch, opt); stats.Iterations == 0 {
-				t.Fatalf("%s workers=%d: the batch should seed a sync pass", a.Name(), workers)
-			}
-			if !engine.ValuesEqual(st, ref) {
-				t.Fatalf("%s workers=%d: IncrementalAdd diverges from the reference", a.Name(), workers)
-			}
+		if st, _ := engine.Run(full, a, src, engine.Options{}); !engine.ValuesEqual(st, ref) {
+			t.Fatalf("%s: Run diverges from the reference", a.Name())
+		}
+		g := NewMutableGraph(n, base)
+		st, _ := engine.Run(g, a, src, engine.Options{})
+		g.AddBatch(batch)
+		if stats := engine.IncrementalAdd(g, st, batch, engine.Options{}); stats.Iterations == 0 {
+			t.Fatalf("%s: the batch should seed a sync pass", a.Name())
+		}
+		if !engine.ValuesEqual(st, ref) {
+			t.Fatalf("%s: IncrementalAdd diverges from the reference", a.Name())
 		}
 	}
 }

@@ -45,7 +45,6 @@ func (c *CostBreakdown) Add(o CostBreakdown) {
 type System struct {
 	g    *MutableGraph
 	st   *engine.State
-	opt  engine.Options
 	Cost CostBreakdown
 	Work engine.Stats
 	// Trace, when non-nil, is the parent span every ApplyTransition hangs
@@ -57,7 +56,7 @@ type System struct {
 // New builds the system on the initial snapshot and computes the query
 // from scratch.
 func New(n int, initial graph.EdgeList, a algo.Algorithm, src graph.VertexID, opt engine.Options) *System {
-	s := &System{g: NewMutableGraph(n, initial), opt: opt}
+	s := &System{g: NewMutableGraph(n, initial)}
 	t0 := time.Now()
 	st, stats := engine.Run(s.g, a, src, opt)
 	s.Cost.InitialCompute = time.Since(t0)
@@ -98,13 +97,13 @@ func (s *System) ApplyTransition(additions, deletions graph.EdgeList) error {
 	s.Cost.MutateDelete += t2.Sub(t1)
 
 	ph = sp.StartChild("phase.incremental-delete")
-	delStats := IncrementalDelete(s.g, s.st, deletions, s.opt.WithSpan(ph))
+	delStats := IncrementalDelete(s.g, s.st, deletions)
 	ph.End()
 	t3 := time.Now()
 	s.Cost.IncrementalDelete += t3.Sub(t2)
 
 	ph = sp.StartChild("phase.incremental-add")
-	addStats := engine.IncrementalAdd(s.g, s.st, additions, s.opt.WithSpan(ph))
+	addStats := engine.IncrementalAdd(s.g, s.st, additions, engine.Options{Span: ph})
 	ph.End()
 	s.Cost.IncrementalAdd += time.Since(t3)
 

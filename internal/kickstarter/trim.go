@@ -21,7 +21,7 @@ import (
 // still optimal. This whole procedure — subtree discovery, resets,
 // reseeding against in-edges, and a fresh propagation — is why deletions
 // cost a multiple of additions (Figure 1, top).
-func IncrementalDelete(g delta.Graph, st *engine.State, batch graph.EdgeList, opt engine.Options) engine.Stats {
+func IncrementalDelete(g delta.Graph, st *engine.State, batch graph.EdgeList) engine.Stats {
 	var stats engine.Stats
 	n := st.NumVertices()
 	a := st.Algorithm()
@@ -90,7 +90,7 @@ func IncrementalDelete(g delta.Graph, st *engine.State, batch graph.EdgeList, op
 		}
 	}
 	if len(seeds) > 0 {
-		s := engine.Propagate(g, st, seeds, opt)
+		s := engine.Propagate(g, st, seeds)
 		stats.Add(s)
 	}
 	stats.Trimmed = int64(len(work))

@@ -84,6 +84,10 @@ type Follower struct {
 	// carried one — the primary-side span a staleness-budgeted read or a
 	// promotion links itself to.
 	lastTrace obs.SpanContext
+	// fenceTrace is the promotion span's context, recorded before the
+	// epoch bump: every fence the follower sends from then on carries it,
+	// the session's as well as Promote's own.
+	fenceTrace obs.SpanContext
 }
 
 func (f *Follower) tracer() *obs.Tracer {
@@ -282,8 +286,13 @@ func (f *Follower) session(ctx context.Context, conn net.Conn) (progress bool, e
 		cur := f.epoch()
 		if fr.epoch < cur {
 			// A primary still writing at an epoch our group moved past:
-			// tell it (the fence persists on its side) and hang up.
-			if werr := f.write(conn, frame{typ: frameFence, epoch: cur}); werr != nil {
+			// tell it (the fence persists on its side) and hang up. The
+			// primary acts on the first fence it reads, so this one carries
+			// the promotion span too.
+			f.mu.Lock()
+			fenceSc := f.fenceTrace
+			f.mu.Unlock()
+			if werr := f.write(conn, frame{typ: frameFence, epoch: cur, trace: fenceSc}); werr != nil {
 				return progress, werr
 			}
 			return progress, fmt.Errorf("repl: frame at epoch %d < local %d: %w", fr.epoch, cur, ErrStalePeer)
@@ -473,20 +482,27 @@ func (f *Follower) Promote() (*store.Store, uint64, error) {
 	// ship → replay → promote → (via the fence frame) the fenced
 	// ex-primary's final span.
 	sp := f.tracer().StartRemote(lastTrace, "repl.promote")
+	fenceSc := sp.Context()
+	if !fenceSc.Valid() {
+		fenceSc = lastTrace
+	}
+	// The fence context is recorded before the bump: once the new epoch
+	// is durable, the session may fence a frame at the old one before the
+	// fence below is written.
+	f.mu.Lock()
+	f.fenceTrace = fenceSc
+	f.mu.Unlock()
 	epoch, err := st.BumpEpoch()
 	if err != nil {
 		f.mu.Lock()
 		f.promoted = false
+		f.fenceTrace = obs.SpanContext{}
 		f.mu.Unlock()
 		sp.SetAttr(obs.String("error", err.Error()))
 		sp.End()
 		return nil, 0, err
 	}
 	sp.SetAttr(obs.Int64("epoch", int64(epoch)))
-	fenceSc := sp.Context()
-	if !fenceSc.Valid() {
-		fenceSc = lastTrace
-	}
 	if conn != nil {
 		// Best-effort immediate fence; errors are fine — the epoch is
 		// already durable and will fence the primary on any later contact.

@@ -637,6 +637,81 @@ func TestPromoteInjectedFaultIsRetryable(t *testing.T) {
 	}
 }
 
+// TestPromoteFenceCarriesPromotionSpan: once Promote has bumped the
+// epoch, a frame at the old epoch makes the session fence its sender
+// before (or instead of) Promote's own fence. The primary acts on the
+// first fence it reads, so that one must carry the promotion span as
+// well, or the fenced ex-primary opens a trace of its own. The session
+// here is dialed while Promote runs, so Promote has no live conn to
+// fence and the session's fence is the only one sent.
+func TestPromoteFenceCarriesPromotionSpan(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "f")
+	fs, err := store.CreateReplica(dir, 8, nil, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.Close()
+	primary := make(chan net.Conn, 1)
+	dialing, release := make(chan struct{}), make(chan struct{})
+	tr := obs.New(obs.WithFlightRecorder(nil))
+	f, err := OpenFollower(dir, Options{
+		Dial: func(context.Context) (net.Conn, error) {
+			close(dialing)
+			<-release
+			c1, c2 := net.Pipe()
+			primary <- c2
+			return c1, nil
+		},
+		Backoff: Backoff{Base: time.Hour}, // one session, then park
+		Trace:   tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go f.Run(ctx)
+
+	<-dialing
+	st, epoch, err := f.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	close(release)
+	conn := <-primary
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+
+	if hello, err := readFrame(conn); err != nil || hello.typ != frameHello {
+		t.Fatalf("first follower frame = %v, %v; want a hello", hello.typ, err)
+	}
+	stale := frame{typ: frameHeartbeat, epoch: epoch - 1, payload: heartbeatMsg{}.encode()}
+	if err := writeFrame(conn, stale); err != nil {
+		t.Fatal(err)
+	}
+	fence, err := readFrame(conn)
+	if err != nil || fence.typ != frameFence {
+		t.Fatalf("follower answered a stale frame with %v, %v; want a fence", fence.typ, err)
+	}
+	var promote *obs.Event
+	for _, ev := range tr.Events() {
+		if ev.Name == "repl.promote" {
+			promote = &ev
+		}
+	}
+	if promote == nil {
+		t.Fatal("no repl.promote span")
+	}
+	if fence.epoch != epoch {
+		t.Errorf("fence at epoch %d, want %d", fence.epoch, epoch)
+	}
+	if want := (obs.SpanContext{Trace: promote.Trace, Span: promote.ID}); fence.trace != want {
+		t.Errorf("fence carries trace context %+v, want the promotion span %+v", fence.trace, want)
+	}
+}
+
 // TestKillPointSelfHeal: a transient injected failure at each wire-order
 // kill point breaks the session; the catch-up loop reconnects, resumes
 // from the durable position, and converges — no operator involved.

@@ -295,7 +295,7 @@ func (pc *PlanCache) solve(g *EvolvingGraph, e *icgEntry, rep *core.Rep, cfg cor
 	}
 	sp := cfg.Trace.StartChild("icg.solve",
 		obs.Int("from", e.w.From), obs.Int("to", e.w.To))
-	e.st, _ = engine.Run(solveRep.Base, cfg.Algo, cfg.Source, cfg.Engine.WithSpan(sp))
+	e.st, _ = engine.Run(solveRep.Base, cfg.Algo, cfg.Source, engine.Options{Span: sp})
 	sp.End()
 	pc.stats.solves.Add(1)
 	obs.ServeICG("solve").Inc()
@@ -324,7 +324,7 @@ func (pc *PlanCache) derive(g *EvolvingGraph, dst, src *icgEntry, rep *core.Rep,
 		obs.Int("src_from", src.w.From), obs.Int("src_to", src.w.To))
 	batch := srcRep.CommonWithin(dst.w.From-src.w.From, dst.w.To-src.w.From)
 	st := src.st.Clone()
-	engine.IncrementalAdd(rep.Base, st, batch, cfg.Engine.WithSpan(sp))
+	engine.IncrementalAdd(rep.Base, st, batch, engine.Options{Span: sp})
 	sp.SetAttr(obs.Int("batch", len(batch)))
 	sp.End()
 	dst.st = st

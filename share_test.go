@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"commongraph/internal/core"
 	"commongraph/internal/engine"
 	"commongraph/internal/graph"
 )
@@ -27,14 +28,57 @@ func referenceValues(t *testing.T, g *EvolvingGraph, idx int, q Query) []Value {
 	return engine.Reference(graph.NewPair(g.NumVertices(), edges), q.Algorithm, q.Source)
 }
 
+// workLedger is the deterministic work of one evaluation that solves its
+// own common graph: the engine's counters and the additions streamed.
+type workLedger struct {
+	work      engine.Stats
+	additions int64
+}
+
+// ledgerOf evaluates req's window the way g.Run does, without a PlanCache,
+// and returns the work it did. The public Result carries only part of
+// it (EdgesEvaluated, AdditionsProcessed).
+func ledgerOf(t *testing.T, g *EvolvingGraph, req Request) workLedger {
+	t.Helper()
+	w := core.Window{Store: g.store, From: req.Window.From, To: req.Window.To}
+	inner, err := g.runCommonGraph(w, nil, req.Strategy, req.Options, req.Options.config(context.Background(), req.Query, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return workLedger{work: inner.Work, additions: inner.AdditionsProcessed}
+}
+
+// scheduleOf names the schedule a CommonGraph strategy walks: the
+// sequential and the concurrent strategy of one schedule do the same work.
+func scheduleOf(s Strategy) string {
+	if s == WorkSharing || s == WorkSharingParallel {
+		return "tree"
+	}
+	return "star"
+}
+
 // TestWarmPlanDifferential is the strategy differential over the window
 // plan: for every CommonGraph strategy x worker budget x algorithm, with
 // and without a PlanCache, the first Run on a window (which builds its
 // plan) and the second and third (which reuse it) return bit-identical
 // values, and those are engine.Reference's on every snapshot — reuse is an
-// optimization, never an approximation.
+// optimization, never an approximation. Every Run that solves its own
+// common graph also does the same work: the engine's Work and the
+// additions streamed are one ledger per schedule x algorithm x window,
+// whatever the budget and whether the schedule's units run in order or
+// side by side.
 func TestWarmPlanDifferential(t *testing.T) {
 	windows := []Window{{From: 0, To: 4}, {From: 1, To: 5}, {From: 2, To: 6}, {From: 0, To: 6}, {From: 3, To: 3}}
+	type ledgerKey struct {
+		schedule string
+		algo     string
+		window   Window
+	}
+	type ledgerSeen struct {
+		ledger workLedger
+		by     string
+	}
+	ledgers := map[ledgerKey]ledgerSeen{}
 	for _, s := range commonGraphStrategies() {
 		for _, budget := range []int{1, 2, 8} {
 			// A graph of its own, so the first Run below is a cold one.
@@ -46,10 +90,24 @@ func TestWarmPlanDifferential(t *testing.T) {
 					name := fmt.Sprintf("%s %v workers=%d %v", a.Name(), s, budget, w)
 					var first *Result
 					for run, plan := range []*PlanCache{nil, nil, pc, pc} {
-						res, err := g.Run(context.Background(), Request{Query: q, Window: w, Strategy: s,
-							Options: Options{Workers: budget, KeepValues: true, Plan: plan}})
+						req := Request{Query: q, Window: w, Strategy: s,
+							Options: Options{Workers: budget, KeepValues: true, Plan: plan}}
+						res, err := g.Run(context.Background(), req)
 						if err != nil {
 							t.Fatalf("%s run %d: %v", name, run, err)
+						}
+						if plan == nil {
+							l := ledgerOf(t, g, req)
+							if res.EdgesEvaluated != l.work.EdgesPushed || res.AdditionsProcessed != l.additions {
+								t.Fatalf("%s run %d: Result counts (%d edges, %d additions), the evaluation's ledger %+v",
+									name, run, res.EdgesEvaluated, res.AdditionsProcessed, l)
+							}
+							key := ledgerKey{scheduleOf(s), a.Name(), w}
+							if seen, ok := ledgers[key]; !ok {
+								ledgers[key] = ledgerSeen{l, name}
+							} else if l != seen.ledger {
+								t.Fatalf("%s run %d: work %+v, but %s did %+v", name, run, l, seen.by, seen.ledger)
+							}
 						}
 						if first == nil {
 							first = res
