@@ -1,5 +1,9 @@
-// Command cgbench regenerates the paper's tables and figures on synthetic
-// stand-in workloads.
+// Command cgbench regenerates the paper's evaluation (§5: Figure 1,
+// Tables 2, 4 and 5, Figures 8–11) and the design ablations on synthetic
+// stand-in workloads, and runs the observability overhead gate
+// (-exp obs-overhead). It is the one front end to internal/bench; store,
+// replication and query-service costs are measured by the repository
+// benchmark (benchmark/).
 //
 // Usage:
 //
@@ -13,16 +17,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
-	"commongraph"
 	"commongraph/internal/bench"
-	_ "commongraph/internal/bench/serveexp" // registers the serve experiment
 	"commongraph/internal/obs"
 )
 
@@ -32,20 +32,10 @@ func main() {
 		list      = flag.Bool("list", false, "list available experiments")
 		snapshots = flag.Int("snapshots", 0, "override window length (default: paper's 50)")
 		seed      = flag.Uint64("seed", 0, "override workload seed")
-		csvDir    = flag.String("csv", "", "also write each table as CSV into this directory")
 		jsonPath  = flag.String("json", "", "write all results as one machine-readable JSON report to this file")
 		metrics   = flag.Bool("metrics", false, "dump the metric registry in Prometheus text format to stderr when done")
-		quick     = flag.String("quick", "", "skip the experiment tables: run one evaluation with this strategy (kickstarter | independent | direct-hop | direct-hop-parallel | work-sharing | work-sharing-parallel) on the default synthetic workload and print its timings")
 	)
 	flag.Parse()
-
-	if *quick != "" {
-		if err := runQuick(*quick, *snapshots, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "cgbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list || *exp == "" {
 		fmt.Println("experiments:")
@@ -81,23 +71,6 @@ func main() {
 			Table:          tab,
 		})
 		tab.Fprint(os.Stdout)
-		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "cgbench: %v\n", err)
-				os.Exit(1)
-			}
-			f, err := os.Create(filepath.Join(*csvDir, name+".csv"))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cgbench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := tab.WriteCSV(f); err != nil {
-				f.Close()
-				fmt.Fprintf(os.Stderr, "cgbench: %v\n", err)
-				os.Exit(1)
-			}
-			f.Close()
-		}
 		fmt.Printf("(%s completed in %s)\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
@@ -144,48 +117,4 @@ func finish(report *bench.Report, jsonPath string, metrics bool) {
 	if err := obs.WriteEnvTrace(); err != nil {
 		fmt.Fprintf(os.Stderr, "cgbench: %v\n", err)
 	}
-}
-
-// runQuick is the public-API smoke path: it builds the default LJ-sim
-// workload, evaluates one BFS query over the full window with the named
-// strategy through commongraph.Run, and prints the timing breakdown. It
-// exists to sanity-check a strategy end to end without the experiment
-// harness (and exercises the same Request plumbing services use).
-func runQuick(strategyName string, snapshots int, seed uint64) error {
-	strat, err := commongraph.ParseStrategy(strategyName)
-	if err != nil {
-		return err
-	}
-	p := bench.Default()
-	if snapshots > 1 {
-		p.Snapshots = snapshots
-	}
-	if seed != 0 {
-		p.Seed = seed
-	}
-	half := p.Batch(75_000) / 2
-	w, err := bench.BuildWorkload("LJ-sim", p, p.Snapshots-1, half, half)
-	if err != nil {
-		return err
-	}
-	g := commongraph.FromStore(w.Store)
-	start := time.Now()
-	res, err := g.Run(context.Background(), commongraph.Request{
-		Query:    commongraph.Query{Algorithm: commongraph.BFS, Source: 0},
-		Window:   commongraph.Window{From: 0, To: g.NumSnapshots() - 1},
-		Strategy: strat,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s on LJ-sim (%d vertices, %d snapshots): total %v (wall %v)\n",
-		strat, w.N, g.NumSnapshots(), res.Timings.Total, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("  initial compute %v, incremental add %v, incremental delete %v, mutation/overlay %v\n",
-		res.Timings.InitialCompute, res.Timings.IncrementalAdd,
-		res.Timings.IncrementalDelete, res.Timings.Mutation)
-	fmt.Printf("  additions processed %d, deletions processed %d\n",
-		res.AdditionsProcessed, res.DeletionsProcessed)
-	last := res.Snapshots[len(res.Snapshots)-1]
-	fmt.Printf("  final snapshot: reached %d, checksum %016x\n", last.Reached, last.Checksum)
-	return nil
 }

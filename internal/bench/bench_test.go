@@ -96,7 +96,7 @@ func TestFormattingHelpers(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	if len(Experiments()) != 15 {
+	if len(Experiments()) != 13 {
 		t.Fatalf("experiments=%d", len(Experiments()))
 	}
 	if _, ok := ByName("table4"); !ok {
@@ -105,24 +105,20 @@ func TestRegistry(t *testing.T) {
 	if _, ok := ByName("nope"); ok {
 		t.Fatal("phantom experiment")
 	}
-	names := Names()
-	if len(names) != 15 || names[0] > names[len(names)-1] {
-		t.Fatalf("names=%v", names)
-	}
-	var buf bytes.Buffer
-	if err := RunAndPrint(&buf, "nope", Tiny()); err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
 }
 
 // TestEveryExperimentRunsAtTinyScale executes every registered experiment
-// end to end with miniature parameters — the harness's integration test.
+// but the obs-overhead gate end to end with miniature parameters — the
+// harness's integration test.
 func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	p := Tiny()
 	for _, e := range Experiments() {
+		if e.Name == "obs-overhead" {
+			continue // a wall-clock gate: TestObsOverheadLoop checks its loop deterministically
+		}
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			tab, err := e.Run(p)
@@ -163,22 +159,5 @@ func TestRunAllConsistency(t *testing.T) {
 	}
 	if st.MaxHop <= 0 {
 		t.Fatal("no parallel hop time")
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	tab := &Table{
-		ID:     "T",
-		Title:  "demo",
-		Header: []string{"A", "B"},
-	}
-	tab.AddRow("plain", `with,comma and "quote"`)
-	var buf bytes.Buffer
-	if err := tab.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := "A,B\nplain,\"with,comma and \"\"quote\"\"\"\n"
-	if buf.String() != want {
-		t.Fatalf("csv = %q want %q", buf.String(), want)
 	}
 }

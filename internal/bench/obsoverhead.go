@@ -9,6 +9,7 @@ import (
 
 	"commongraph/internal/algo"
 	"commongraph/internal/engine"
+	"commongraph/internal/graph"
 	"commongraph/internal/kickstarter"
 	"commongraph/internal/obs"
 )
@@ -50,9 +51,8 @@ func ObsOverhead(p Params) (*Table, error) {
 	// recorder-off side is long enough for a 5% delta to be signal.
 	const gateFloor = 5 * time.Millisecond
 	transitions := obsOverheadTransitions
-	b := p.Batch(50_000)
 	for _, name := range []string{"LJ-sim"} {
-		w, err := BuildWorkload(name, p, transitions, b, b/4)
+		w, err := obsWorkload(name, p)
 		if err != nil {
 			return nil, err
 		}
@@ -72,9 +72,11 @@ func ObsOverhead(p Params) (*Table, error) {
 				break
 			}
 		}
-		// 5 child spans per transition (kickstarter.transition + 4 phases)
-		// plus the evaluate root.
-		t.AddRow(name, fmt.Sprintf("%d", transitions), "6",
+		spans, err := spansPerTransition(w, p)
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(name, fmt.Sprintf("%d", transitions), fmt.Sprintf("%d", spans),
 			secs(off), secs(on), fmt.Sprintf("%+.2f%%", overhead*100))
 		if overhead > obsOverheadBudget {
 			if off < gateFloor {
@@ -125,13 +127,8 @@ func measureObsOverhead(w *Workload, p Params, transitions int) (off, on time.Du
 		runtime.GC()
 		start := time.Now()
 		for tr := 0; tr < transitions; tr++ {
-			root := obs.Active().StartSpan("evaluate",
-				obs.String("strategy", "kickstarter"), obs.Int("transition", tr))
-			sys.Trace = root
-			rerr := sys.ApplyTransition(w.Store.Additions(tr).Edges(), w.Store.Deletions(tr).Edges())
-			root.End()
-			if rerr != nil {
-				return 0, rerr
+			if _, err := obsTransition(obs.Active(), sys, tr, w.Store.Additions(tr).Edges(), w.Store.Deletions(tr).Edges()); err != nil {
+				return 0, err
 			}
 		}
 		return time.Since(start), nil
@@ -166,4 +163,43 @@ func measureObsOverhead(w *Workload, p Params, transitions int) (off, on time.Du
 	sort.Float64s(ratios)
 	overhead = ratios[len(ratios)/2] - 1
 	return off, on, overhead, nil
+}
+
+// obsWorkload is the stream the gate replays: obsOverheadTransitions
+// transitions of a Figure-1-sized batch on the named stand-in.
+func obsWorkload(name string, p Params) (*Workload, error) {
+	b := p.Batch(50_000)
+	return BuildWorkload(name, p, obsOverheadTransitions, b, b/4)
+}
+
+// obsTransition is the loop body both sides of the gate time: transition
+// tr (adds, dels) applied to sys under an "evaluate" root span from t. It
+// returns the root's trace, zero when t is nil (recording off). The root's
+// attributes go through SetAttr so the disabled side allocates nothing.
+func obsTransition(t *obs.Tracer, sys *kickstarter.System, tr int, adds, dels graph.EdgeList) (obs.TraceID, error) {
+	root := t.StartSpan("evaluate")
+	root.SetAttr(obs.String("strategy", "kickstarter"), obs.Int("transition", tr))
+	sys.Trace = root
+	err := sys.ApplyTransition(adds, dels)
+	root.End()
+	return root.TraceID(), err
+}
+
+// spansPerTransition counts the spans one recorded transition leaves in a
+// flight ring, the root included: the Spans/transition column.
+func spansPerTransition(w *Workload, p Params) (int, error) {
+	prev := obs.SetFlightRecording(true)
+	defer obs.SetFlightRecording(prev)
+	ring := obs.NewFlightRecorder(0)
+	sys := kickstarter.New(w.N, w.Base, algo.BFS{}, p.src(), engine.Options{})
+	tracer := obs.New(obs.WithRingOnly(), obs.WithFlightRecorder(ring))
+	trace, err := obsTransition(tracer, sys, 0, w.Store.Additions(0).Edges(), w.Store.Deletions(0).Edges())
+	if err != nil {
+		return 0, err
+	}
+	rec := ring.Find(trace)
+	if rec == nil {
+		return 0, fmt.Errorf("bench: obs-overhead: transition left no flight record")
+	}
+	return len(rec.Events), nil
 }

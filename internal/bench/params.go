@@ -1,8 +1,8 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation (§5) plus the motivating Figure 1, on synthetic stand-in
-// workloads. Each experiment is a function returning a Table that both
-// cmd/cgbench and the root bench_test.go print; tests call the same
-// functions with tiny parameters.
+// evaluation (§5) plus the motivating Figure 1 and the design ablations,
+// on synthetic stand-in workloads, and holds the flight recorder's
+// overhead gate. Each experiment is a function returning a Table that
+// cmd/cgbench prints; tests call the same functions with tiny parameters.
 package bench
 
 import (

@@ -1,12 +1,6 @@
 package bench
 
-import (
-	"fmt"
-	"io"
-	"sort"
-
-	"commongraph/internal/kickstarter"
-)
+import "commongraph/internal/kickstarter"
 
 // Experiment is a named runnable experiment.
 type Experiment struct {
@@ -15,25 +9,9 @@ type Experiment struct {
 	Run   func(Params) (*Table, error)
 }
 
-// extra holds experiments registered from outside this package. Some
-// experiments exercise the public commongraph API, which this package
-// cannot import (the root package's own tests import bench — the import
-// would cycle through the test binary); they live in subpackages and
-// register themselves at init, and only binaries that import them (cgbench)
-// see them.
-var extra []Experiment
-
-// Register adds an externally defined experiment to the registry. Call it
-// from init only — the registry is not synchronized.
-func Register(e Experiment) { extra = append(extra, e) }
-
-// Experiments lists every regenerable table and figure plus the ablations
-// and any registered extras.
+// Experiments lists every regenerable table and figure, the ablations and
+// the observability overhead gate.
 func Experiments() []Experiment {
-	return append(builtins(), extra...)
-}
-
-func builtins() []Experiment {
 	return []Experiment{
 		{Name: "fig1", Paper: "Figure 1", Run: Fig1},
 		{Name: "table2", Paper: "Table 2", Run: Table2},
@@ -47,8 +25,6 @@ func builtins() []Experiment {
 		{Name: "ablation-representation", Paper: "Ablation A3", Run: AblationRepresentation},
 		{Name: "ablation-scale", Paper: "Ablation A4", Run: AblationScale},
 		{Name: "ablation-baselines", Paper: "Ablation A5", Run: AblationBaselines},
-		{Name: "store", Paper: "Persistence", Run: StorePersistence},
-		{Name: "repl", Paper: "Replication", Run: Replication},
 		{Name: "obs-overhead", Paper: "Observability overhead gate", Run: ObsOverhead},
 	}
 }
@@ -61,30 +37,6 @@ func ByName(name string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// Names returns all experiment names, sorted.
-func Names() []string {
-	var out []string
-	for _, e := range Experiments() {
-		out = append(out, e.Name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// RunAndPrint executes one experiment and prints its table.
-func RunAndPrint(w io.Writer, name string, p Params) error {
-	e, ok := ByName(name)
-	if !ok {
-		return fmt.Errorf("bench: unknown experiment %q (have %v)", name, Names())
-	}
-	t, err := e.Run(p)
-	if err != nil {
-		return err
-	}
-	t.Fprint(w)
-	return nil
 }
 
 // newMutableFromWorkload builds a KickStarter mutable graph from a

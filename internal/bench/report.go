@@ -9,7 +9,7 @@ import (
 )
 
 // Table is a printable experiment result: the shared currency between the
-// experiment runners, cmd/cgbench, and bench_test.go.
+// experiment runners and cmd/cgbench.
 type Table struct {
 	ID     string     `json:"id"` // paper anchor, e.g. "Table 4" or "Figure 8"
 	Title  string     `json:"title"`
@@ -105,35 +105,4 @@ func speedup(baseline, improved time.Duration) string {
 		return "inf"
 	}
 	return fmt.Sprintf("%.2fx", float64(baseline)/float64(improved))
-}
-
-// WriteCSV renders the table as RFC-4180-ish CSV (header row first), for
-// plotting the figures outside Go.
-func (t *Table) WriteCSV(w io.Writer) error {
-	writeRow := func(cells []string) error {
-		for i, c := range cells {
-			if i > 0 {
-				if _, err := io.WriteString(w, ","); err != nil {
-					return err
-				}
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			if _, err := io.WriteString(w, c); err != nil {
-				return err
-			}
-		}
-		_, err := io.WriteString(w, "\n")
-		return err
-	}
-	if err := writeRow(t.Header); err != nil {
-		return err
-	}
-	for _, r := range t.Rows {
-		if err := writeRow(r); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -102,15 +102,3 @@ func BuildWorkload(name string, p Params, transitions, adds, dels int) (*Workloa
 	}
 	return w, nil
 }
-
-// ResetCaches drops all cached workloads and base graphs (tests).
-func ResetCaches() {
-	wlMu.Lock()
-	defer wlMu.Unlock()
-	wlCache = map[workloadKey]*Workload{}
-	wlOrder = nil
-	baseCache = map[string]struct {
-		n     int
-		edges graph.EdgeList
-	}{}
-}

@@ -146,21 +146,3 @@ func subtreeLeaves(e *ScheduleEdge) []int {
 	walk(e.To)
 	return out
 }
-
-// EvaluateMany evaluates several queries (different algorithms and/or
-// sources) over the same window along one schedule (rep.Schedule's, or a
-// hand-built one), sharing the representation, the Triangular Grid, its
-// labels and overlays across all of them — the amortization a multi-query
-// evolving-graph service gets from the CommonGraph form. Results are
-// returned in query order.
-func EvaluateMany(rep *Rep, tg *TG, sched *Schedule, queries []Config) ([]*Result, error) {
-	out := make([]*Result, len(queries))
-	for i, cfg := range queries {
-		res, err := WorkSharing(rep, tg, sched, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
-}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -155,6 +156,9 @@ func TestWorkSharingParallelWidthMismatch(t *testing.T) {
 	}
 }
 
+// TestEvaluateMany: queries with different algorithms and sources run
+// concurrently with WorkSharing over one shared representation and
+// schedule, and each matches the reference on every snapshot.
 func TestEvaluateMany(t *testing.T) {
 	s, n := randomStore(233, 6, 40, 40)
 	rep, err := BuildRep(Window{Store: s, From: 0, To: 6})
@@ -170,14 +174,21 @@ func TestEvaluateMany(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := EvaluateMany(rep, tg, sched, queries)
-	if err != nil {
-		t.Fatal(err)
+	results := make([]*Result, len(queries))
+	errs := make([]error, len(queries))
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func(i int, q Config) {
+			defer wg.Done()
+			results[i], errs[i] = WorkSharing(rep, tg, sched, q)
+		}(i, q)
 	}
-	if len(results) != 3 {
-		t.Fatalf("results=%d", len(results))
-	}
+	wg.Wait()
 	for qi, q := range queries {
+		if errs[qi] != nil {
+			t.Fatalf("query %d: %v", qi, errs[qi])
+		}
 		for k := 0; k <= 6; k++ {
 			snap, _ := s.GetVersion(k)
 			ref := engine.Reference(graph.NewPair(n, snap), q.Algo, q.Source)

@@ -86,9 +86,10 @@ func TestWorkSharingParallelRaceStress(t *testing.T) {
 	}
 }
 
-// TestEvaluateManyRaceStress runs several EvaluateMany batches
-// concurrently over one shared representation and checks every query
-// against its own sequential WorkSharing evaluation.
+// TestEvaluateManyRaceStress runs several rounds of queries, every query
+// of every round a concurrent WorkSharing call over one shared
+// representation, and checks each against its own sequential evaluation
+// on a separately built greedy schedule.
 func TestEvaluateManyRaceStress(t *testing.T) {
 	s, n := randomStore(313, 8, 50, 50)
 	rep, err := BuildRep(Window{Store: s, From: 0, To: 8})
@@ -102,19 +103,22 @@ func TestEvaluateManyRaceStress(t *testing.T) {
 	}
 	const rounds = 3
 	all := make([][]*Result, rounds)
-	errs := make([]error, rounds)
+	errs := make([][]error, rounds)
 	var wg sync.WaitGroup
 	for r := 0; r < rounds; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			tg, sched, _, err := rep.Schedule(context.Background())
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			all[r], errs[r] = EvaluateMany(rep, tg, sched, queries)
-		}(r)
+		all[r], errs[r] = make([]*Result, len(queries)), make([]error, len(queries))
+		for qi, q := range queries {
+			wg.Add(1)
+			go func(r, qi int, q Config) {
+				defer wg.Done()
+				tg, sched, _, err := rep.Schedule(context.Background())
+				if err != nil {
+					errs[r][qi] = err
+					return
+				}
+				all[r][qi], errs[r][qi] = WorkSharing(rep, tg, sched, q)
+			}(r, qi, q)
+		}
 	}
 	wg.Wait()
 
@@ -127,10 +131,10 @@ func TestEvaluateManyRaceStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < rounds; r++ {
-		if errs[r] != nil {
-			t.Fatalf("round %d: %v", r, errs[r])
-		}
 		for qi, q := range queries {
+			if errs[r][qi] != nil {
+				t.Fatalf("round %d query %d: %v", r, qi, errs[r][qi])
+			}
 			seq, err := WorkSharing(rep, tg, sched, q)
 			if err != nil {
 				t.Fatal(err)

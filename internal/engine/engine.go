@@ -45,25 +45,24 @@ func (s *Stats) Add(o Stats) {
 // settles the graph in value order on the calling goroutine (runOrdered),
 // so each reached vertex relaxes its row once.
 func Run(g delta.Graph, a algo.Algorithm, src graph.VertexID, opt Options) (*State, Stats) {
-	sp := opt.Span.StartChild("engine.run", obs.String("algo", a.Name()))
+	sp := opt.Span.StartChild("engine.run")
+	sp.SetAttr(obs.String("algo", a.Name()))
 	st := newStateRecycled(g.NumVertices(), a, src)
 	q := getQueue()
 	stats := runOrdered(st, []graph.VertexID{src}, g.OutRows(), q)
 	putQueue(q)
-	sp.SetAttr(statAttrs("ordered", stats)...)
-	sp.End()
+	endPass(sp, "ordered", stats)
 	return st, stats
 }
 
-// statAttrs renders a pass's Stats as span attributes, mode naming the
-// pass that ran: ordered, async or sync.
-func statAttrs(mode string, s Stats) []obs.Attr {
-	return []obs.Attr{
-		obs.String("mode", mode),
+// endPass ends a pass's span with its Stats as attributes, mode naming
+// the pass that ran: ordered, async or sync.
+func endPass(sp *obs.Span, mode string, s Stats) {
+	sp.SetAttr(obs.String("mode", mode),
 		obs.Int("iterations", s.Iterations),
 		obs.Int64("edges_pushed", s.EdgesPushed),
-		obs.Int64("improved", s.Improved),
-	}
+		obs.Int64("improved", s.Improved))
+	sp.End()
 }
 
 // Propagate drives an already-seeded frontier to fixpoint over g. Exposed

@@ -28,7 +28,8 @@ func IncrementalAddParts(g delta.Graph, st *State, parts [][]graph.Edge, opt Opt
 	for _, batch := range parts {
 		batchLen += len(batch)
 	}
-	sp := opt.Span.StartChild("engine.incremental", obs.Int("batch", batchLen))
+	sp := opt.Span.StartChild("engine.incremental")
+	sp.SetAttr(obs.Int("batch", batchLen))
 	seed, stats := seedParts(st, parts, batchLen)
 	mode := "async" // a batch that improves nothing runs no pass
 	if seed != nil {
@@ -37,8 +38,7 @@ func IncrementalAddParts(g delta.Graph, st *State, parts [][]graph.Edge, opt Opt
 		stats.Add(s)
 		putFrontier(seed)
 	}
-	sp.SetAttr(statAttrs(mode, stats)...)
-	sp.End()
+	endPass(sp, mode, stats)
 	return stats
 }
 

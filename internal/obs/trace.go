@@ -164,7 +164,10 @@ func (r *traceRec) add(e Event) {
 
 // Span is an in-flight traced region. The zero of the API is nil: a nil
 // *Span ignores SetAttr/End and returns nil children, which is the whole
-// disabled fast path — one pointer test per call.
+// disabled fast path — one pointer test per call. Attributes handed to a
+// Start* call are kept by the span, so their slice is heap-allocated even
+// when the receiver is nil; a site that must not allocate while disabled
+// passes them to SetAttr, which copies them.
 type Span struct {
 	t      *Tracer
 	name   string

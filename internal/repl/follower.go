@@ -261,9 +261,15 @@ func (f *Follower) session(ctx context.Context, conn net.Conn) (progress bool, e
 	}()
 	defer close(done)
 
+	// A hello sent after promotion fences the old primary as a fence frame
+	// does, so it carries the promotion span too. The epoch is read first:
+	// Promote records the span before the bump, so a hello at the new
+	// epoch always finds it.
+	epoch := f.epoch()
 	hello := helloMsg{}
 	f.mu.Lock()
 	st := f.st
+	helloSc := f.fenceTrace
 	f.mu.Unlock()
 	if st != nil {
 		bv, t, seq, _ := st.Position()
@@ -271,7 +277,7 @@ func (f *Follower) session(ctx context.Context, conn net.Conn) (progress bool, e
 			baseVersion: bv, transitions: t, walSeq: seq}
 	}
 	payload, flags := hello.encode()
-	if err := f.write(conn, frame{typ: frameHello, flags: flags, epoch: f.epoch(), payload: payload}); err != nil {
+	if err := f.write(conn, frame{typ: frameHello, flags: flags, epoch: epoch, trace: helloSc, payload: payload}); err != nil {
 		return false, err
 	}
 

@@ -157,6 +157,24 @@ func (p *Primary) Close() error {
 	return nil
 }
 
+// fence fences the primary at the higher epoch a follower's hello or
+// fence frame carries, durably, and returns the session's end:
+// ErrSuperseded, or the store's error if the fence could not be written.
+// Both frames carry the promotion span's context, so this final span of
+// the ex-primary joins the new authority's trace and a failover reads as
+// one lineage whichever frame fenced.
+func (p *Primary) fence(f frame) error {
+	sp := p.tracer().StartRemote(f.trace, "repl.fenced",
+		obs.Int("epoch", int(f.epoch)), obs.String("frame", f.typ.String()))
+	err := p.st.ObserveEpoch(f.epoch)
+	if err == nil || errors.Is(err, store.ErrFenced) {
+		err = fmt.Errorf("repl: %s at epoch %d: %w", f.typ, f.epoch, ErrSuperseded)
+	}
+	sp.End()
+	obs.Incident("fenced", err)
+	return err
+}
+
 // serveSession runs one follower session: handshake, catch-up, then the
 // ship loop — wake on commit (store.CommitSignal), on the heartbeat
 // ticker, on a frame from the follower (fence), or on Close.
@@ -175,11 +193,7 @@ func (p *Primary) serveSession(conn net.Conn) error {
 	if hf.epoch > p.st.Epoch() {
 		// The follower already lives in a newer epoch than ours: we are
 		// the stale primary. Fence durably before anything else.
-		ferr := p.st.ObserveEpoch(hf.epoch)
-		if ferr != nil && !errors.Is(ferr, store.ErrFenced) {
-			return ferr
-		}
-		return fmt.Errorf("repl: hello at epoch %d: %w", hf.epoch, ErrSuperseded)
+		return p.fence(hf)
 	}
 
 	// The reader goroutine watches for follower frames — a fence, or the
@@ -195,18 +209,7 @@ func (p *Primary) serveSession(conn net.Conn) error {
 				return
 			}
 			if f.typ == frameFence {
-				// The fence carries the promotion span's context: this
-				// final span of the fenced ex-primary joins the new
-				// authority's trace, so failover reads as one lineage.
-				sp := p.tracer().StartRemote(f.trace, "repl.fenced",
-					obs.Int("epoch", int(f.epoch)))
-				oerr := p.st.ObserveEpoch(f.epoch)
-				if oerr == nil || errors.Is(oerr, store.ErrFenced) {
-					oerr = fmt.Errorf("repl: fence at epoch %d: %w", f.epoch, ErrSuperseded)
-				}
-				sp.End()
-				obs.Incident("fenced", oerr)
-				fromFollower <- oerr
+				fromFollower <- p.fence(f)
 				return
 			}
 			// Anything else mid-session is out of protocol.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 
@@ -709,6 +710,94 @@ func TestPromoteFenceCarriesPromotionSpan(t *testing.T) {
 	}
 	if want := (obs.SpanContext{Trace: promote.Trace, Span: promote.ID}); fence.trace != want {
 		t.Errorf("fence carries trace context %+v, want the promotion span %+v", fence.trace, want)
+	}
+}
+
+// TestPromoteRedialFencesThroughHello: a follower whose dial is in flight
+// while Promote runs reaches the old primary with a hello at the new
+// epoch. The hello alone fences it, and the fence leaves exactly one
+// repl.fenced span on the primary, a remote child of repl.promote, as a
+// fence frame does.
+func TestPromoteRedialFencesThroughHello(t *testing.T) {
+	dir := t.TempDir()
+	ps := newSeededStore(t, filepath.Join(dir, "p"))
+	defer ps.Close()
+	p := NewPrimary(ps, 10*time.Millisecond)
+	defer p.Close()
+	primaryTrace := obs.New(obs.WithFlightRecorder(nil))
+	p.SetTracer(primaryTrace)
+
+	fs, err := store.CreateReplica(filepath.Join(dir, "f"), 8, nil, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.Close()
+	dialing, release := make(chan struct{}), make(chan struct{})
+	followerTrace := obs.New(obs.WithFlightRecorder(nil))
+	f, err := OpenFollower(filepath.Join(dir, "f"), Options{
+		Dial: func(ctx context.Context) (net.Conn, error) {
+			close(dialing)
+			<-release
+			return pipeDialer(p)(ctx)
+		},
+		Backoff: Backoff{Base: time.Hour}, // one session, then park
+		Trace:   followerTrace,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go f.Run(ctx)
+
+	<-dialing
+	st, epoch, err := f.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	close(release)
+
+	fenced := func() []obs.Event {
+		var out []obs.Event
+		for _, ev := range primaryTrace.Events() {
+			if ev.Name == "repl.fenced" {
+				out = append(out, ev)
+			}
+		}
+		return out
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(fenced()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the old primary recorded no repl.fenced span after the promoted follower's hello")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if !ps.Fenced() {
+		t.Fatal("old primary not fenced after the promoted follower's hello")
+	}
+	var promote *obs.Event
+	for _, ev := range followerTrace.Events() {
+		if ev.Name == "repl.promote" {
+			promote = &ev
+		}
+	}
+	if promote == nil {
+		t.Fatal("no repl.promote span")
+	}
+	spans := fenced()
+	if len(spans) != 1 {
+		t.Fatalf("%d repl.fenced spans, want 1", len(spans))
+	}
+	sp := spans[0]
+	if sp.Trace != promote.Trace || sp.Parent != promote.ID {
+		t.Errorf("repl.fenced in trace %v under %v, want trace %v under repl.promote %v",
+			sp.Trace, sp.Parent, promote.Trace, promote.ID)
+	}
+	if sp.Attr("frame") != "hello" || sp.Attr("epoch") != strconv.FormatUint(epoch, 10) {
+		t.Errorf("repl.fenced attrs frame=%q epoch=%q, want hello, %d", sp.Attr("frame"), sp.Attr("epoch"), epoch)
 	}
 }
 

@@ -261,7 +261,7 @@ func TestMetricsEndpointReflectsEvaluations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := obs.ValidateExposition(body); err != nil {
+		if _, err := obs.ParseExposition(body); err != nil {
 			t.Fatalf("endpoint serves malformed exposition: %v", err)
 		}
 		return string(body)

@@ -2,10 +2,12 @@ package commongraph
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"commongraph/internal/core"
+	"commongraph/internal/obs"
 )
 
 // TestRunMatchesEvaluate: Run under every strategy must produce the
@@ -100,12 +102,15 @@ func TestWatcherRunMatchesEvaluate(t *testing.T) {
 }
 
 // TestRunMultiMatchesEvaluateMulti: RunMulti must agree with evaluating
-// each of its queries alone.
+// each of its queries alone, and each of its queries goes through Run's
+// envelope: one evaluate root and one commongraph_queries_total count per
+// query, and a schedule built by the first query and reused by the rest.
 func TestRunMultiMatchesEvaluateMulti(t *testing.T) {
 	g, _ := buildEvolving(t, 41, 3, 40, 40)
 	queries := []Query{
 		{Algorithm: BFS, Source: 0},
 		{Algorithm: SSSP, Source: 1},
+		{Algorithm: SSWP, Source: 2},
 	}
 	old := make([]*Result, len(queries))
 	for i, q := range queries {
@@ -115,7 +120,9 @@ func TestRunMultiMatchesEvaluateMulti(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := g.RunMulti(context.Background(), queries, Window{From: 0, To: 3}, Options{})
+	tr := NewTracer()
+	counted := obs.Queries(WorkSharing.Slug()).Value()
+	res, err := g.RunMulti(context.Background(), queries, Window{From: 0, To: 3}, Options{Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +135,25 @@ func TestRunMultiMatchesEvaluateMulti(t *testing.T) {
 				t.Fatalf("query %d snapshot %d: RunMulti and Run disagree", qi, i)
 			}
 		}
+	}
+	if got := obs.Queries(WorkSharing.Slug()).Value() - counted; got != int64(len(queries)) {
+		t.Errorf("commongraph_queries_total{strategy=%q} rose by %d, want %d", WorkSharing.Slug(), got, len(queries))
+	}
+	var roots int
+	var hits []string
+	for _, ev := range tr.Events() {
+		switch {
+		case ev.Name == "evaluate" && ev.Parent == 0:
+			roots++
+		case ev.Name == "plan.build":
+			hits = append(hits, ev.Attr("hit"))
+		}
+	}
+	if roots != len(queries) {
+		t.Errorf("%d evaluate roots for %d queries", roots, len(queries))
+	}
+	if want := []string{"false", "true", "true"}; !reflect.DeepEqual(hits, want) {
+		t.Errorf("plan.build hit per query = %v, want %v (schedule built once)", hits, want)
 	}
 }
 

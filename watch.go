@@ -421,19 +421,13 @@ func (w *Watcher) ServeMetrics(addr string) (*MetricsServer, error) {
 	})
 }
 
-// RunMulti evaluates several queries over the same window with the
-// Work-Sharing schedule built once and shared across all of them. The
-// context cancels the evaluation like Run's.
+// RunMulti evaluates several queries over the same window with
+// Work-Sharing. Every query is validated before any runs; each then runs
+// through Run's envelope (span, counters, slow log, incident), and the
+// window's representation and schedule, memoized per window, are built by
+// the first and reused by the rest. The context cancels the evaluation
+// like Run's.
 func (g *EvolvingGraph) RunMulti(ctx context.Context, queries []Query, win Window, opt Options) ([]*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	w := core.Window{Store: g.store, From: win.From, To: win.To}
-	rep, tg, sched, err := g.windowPlan(ctx, w, nil, true, opt, nil)
-	if err != nil {
-		return nil, err
-	}
-	cfgs := make([]core.Config, len(queries))
 	for i, q := range queries {
 		if q.Algorithm == nil {
 			return nil, fmt.Errorf("commongraph: query %d has no algorithm", i)
@@ -441,15 +435,14 @@ func (g *EvolvingGraph) RunMulti(ctx context.Context, queries []Query, win Windo
 		if err := g.checkSource(q.Source); err != nil {
 			return nil, err
 		}
-		cfgs[i] = opt.config(ctx, q, nil)
 	}
-	inner, err := core.EvaluateMany(rep, tg, sched, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Result, len(inner))
-	for i, r := range inner {
-		out[i] = convertResult(r, win.From, WorkSharing)
+	out := make([]*Result, len(queries))
+	for i, q := range queries {
+		res, err := g.run(ctx, Request{Query: q, Window: win, Strategy: WorkSharing, Options: opt}, nil)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = res
 	}
 	return out, nil
 }
