@@ -39,13 +39,16 @@ sarif:
 
 # Short deterministic fuzz of the graph ingest paths (text + binary), the
 # row patcher of the maintained common graph (PatchRows against a rebuild,
-# branches included) and the engine differential oracle (every engine path vs reference.go
-# on fuzzer-shaped random graphs and batches).
+# branches included), the snapshot store's head index (commit verdicts and
+# membership against a map of the head's edges) and the engine differential
+# oracle (every engine path vs reference.go on fuzzer-shaped random graphs
+# and batches).
 fuzz-smoke:
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzParseEdgeList$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzLoadCSR$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzEdgeListIO$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzPatchRows$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzHeadIndex$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzEngineDifferential$$' -fuzztime $(FUZZTIME)
 
 # Probabilistic fault injection under the race detector: seeded random

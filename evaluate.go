@@ -338,13 +338,15 @@ func (g *EvolvingGraph) run(ctx context.Context, req Request, held *core.Rep) (*
 	// The root span joins any trace context riding on the request context
 	// (obs.ContextWithSpan) — a follower read links to the primary ingest
 	// trace that produced the data it reads; a plain query starts fresh.
-	sp := tr.StartRemote(obs.FromContext(ctx), "evaluate",
-		obs.String("strategy", slug),
-		obs.String("algo", q.Algorithm.Name()),
-		obs.Int("source", int(q.Source)),
-		obs.Int("from", w.From), obs.Int("to", w.To), obs.Int("width", w.Width()))
-	if held != nil {
-		sp.SetAttr(obs.String("origin", "watcher"))
+	sp := tr.StartRemote(obs.FromContext(ctx), "evaluate")
+	if sp != nil {
+		sp.SetAttr(obs.String("strategy", slug),
+			obs.String("algo", q.Algorithm.Name()),
+			obs.Int("source", int(q.Source)),
+			obs.Int("from", w.From), obs.Int("to", w.To), obs.Int("width", w.Width()))
+		if held != nil {
+			sp.SetAttr(obs.String("origin", "watcher"))
+		}
 	}
 	var m0 runtime.MemStats
 	if tr.Detailed() {

@@ -63,8 +63,10 @@ func (cfg Config) budget() int {
 
 // nodeRef renders a schedule node as "i,j" for span attributes. In a
 // schedule tree every node has one incoming edge, so the destination ref
-// alone identifies a schedule edge.
-func nodeRef(n *ScheduleNode) string { return fmt.Sprintf("%d,%d", n.I, n.J) }
+// alone identifies a schedule edge. Call sites render only for a live
+// span, so an untraced walk formats nothing; it is a variable so a test
+// can count the calls.
+var nodeRef = func(n *ScheduleNode) string { return fmt.Sprintf("%d,%d", n.I, n.J) }
 
 // solveCommon is the shared from-scratch solve on the common graph, under
 // a "common.solve" span (with the engine's own pass span nested inside).
@@ -428,9 +430,11 @@ func (x *execution) walkSubtree(from *ScheduleNode, e *ScheduleEdge, st *engine.
 	for _, p := range parts {
 		seeds += len(p)
 	}
-	sp := parent.StartChild("schedule.edge",
-		obs.String("from", nodeRef(from)), obs.String("to", nodeRef(e.To)),
-		obs.Int("spans", len(e.Spans)), obs.Int64("batch", e.AddCount), obs.Int("seeds", seeds))
+	sp := parent.StartChild("schedule.edge")
+	if sp != nil {
+		sp.SetAttr(obs.String("from", nodeRef(from)), obs.String("to", nodeRef(e.To)),
+			obs.Int("spans", len(e.Spans)), obs.Int64("batch", e.AddCount), obs.Int("seeds", seeds))
+	}
 	t1 := time.Now()
 	og := edgeGraph(x.rep, e)
 	t2 := time.Now()

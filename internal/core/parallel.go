@@ -91,7 +91,10 @@ func (x *execution) each(n int, unit func(i int, acc *Result) error) error {
 func (x *execution) isolatedSubtree(root *ScheduleNode, e *ScheduleEdge, acc *Result) error {
 	err := func() (err error) {
 		defer recoverToError(&err)
-		sp := x.cfg.Trace.Fork("subtree", obs.String("root", nodeRef(e.To)))
+		sp := x.cfg.Trace.Fork("subtree")
+		if sp != nil {
+			sp.SetAttr(obs.String("root", nodeRef(e.To)))
+		}
 		defer sp.End()
 		return x.walkSubtree(root, e, childState(x.base, false, acc), sp, acc)
 	}()
@@ -103,7 +106,9 @@ func (x *execution) isolatedSubtree(root *ScheduleNode, e *ScheduleEdge, acc *Re
 		return errors.Join(err, degErr)
 	}
 	obs.Degradations().Inc()
-	x.cfg.Trace.Tracer().Event("degrade", obs.String("subtree", nodeRef(e.To)))
+	if tr := x.cfg.Trace.Tracer(); tr != nil {
+		tr.Event("degrade", obs.String("subtree", nodeRef(e.To)))
+	}
 	for _, k := range leaves {
 		acc.degrade(k, err)
 	}
@@ -118,7 +123,10 @@ func (x *execution) isolatedSubtree(root *ScheduleNode, e *ScheduleEdge, acc *Re
 // degradation loses only the work sharing, never correctness.
 func (x *execution) degradeSubtree(e *ScheduleEdge, leaves []int, acc *Result) (err error) {
 	defer recoverToError(&err)
-	sp := x.cfg.Trace.Fork("subtree.degrade", obs.String("root", nodeRef(e.To)))
+	sp := x.cfg.Trace.Fork("subtree.degrade")
+	if sp != nil {
+		sp.SetAttr(obs.String("root", nodeRef(e.To)))
+	}
 	defer sp.End()
 	star := x.rep.star().Root
 	for _, k := range leaves {

@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"commongraph/internal/algo"
+	"commongraph/internal/faults"
 	"commongraph/internal/obs"
 )
 
@@ -129,5 +132,40 @@ func TestDisabledTracerEmitsNothing(t *testing.T) {
 	}
 	if got := tr.Events(); got != nil {
 		t.Fatalf("disabled tracer recorded %d events", len(got))
+	}
+}
+
+// TestUntracedWalkFormatsNothing: a span attribute is rendered only for a
+// live span, so a walk with no tracer never calls nodeRef, on any
+// strategy or on the degraded path, while a traced walk still names its
+// schedule edges.
+func TestUntracedWalkFormatsNothing(t *testing.T) {
+	f := newFaultFixture(t, 419, 8)
+	var calls atomic.Int64 // the parallel strategies render on their units' goroutines
+	defer func(orig func(*ScheduleNode) string) { nodeRef = orig }(nodeRef)
+	nodeRef = func(n *ScheduleNode) string { calls.Add(1); return fmt.Sprintf("%d,%d", n.I, n.J) }
+	walk := func(cfg Config) {
+		t.Helper()
+		for name, run := range f.strategies() {
+			if _, err := run(cfg); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		cfg.Degrade = true
+		disarm := faults.Arm(&faults.Plan{Specs: []faults.Spec{{Point: faults.CoreSubtreeWalk, After: 1, Times: 1}}})
+		defer disarm()
+		if res, err := WorkSharingParallel(f.rep, f.tg, f.sched, cfg); err != nil || !res.Degraded {
+			t.Fatalf("armed walk: err %v, degraded %v", err, res != nil && res.Degraded)
+		}
+	}
+	walk(f.cfg)
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("an untraced walk rendered %d node refs", n)
+	}
+	cfg := f.cfg
+	cfg.Trace = obs.New().StartSpan("evaluate")
+	walk(cfg)
+	if calls.Load() == 0 {
+		t.Fatal("a traced walk rendered no node refs: the count sees nothing")
 	}
 }

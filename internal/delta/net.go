@@ -17,9 +17,6 @@ type Net struct {
 // Then returns the composition of n followed by o. Only the two deltas
 // are read, never a snapshot.
 func (n Net) Then(o Net) Net {
-	if len(n.Adds) == 0 && len(n.Dels) == 0 {
-		return o
-	}
 	return Net{
 		Adds: graph.Union(graph.Minus(n.Adds, o.Dels), o.Adds),
 		Dels: graph.Union(n.Dels, o.Dels),
@@ -47,6 +44,3 @@ func compose(lo, hi int, transition func(t int) Net) Net {
 func (n Net) Apply(base graph.EdgeList) graph.EdgeList {
 	return graph.Patch(base, n.Dels, n.Adds)
 }
-
-// Len is the number of edges the two lists hold.
-func (n Net) Len() int { return len(n.Adds) + len(n.Dels) }

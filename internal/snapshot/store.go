@@ -6,7 +6,8 @@
 // list and the Δ batches, and materializes any requested version on
 // demand. Each edge is stored once (the paper's space-optimality claim for
 // the common-graph representation is realized one level up, in
-// internal/core, which consumes this store).
+// internal/core, which consumes this store). new_version checks a batch
+// against an anchor version plus the edges touched since.
 package snapshot
 
 import (
@@ -34,21 +35,21 @@ type Store struct {
 	cacheOrder []int
 
 	// The head index: the latest version is anchor, version anchorAt
-	// materialized, with the transitions since composed into net applied
-	// to it. A transition is validated against the index (three binary
-	// searches an edge) and advances it by merging the batch into net, so
-	// a commit never touches a whole snapshot. anchor is nil until the
-	// first validation and after DropCache; it cannot go stale, because
-	// only NewVersion appends a transition and it does so under mu.
+	// materialized, but for touched, every edge a transition has added
+	// (true) or deleted (false) since. A commit looks each batch edge up
+	// (the map, else a binary search of anchor) and writes it to the map:
+	// it costs its batch. anchor and touched are nil until the first
+	// validation and after DropCache; they cannot go stale, because only
+	// NewVersion appends a transition, under mu.
 	anchor   graph.EdgeList
 	anchorAt int
-	net      delta.Net
+	touched  map[uint64]bool
 }
 
 const (
 	// maxCached bounds the number of non-zero versions kept materialized.
 	maxCached = 4
-	// reanchorRatio bounds the head index: once net holds more than
+	// reanchorRatio bounds the head index: once touched holds more than
 	// 1/reanchorRatio as many edges as anchor, the head is materialized
 	// (one pass) and becomes the anchor.
 	reanchorRatio = 8
@@ -133,9 +134,15 @@ func (s *Store) NewVersion(additions, deletions graph.EdgeList) (int, error) {
 	}
 	s.adds = append(s.adds, add)
 	s.dels = append(s.dels, del)
-	s.net = s.net.Then(delta.Net{Adds: add.Edges(), Dels: del.Edges()})
-	if s.net.Len()*reanchorRatio > len(s.anchor) {
-		s.anchor, s.anchorAt, s.net = s.net.Apply(s.anchor), len(s.adds), delta.Net{}
+	for _, e := range del.Edges() {
+		s.touched[edgeKey(e)] = false
+	}
+	for _, e := range add.Edges() {
+		s.touched[edgeKey(e)] = true
+	}
+	if len(s.touched)*reanchorRatio > len(s.anchor) {
+		s.anchor, s.anchorAt = s.netLocked(s.anchorAt, len(s.adds)).Apply(s.anchor), len(s.adds)
+		clear(s.touched) // keeps the buckets for the next run of commits
 	}
 	return len(s.adds), nil
 }
@@ -153,13 +160,14 @@ func (s *Store) CheckBatch(additions, deletions graph.EdgeList) error {
 func (s *Store) checkBatchLocked(add, del *delta.Batch) error {
 	latest := len(s.adds)
 	if s.anchor == nil {
-		s.anchor, s.anchorAt = s.materializeLocked(latest), latest // net is empty whenever anchor is nil
+		s.anchor, s.anchorAt, s.touched = s.materializeLocked(latest), latest, map[uint64]bool{}
 	}
 	for _, e := range del.Edges() {
 		if !s.headContainsLocked(e) {
 			return fmt.Errorf("snapshot: version %d does not contain deleted edge %v", latest, e)
 		}
 	}
+	// An edge in both batches fails one of the two loops.
 	for _, e := range add.Edges() {
 		if s.headContainsLocked(e) {
 			return fmt.Errorf("snapshot: version %d already contains added edge %v", latest, e)
@@ -168,19 +176,18 @@ func (s *Store) checkBatchLocked(add, del *delta.Batch) error {
 			return fmt.Errorf("snapshot: edge %v out of vertex range %d", e, s.n)
 		}
 	}
-	if add.Intersect(del).Len() != 0 {
-		return fmt.Errorf("snapshot: additions and deletions overlap")
-	}
 	return nil
 }
 
-// headContainsLocked reports whether the latest version holds e: it was
-// added since the anchor, or the anchor holds it and it was not deleted
-// since (an edge deleted and re-added is in both halves of net).
+// headContainsLocked reports whether the latest version holds e.
 func (s *Store) headContainsLocked(e graph.Edge) bool {
-	return s.net.Adds.Contains(e.Src, e.Dst) ||
-		(s.anchor.Contains(e.Src, e.Dst) && !s.net.Dels.Contains(e.Src, e.Dst))
+	if in, ok := s.touched[edgeKey(e)]; ok {
+		return in
+	}
+	return s.anchor.Contains(e.Src, e.Dst)
 }
+
+func edgeKey(e graph.Edge) uint64 { return uint64(e.Src)<<32 | uint64(e.Dst) }
 
 // GetVersion materializes snapshot i as a canonical edge list
 // (Table 1's get_version). The result is cached; do not modify it.
@@ -215,23 +222,22 @@ func (s *Store) materializeLocked(i int) graph.EdgeList {
 		from, cur = s.anchorAt, s.anchor
 	}
 	if from < i {
-		cur = delta.Compose(i-from, func(t int) delta.Net {
-			return delta.Net{Adds: s.adds[from+t].Edges(), Dels: s.dels[from+t].Edges()}
-		}).Apply(cur)
+		cur = s.netLocked(from, i).Apply(cur)
 	}
 	s.cacheLocked(i, cur)
 	return cur
 }
 
-// cacheLocked inserts a materialized version, evicting the oldest cached
-// non-zero version beyond the cap.
+// netLocked composes the transitions from version from to version i.
+func (s *Store) netLocked(from, i int) delta.Net {
+	return delta.Compose(i-from, func(t int) delta.Net {
+		return delta.Net{Adds: s.adds[from+t].Edges(), Dels: s.dels[from+t].Edges()}
+	})
+}
+
+// cacheLocked inserts a materialized version that is not cached (so not
+// version 0), evicting the oldest cached one beyond the cap.
 func (s *Store) cacheLocked(i int, edges graph.EdgeList) {
-	if i == 0 {
-		return
-	}
-	if _, ok := s.versions[i]; ok {
-		return
-	}
 	s.versions[i] = edges
 	s.cacheOrder = append(s.cacheOrder, i)
 	for len(s.cacheOrder) > maxCached {
@@ -267,13 +273,13 @@ func (s *Store) Pair(i int) (*graph.Pair, error) {
 	return graph.NewPair(s.n, edges), nil
 }
 
-// DropCache releases materialized snapshots other than version 0, the
-// head index's anchor included (the next validation rebuilds it), for
+// DropCache releases materialized snapshots other than version 0 and the
+// head index (the next validation rebuilds it), for
 // long-lived stores that only need the batch view.
 func (s *Store) DropCache() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.versions = map[int]graph.EdgeList{0: s.base}
 	s.cacheOrder = nil
-	s.anchor, s.net = nil, delta.Net{}
+	s.anchor, s.touched = nil, nil
 }

@@ -337,8 +337,8 @@ func TestHeadIndexDifferential(t *testing.T) {
 				accept(adds, dels)
 				if s.anchorAt != was {
 					reanchors++
-					if s.anchorAt != len(history)-1 || s.net.Len() != 0 {
-						t.Fatalf("re-anchored at %d with %d net edges, head is %d", s.anchorAt, s.net.Len(), len(history)-1)
+					if s.anchorAt != len(history)-1 || len(s.touched) != 0 {
+						t.Fatalf("re-anchored at %d with %d touched edges, head is %d", s.anchorAt, len(s.touched), len(history)-1)
 					}
 				}
 			}

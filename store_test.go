@@ -596,10 +596,20 @@ func TestOneFoldInFlight(t *testing.T) {
 // the rows its batch touches, so the graph is as big against the batch as
 // the benchmark's: at 200 K edges the same batch touches rows holding
 // 30 % of the common graph, not 20 %.
+//
+// A commit's cost must not grow with its distance from the head index's
+// anchor either. The anchor is version 0 from the first commit, and the
+// edges touched since only reach 1/8 of the graph (the re-anchor) about
+// 110 transitions in, so commits 60-80 transitions in stand 60-80 K
+// touched edges away from it. Their median must stay under
+// farBytesPerEdge per batch edge: a bound on the batch, not on E. Folding
+// every commit into one net delta over the touched edges (1.3 MB a commit
+// there) fails it.
 func TestWritePathCostGuard(t *testing.T) {
 	n, base := gen.RMAT(gen.DefaultRMAT(15, 880_000, 91))
-	const width, commits, slides = 4, 10, 40
-	trs, err := gen.Stream(n, base, gen.StreamConfig{Transitions: width - 1 + slides, Additions: 500, Deletions: 500, Seed: 92})
+	const width, commits, slides, farFrom, farTo = 4, 10, 40, 60, 80
+	const batch, farBytesPerEdge = 1000, 256
+	trs, err := gen.Stream(n, base, gen.StreamConfig{Transitions: farTo, Additions: batch / 2, Deletions: batch / 2, Seed: 92})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,21 +635,32 @@ func TestWritePathCostGuard(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	perCommit := make([]uint64, commits)
+	var near, far []uint64
 	for i, tr := range trs[width-1:] {
 		a := allocated(func() {
 			if _, err := gs.ApplyUpdates(tr.Additions, tr.Deletions); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if i < commits {
-			perCommit[i] = a
+		switch v := width + i; { // the version the commit made
+		case i < commits:
+			near = append(near, a)
+		case v > farFrom:
+			far = append(far, a)
 		}
 	}
-	sort.Slice(perCommit, func(i, j int) bool { return perCommit[i] < perCommit[j] })
-	if median := perCommit[commits/2]; median >= 1<<20 {
-		t.Fatalf("the median commit of 1000 edges allocated %d bytes on a %d-edge graph, want under 1 MB (all: %v)", median, len(base), perCommit)
+	median := func(a []uint64) uint64 {
+		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
+		return a[len(a)/2]
 	}
+	if m := median(near); m >= 1<<20 {
+		t.Fatalf("the median commit of %d edges allocated %d bytes on a %d-edge graph, want under 1 MB (all: %v)", batch, m, len(base), near)
+	}
+	if m := median(far); m >= batch*farBytesPerEdge {
+		t.Fatalf("the median commit of %d edges %d-%d transitions past the anchor allocated %d bytes, want under %d a batch edge (all: %v)",
+			batch, farFrom, farTo, m, farBytesPerEdge, far)
+	}
+	t.Logf("median commit: %d bytes near the anchor, %d bytes %d-%d transitions past it", median(near), median(far), farFrom, farTo)
 	// Slide until the third compaction: the slides from the first one up
 	// to it are two whole cycles, each paying for one compaction.
 	var cycles, total uint64
